@@ -7,12 +7,10 @@ from .cover import (
     Witness,
     exact_q_assignment,
     ordered_stream,
-    prefix_stream,
     verify_multicover,
 )
 from .formulas import (
     CoverParams,
-    GrowthParams,
     InfeasibleRegime,
     InstanceParams,
     NoFiniteHorizon,

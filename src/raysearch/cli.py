@@ -13,7 +13,6 @@ import math
 import sys
 from typing import Sequence
 
-from .cover import exact_q_assignment
 from .formulas import (
     CoverParams,
     InfeasibleRegime,
@@ -29,8 +28,6 @@ from .fractional import fractional_ratio
 from .potential import GrowthTrace, detect_gap, refute
 from .simulator import sweep_rows, worst_ratio
 from .strategy import (
-    CoverInterval,
-    all_cover_intervals,
     load_strategies,
     make_exponential_strategy,
     make_geometric_line_strategy,
@@ -171,27 +168,22 @@ def cmd_refute(args) -> int:
     strategies = _build_strategies(args, p, N, mode=args.mode)
     verdict = refute(strategies, args.lam, p, N, mode=args.mode)
     doc = verdict.to_dict()
-    if verdict.kind == "certificate" and args.gap_constant is not None:
-        covers = all_cover_intervals(strategies, CoverParams(args.lam))
-        mult = verdict.params["multiplicity"]
-        if mult > 0:
-            assigned = exact_q_assignment(covers, mult, min(N, _GEN_HORIZON_CAP))
-            gap = detect_gap(assigned, args.gap_constant, CoverParams(args.lam))
-            doc["gap"] = {
-                "case": gap.case,
-                "robot": gap.robot,
-                "round": gap.round_index,
-                "ratio": gap.ratio,
-                "sub_lo": gap.sub_lo,
-                "sub_hi": gap.sub_hi,
-            }
+    # only a certificate carries an assignment; it is empty only when the
+    # multiplicity is 0, where there is no stream to scan for gaps
+    if args.gap_constant is not None and verdict.assignment:
+        gap = detect_gap(verdict.assignment, args.gap_constant, CoverParams(args.lam))
+        doc["gap"] = {
+            "case": gap.case,
+            "robot": gap.robot,
+            "round": gap.round_index,
+            "ratio": gap.ratio,
+            "sub_lo": gap.sub_lo,
+            "sub_hi": gap.sub_hi,
+        }
     if args.trace:
         _write_trace_csv(args.trace, verdict.trace)
-    if args.assignment and verdict.kind == "certificate":
-        covers = all_cover_intervals(strategies, CoverParams(args.lam))
-        mult = verdict.params["multiplicity"]
-        assigned = exact_q_assignment(covers, mult, min(N, _GEN_HORIZON_CAP)) if mult else []
-        _write_assignment_csv(args.assignment, assigned)
+    if args.assignment and verdict.assignment is not None:
+        _write_assignment_csv(args.assignment, verdict.assignment)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.json:
         with open(args.json, "w") as fh:
@@ -200,7 +192,7 @@ def cmd_refute(args) -> int:
     return 0 if verdict.kind == "certificate" else 2
 
 
-def _add_instance_args(sub, need_fault: bool = True):
+def _add_instance_args(sub):
     sub.add_argument("-m", type=int, default=2, help="ray count (default 2)")
     sub.add_argument("-k", type=int, default=1, help="robot count (default 1)")
     sub.add_argument("-f", type=int, default=0, help="faulty count (default 0)")

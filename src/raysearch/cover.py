@@ -1,8 +1,9 @@
 """Multicover verification and exact-multiplicity interval assignment.
 
 `verify_multicover` sweeps interval endpoints and reports the leftmost
-point of (1, N] whose coverage multiplicity falls short.  On a verified
-cover, `exact_q_assignment` truncates the cover intervals [t'', t] to
+point of (1, N] whose coverage multiplicity falls short.
+`exact_q_assignment` verifies and truncates in one sweep: it reports the
+same leftmost witness, or truncates the cover intervals [t'', t] to
 half-open assigned intervals (t', t], t'' <= t' < t, so that every point
 of (1, N] is covered *exactly* q times.  Truncation keeps waiting the
 intervals with the largest right endpoints (they keep contributing
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from heapq import heappop, heappush
+from typing import Sequence, Union
 
 from .strategy import CoverInterval
 
@@ -29,7 +31,6 @@ __all__ = [
     "verify_multicover",
     "exact_q_assignment",
     "ordered_stream",
-    "prefix_stream",
 ]
 
 
@@ -124,13 +125,18 @@ def verify_multicover(
 def exact_q_assignment(
     intervals: Sequence[CoverInterval], q: int, hi: float, lo: float = 1.0
 ) -> list[AssignedInterval]:
-    """Truncate a >= q-fold cover of (lo, hi] to exact multiplicity q."""
+    """Truncate a >= q-fold cover of (lo, hi] to exact multiplicity q.
+
+    The sweep is also the cover check.  On each segment (u, v) between
+    consecutive endpoints, the opened intervals plus the unexpired
+    available ones are exactly those with left <= u and right >= v, so
+    their count is the segment multiplicity `verify_multicover` reports.
+    When it falls short of q, DeficientCoverError carries the same
+    leftmost witness.  (The point check there cannot fire first: an
+    interval live on (u, v) is closed on the right, so it contains v.)
+    """
     if q <= 0:
         return []
-    witness = verify_multicover(intervals, q, hi, lo)
-    if witness is not None:
-        raise DeficientCoverError(witness)
-
     out: list[AssignedInterval] = []
     # boundary intervals: no coverage above lo, but their turning distances
     # still belong to the robot loads of the potential argument
@@ -148,11 +154,14 @@ def exact_q_assignment(
     mids = sorted({v for iv in pool for v in (iv.left, iv.right) if lo < v < hi})
     points = [lo] + mids + [hi]
     nxt = 0  # next pool interval to become available
-    avail: list[CoverInterval] = []  # available but not yet opened
+    # available but not yet opened, as a heap of (right, robot, round, pool
+    # index); expired entries (right < v) are dropped when they reach the top
+    avail: list[tuple[float, int, int, int]] = []
     opened: list[tuple[CoverInterval, float]] = []  # (interval, t')
     for u, v in zip(points, points[1:]):
         while nxt < len(pool) and pool[nxt].left <= u:
-            avail.append(pool[nxt])
+            iv = pool[nxt]
+            heappush(avail, (iv.right, iv.robot, iv.round_index, nxt))
             nxt += 1
         still = []
         for iv, t_prime in opened:
@@ -164,16 +173,13 @@ def exact_q_assignment(
                 )
         opened = still
         need = q - len(opened)
-        if need < 0:  # cannot happen: we never open beyond q
-            raise AssertionError("over-full assignment sweep")
         if need > 0:
-            avail = [iv for iv in avail if iv.right >= v]
-            cands = sorted(avail, key=lambda iv: (iv.right, iv.robot, iv.round_index))
-            if len(cands) < need:
-                raise DeficientCoverError(Witness(u, q - need + len(cands), q))
-            for iv in cands[:need]:
-                avail.remove(iv)
-                opened.append((iv, u))
+            while avail and avail[0][0] < v:
+                heappop(avail)
+            if len(avail) < need:
+                raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
+            for _ in range(need):
+                opened.append((pool[heappop(avail)[3]], u))
     for iv, t_prime in opened:
         out.append(
             AssignedInterval(iv.robot, iv.round_index, t_prime, iv.right, iv.left)
@@ -204,12 +210,3 @@ def ordered_stream(
             last_boundary = idx
     p0 = max(max(first_seen.values()), last_boundary) + 1
     return seq, p0
-
-
-def prefix_stream(
-    assigned: Sequence[AssignedInterval], lo: float = 1.0
-) -> Iterator[list[AssignedInterval]]:
-    """Prefixes P0 c P1 c ... of the left-endpoint-sorted assignment."""
-    seq, p0 = ordered_stream(assigned, lo)
-    for size in range(p0, len(seq) + 1):
-        yield seq[:size]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 __all__ = [
     "InstanceParams",
     "CoverParams",
-    "GrowthParams",
     "TrivialRegime",
     "InfeasibleRegime",
     "NoFiniteHorizon",
@@ -132,16 +131,6 @@ class CoverParams:
     @property
     def mu(self) -> float:
         return (self.lam - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class GrowthParams:
-    """Inputs of one growth-factor evaluation, with the factor itself."""
-
-    s: int
-    k: int
-    mu_star: float
-    delta: float
 
 
 def ratio_lower_bound(p: InstanceParams) -> float:

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 from .cover import (
     AssignedInterval,
     ConfigurationError,
+    DeficientCoverError,
     Witness,
     exact_q_assignment,
     ordered_stream,
-    verify_multicover,
 )
 from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical, poly_max_point
 from .strategy import Strategy, all_cover_intervals
@@ -97,7 +98,7 @@ class PrefixState:
     s_exp: int  # load exponent: s (line) or q - k (orc)
     A: list[float]  # ascending; A[0] is the full-coverage frontier a
     loads: dict[int, float]
-    pending: dict[int, list[AssignedInterval]]  # per robot, stream order
+    pending: dict[int, deque[AssignedInterval]]  # per robot, stream order
     scale: float
     log_potential: float | None  # None when some next-left is undefined (orc)
 
@@ -149,7 +150,7 @@ def initial_state(
     loads = {r: 0.0 for r in robots}
     for iv in prefix:
         loads[iv.robot] += iv.right / scale
-    pending = {r: [] for r in robots}
+    pending = {r: deque() for r in robots}
     for iv in seq[p0:]:
         pending[iv.robot].append(iv)
     state = PrefixState(
@@ -180,14 +181,17 @@ class GrowthStep:
 def advance(
     state: PrefixState, nxt: AssignedInterval, c: CoverParams
 ) -> tuple[PrefixState, GrowthStep]:
-    """Extend the prefix by its next assigned interval.
+    """Extend the prefix by its next assigned interval, in place.
 
     The interval must start at the current frontier a and respect the
     load bound (realized slack mu* at most mu); the log-potential is
-    updated incrementally from the step ratio.
+    updated incrementally from the step ratio.  Every check runs before
+    the state is touched, so a rejected step leaves it as it was.
+    Returns the same, mutated state together with the step.
     """
     r = nxt.robot
-    if not state.pending[r] or state.pending[r][0] is not nxt:
+    queue = state.pending[r]
+    if not queue or queue[0] is not nxt:
         raise InvalidAssignmentError("interval is not the robot's next in stream")
     left = nxt.left / state.scale
     right = nxt.right / state.scale
@@ -198,14 +202,12 @@ def advance(
         )
     load_old = state.loads[r]
     load_new = load_old + right
-    pending = dict(state.pending)
-    pending[r] = pending[r][1:]
     if state.mode == "orc":
-        if not pending[r]:
+        if len(queue) < 2:
             raise InvalidAssignmentError(
                 f"robot {r} has no following interval: next-left undefined"
             )
-        denom = pending[r][0].left / state.scale
+        denom = queue[1].left / state.scale
     else:
         denom = a
     mu_star = load_new / denom
@@ -218,34 +220,23 @@ def advance(
     log_ratio = (
         e * math.log(mu_star) - e * math.log(x) - state.k * math.log(mu_star - x)
     )
-    A = list(state.A)
-    A.pop(0)
-    insort(A, right)
-    loads = dict(state.loads)
-    loads[r] = load_new
-    log_pot = (
-        None if state.log_potential is None else state.log_potential + log_ratio
-    )
-    new = PrefixState(
-        mode=state.mode,
-        mult=state.mult,
-        k=state.k,
-        s_exp=e,
-        A=A,
-        loads=loads,
-        pending=pending,
-        scale=state.scale,
-        log_potential=log_pot,
-    )
+    queue.popleft()
+    state.A.pop(0)
+    insort(state.A, right)
+    state.loads[r] = load_new
+    if state.log_potential is not None:
+        state.log_potential += log_ratio
     step = GrowthStep(
         index=-1,
         robot=r,
         mu_star=mu_star,
         x=x,
         step_ratio=math.exp(log_ratio),
-        log_potential_after=log_pot if log_pot is not None else math.nan,
+        log_potential_after=(
+            math.nan if state.log_potential is None else state.log_potential
+        ),
     )
-    return new, step
+    return state, step
 
 
 def potential_value(state: PrefixState, c: CoverParams) -> float:
@@ -340,16 +331,7 @@ def audit_growth(
             raise AuditError(
                 f"step ratio {step.step_ratio} below growth factor {delta}"
             )
-        trace.steps.append(
-            GrowthStep(
-                index=idx,
-                robot=step.robot,
-                mu_star=step.mu_star,
-                x=step.x,
-                step_ratio=step.step_ratio,
-                log_potential_after=step.log_potential_after,
-            )
-        )
+        trace.steps.append(replace(step, index=idx))
     return trace
 
 
@@ -410,6 +392,9 @@ class Verdict:
     witness: Witness | None = None
     trace: GrowthTrace | None = None
     headroom_steps: float | None = None  # growth steps left before the cap
+    # the exact assignment of a certificate, left out of to_dict(); None on
+    # a coverage failure, empty when the multiplicity is 0
+    assignment: list[AssignedInterval] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "params": dict(self.params)}
@@ -443,11 +428,13 @@ def refute(
 ) -> Verdict:
     """Verify or refute a multiplicity-fold lambda-cover of [1, N].
 
-    Coverage holes yield a CoverageFailure verdict with the leftmost
-    witness; verified covers are truncated to exact multiplicity and
-    replayed through the growth audit into a Certificate.  When the audit
-    ran below the tight ratio, headroom_steps estimates how many more
-    growth steps (hence how much more horizon) a contradiction needs.
+    One assignment sweep decides coverage: a hole yields a
+    coverage_failure verdict with the leftmost witness, and a verified
+    cover comes back truncated to exact multiplicity, is replayed through
+    the growth audit, and yields a certificate that carries the
+    assignment.  When a line-mode audit ran below the tight ratio,
+    headroom_steps estimates how many more growth steps (hence how much
+    more horizon) a contradiction needs.
     """
     c = CoverParams(lam)
     mult = p.s if mode == "line" else p.q
@@ -464,27 +451,27 @@ def refute(
     }
     covers = all_cover_intervals(strategies, c)
     if mult <= 0:
-        return Verdict(kind="certificate", params=params)
-    witness = verify_multicover(covers, mult, N)
-    if witness is not None:
-        return Verdict(kind="coverage_failure", params=params, witness=witness)
-    assigned = exact_q_assignment(covers, mult, N)
+        return Verdict(kind="certificate", params=params, assignment=[])
+    try:
+        assigned = exact_q_assignment(covers, mult, N)
+    except DeficientCoverError as exc:
+        return Verdict(kind="coverage_failure", params=params, witness=exc.witness)
     try:
         trace = audit_growth(assigned, c, p, mode)
     except ConfigurationError:
         # degenerate regime (k >= multiplicity or a robot with one interval)
-        return Verdict(kind="certificate", params=params)
+        return Verdict(kind="certificate", params=params, assignment=assigned)
     headroom = None
-    if trace.delta_bound is not None and trace.steps:
-        if trace.line_cap_log is not None:
-            cap = trace.line_cap_log
-        else:
-            cap = None
-        if cap is not None:
-            headroom = max(
-                0.0,
-                (cap - trace.max_log_potential) / math.log(trace.delta_bound),
-            )
+    if trace.delta_bound is not None and trace.steps and trace.line_cap_log is not None:
+        headroom = max(
+            0.0,
+            (trace.line_cap_log - trace.max_log_potential)
+            / math.log(trace.delta_bound),
+        )
     return Verdict(
-        kind="certificate", params=params, trace=trace, headroom_steps=headroom
+        kind="certificate",
+        params=params,
+        trace=trace,
+        headroom_steps=headroom,
+        assignment=assigned,
     )

@@ -3,6 +3,13 @@ import math
 
 import pytest
 
+from raysearch import (
+    InstanceParams,
+    make_exponential_strategy,
+    optimal_alpha,
+    refute,
+    save_strategies,
+)
 from raysearch.cli import main
 
 
@@ -141,6 +148,27 @@ class TestRefute:
         )
         assert code == 0
         assert json.loads(out)["gap"]["case"] == 1
+
+    def test_assignment_csv_spans_the_whole_horizon(self, capsys, tmp_path):
+        # A strategy file reaching past 1e7 is audited up to N; the CSV
+        # holds that same assignment, not one rebuilt on a shorter range.
+        p = InstanceParams(2, 3, 1)
+        strat = make_exponential_strategy(p, optimal_alpha(p), 1e9)
+        strat_path = tmp_path / "strategy.txt"
+        save_strategies(strat, str(strat_path))
+        path = tmp_path / "assigned.csv"
+        code, _, _ = run(
+            capsys,
+            "refute", "-m", "2", "-k", "3", "-f", "1", "--lam", "5.3", "-N", "1e9",
+            "--strategy", str(strat_path), "--assignment", str(path),
+        )
+        assert code == 0
+        rows = path.read_text().splitlines()[2:]
+        assert len(rows) == 55
+        assigned = refute(strat, 5.3, p, 1e9).assignment
+        assert rows == [
+            f"{iv.robot},{iv.round_index},{iv.left!r},{iv.right!r}" for iv in assigned
+        ]
 
     def test_missing_horizon_is_usage_error(self, capsys):
         code, _, err = run(capsys, "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "9.5")

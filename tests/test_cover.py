@@ -12,7 +12,6 @@ from raysearch import (
     exact_q_assignment,
     make_exponential_strategy,
     ordered_stream,
-    prefix_stream,
     verify_multicover,
 )
 
@@ -103,12 +102,6 @@ class TestOrderedStream:
         lefts = [iv.left for iv in seq]
         assert lefts == sorted(lefts)
 
-    def test_prefix_stream_grows_by_one(self):
-        assigned = self._assigned()
-        seq, p0 = ordered_stream(assigned)
-        sizes = [len(prefix) for prefix in prefix_stream(assigned)]
-        assert sizes == list(range(p0, len(seq) + 1))
-
     def _assigned(self):
         return TestExactAssignment()._doubling_assigned()
 
@@ -123,17 +116,28 @@ class TestAssignedInterval:
         assert iv.left_open
 
 
-@given(st.lists(st.tuples(st.floats(0.1, 50.0), st.floats(0.1, 50.0)), min_size=1, max_size=12))
+# endpoints from a small grid touch each other and the boundary 1
+_ENDPOINT = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0]), st.floats(0.1, 50.0))
+
+
+@given(st.lists(st.tuples(_ENDPOINT, _ENDPOINT), min_size=1, max_size=12))
 def test_assignment_preserves_exactness(spans):
+    # zero-length intervals (a == b) included
     ivs = [
-        civ(min(a, b), max(a, b) + 0.25, idx=i)
+        civ(min(a, b), max(a, b), robot=i % 3, idx=i)
         for i, (a, b) in enumerate(spans)
     ]
     hi = max(iv.right for iv in ivs)
-    if verify_multicover(ivs, 1, hi) is not None:
-        return
-    assigned = exact_q_assignment(ivs, 1, hi)
     probes = [1.0 + (hi - 1.0) * j / 37 for j in range(1, 37)]
-    for x in probes:
-        folds = sum(1 for iv in assigned if iv.left < x <= iv.right)
-        assert folds == 1
+    for q in range(1, 5):
+        witness = verify_multicover(ivs, q, hi)
+        if witness is not None:
+            # the assignment sweep finds the verifier's leftmost witness
+            with pytest.raises(DeficientCoverError) as err:
+                exact_q_assignment(ivs, q, hi)
+            assert err.value.witness == witness
+            continue
+        assigned = exact_q_assignment(ivs, q, hi)
+        for x in probes:
+            folds = sum(1 for iv in assigned if iv.left < x <= iv.right)
+            assert folds == q

@@ -80,10 +80,23 @@ class TestAdvance:
         c_tight = CoverParams(7.0)  # mu = 3 < the realized 3.5
         state = initial_state(assigned, c_tight, p, "orc")
         seq, p0 = ordered_stream(assigned)
+        nxt = seq[p0]
+        before = (
+            list(state.A),
+            dict(state.loads),
+            {r: list(q) for r, q in state.pending.items()},
+            state.log_potential,
+        )
         with pytest.raises(InvalidAssignmentError):
-            s = state
-            for nxt in seq[p0:]:
-                s, _ = advance(s, nxt, c_tight)
+            advance(state, nxt, c_tight)
+        # the rejected step left the state untouched
+        after = (
+            state.A,
+            state.loads,
+            {r: list(q) for r, q in state.pending.items()},
+            state.log_potential,
+        )
+        assert after == before
 
     def test_incremental_matches_scratch(self):
         p, assigned = doubling_assigned()
