@@ -52,6 +52,7 @@ from .simulator import (
     dense_grid_ratio,
     detection_time,
     first_visit_time,
+    supremum,
     sweep_rows,
     worst_ratio,
 )

@@ -26,7 +26,7 @@ from .formulas import (
 )
 from .fractional import fractional_ratio
 from .potential import GrowthTrace, detect_gap, refute
-from .simulator import sweep_rows, worst_ratio
+from .simulator import supremum, sweep_rows, worst_ratio
 from .strategy import (
     load_strategies,
     make_exponential_strategy,
@@ -36,8 +36,6 @@ from .strategy import (
 SWEEP_HEADER = "# raysearch sweep v1"
 TRACE_HEADER = "# raysearch trace v1"
 ASSIGNMENT_HEADER = "# raysearch assignment v1"
-
-_GEN_HORIZON_CAP = 1e7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,10 +87,13 @@ def _build_strategies(args, p: InstanceParams, N: float, mode: str = "orc"):
     if args.strategy:
         return load_strategies(args.strategy)
     alpha = args.alpha if args.alpha is not None else optimal_alpha(p)
-    horizon = min(N, _GEN_HORIZON_CAP)
-    if mode == "line":
-        return make_geometric_line_strategy(p, alpha, horizon)
-    return make_exponential_strategy(p, alpha, horizon)
+    make = make_geometric_line_strategy if mode == "line" else make_exponential_strategy
+    try:
+        return make(p, alpha, N)
+    except OverflowError:
+        raise ValueError(
+            f"horizon N={N!r} too large: the strategy's turn distances overflow binary64"
+        ) from None
 
 
 def _write_sweep_csv(path: str, rows) -> None:
@@ -111,9 +112,15 @@ def _write_sweep_csv(path: str, rows) -> None:
 def cmd_simulate(args) -> int:
     p = _instance(args)
     strategies = _build_strategies(args, p, args.N)
-    sup, witness = worst_ratio(strategies, p, args.N)
+    if args.csv and not args.dense:
+        # the breakpoint rows are worst_ratio's candidates, in its order
+        rows = sweep_rows(strategies, p, args.N)
+        sup, witness = supremum((target, report.ratio) for target, _, report in rows)
+    else:
+        sup, witness = worst_ratio(strategies, p, args.N)
+        if args.csv:
+            rows = sweep_rows(strategies, p, args.N, dense=True, rel_step=args.rel_step)
     if args.csv:
-        rows = sweep_rows(strategies, p, args.N, dense=args.dense, rel_step=args.rel_step)
         _write_sweep_csv(args.csv, rows)
     try:
         lam0 = ratio_lower_bound(p)

@@ -134,6 +134,18 @@ def initial_state(
 ) -> PrefixState:
     """State of the base prefix, rescaled so that its frontier a equals 1."""
     seq, p0 = ordered_stream(assigned, lo)
+    return _stream_state(seq, p0, p, mode, rescale, lo)
+
+
+def _stream_state(
+    seq: Sequence[AssignedInterval],
+    p0: int,
+    p: InstanceParams,
+    mode: Mode,
+    rescale: bool,
+    lo: float,
+) -> PrefixState:
+    """`initial_state` of an assignment already put in stream order."""
     prefix = seq[:p0]
     robots = sorted({iv.robot for iv in seq})
     mult = p.s if mode == "line" else p.q
@@ -295,8 +307,8 @@ def audit_growth(
     agree to 1e-9 relative.  The replay stops where the finite stream runs
     out of next-left endpoints.
     """
-    state = initial_state(assigned, c, p, mode, lo=lo)
     seq, p0 = ordered_stream(assigned, lo)
+    state = _stream_state(seq, p0, p, mode, True, lo)
     crit = mu_critical(state.s_exp, state.k)
     subcritical = c.mu < crit
     delta = growth_factor_delta(state.s_exp, state.k, c.mu)

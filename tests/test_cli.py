@@ -7,8 +7,10 @@ from raysearch import (
     InstanceParams,
     make_exponential_strategy,
     optimal_alpha,
+    ratio_lower_bound,
     refute,
     save_strategies,
+    worst_ratio,
 )
 from raysearch.cli import main
 
@@ -93,6 +95,45 @@ class TestSimulate:
         assert code == 2
         assert json.loads(out)["covered"] is False
 
+    @pytest.mark.parametrize("strategy", [None, "1:1.0 2:1.0 1:2.0\n"])
+    def test_csv_leaves_the_summary_unchanged(self, capsys, tmp_path, strategy):
+        # with --csv the summary comes from the breakpoint rows instead of
+        # a second sweep; covered or not, it must read the same
+        args = ["simulate", "-m", "2", "-k", "1", "-f", "0", "-N", "1e3"]
+        if strategy is not None:
+            path = tmp_path / "strategy.txt"
+            path.write_text(strategy)
+            args += ["--strategy", str(path)]
+        plain = run(capsys, *args)
+        with_csv = run(capsys, *args, "--csv", str(tmp_path / "sweep.csv"))
+        assert with_csv == plain
+
+    def test_answers_past_1e7(self, capsys):
+        # the strategy is generated up to N itself, so the sweep covers all
+        # of [1, 1e10] and stays below the tight bound
+        p = InstanceParams(2, 3, 1)
+        code, out, _ = run(capsys, "simulate", "-m", "2", "-k", "3", "-f", "1", "-N", "1e10")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["covered"] is True
+        strat = make_exponential_strategy(p, optimal_alpha(p), 1e10)
+        sup, witness = worst_ratio(strat, p, 1e10)
+        assert doc["sup_ratio"] == sup < ratio_lower_bound(p)
+        assert doc["witness"] == {"ray": witness.ray, "x": witness.x}
+
+    @pytest.mark.parametrize("command", ["simulate", "refute"])
+    def test_overflowing_horizon_is_usage_error(self, capsys, command):
+        extra = ["--lam", "5.3"] if command == "refute" else []
+        code, out, err = run(
+            capsys, command, "-m", "2", "-k", "3", "-f", "1", "-N", "1e307", *extra
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "raysearch: error: horizon N=1e+307 too large: "
+            "the strategy's turn distances overflow binary64\n"
+        )
+
 
 class TestRefute:
     def test_certificate_exits_zero(self, capsys, tmp_path):
@@ -169,6 +210,16 @@ class TestRefute:
         assert rows == [
             f"{iv.robot},{iv.round_index},{iv.left!r},{iv.right!r}" for iv in assigned
         ]
+
+    def test_optimal_strategy_is_certified_past_1e7(self, capsys):
+        # 5.3 lies above lambda0 = 5.233..., so no coverage hole may appear
+        code, out, _ = run(
+            capsys, "refute", "-m", "2", "-k", "3", "-f", "1", "--lam", "5.3", "-N", "1e10"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "certificate"
+        assert doc["params"]["N"] == 1e10
 
     def test_missing_horizon_is_usage_error(self, capsys):
         code, _, err = run(capsys, "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "9.5")

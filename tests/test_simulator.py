@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raysearch import (
     InstanceParams,
@@ -8,6 +9,7 @@ from raysearch import (
     RoundPlan,
     Target,
     TurnSequence,
+    dense_grid_ratio,
     detection_time,
     first_visit_time,
     make_exponential_strategy,
@@ -15,6 +17,7 @@ from raysearch import (
     sweep_rows,
     worst_ratio,
 )
+from raysearch.simulator import _VisitIndex
 
 
 class TestFirstVisit:
@@ -99,3 +102,149 @@ class TestTargetValidation:
     def test_rejects_sub_unit_distance(self):
         with pytest.raises(ValueError):
             Target(1, 0.5)
+
+
+# --- the visit index against the reference path --------------------------
+#
+# worst_ratio, sweep_rows and dense_grid_ratio answer from a per-robot
+# visit index; the oracles below answer every target from scratch with
+# detection_time, enumerating the candidates as the simulator documents
+# them.  Answers must agree exactly, floats and visitor order included.
+
+# small integers give repeated turns and ties across robots; values below
+# 1 never become breakpoints, larger ones may reach past the horizon
+_TURN = st.one_of(
+    st.integers(1, 6).map(float),
+    st.sampled_from([0.5, 0.75, 1.5, 2.5]),
+    st.floats(0.1, 40.0),
+)
+
+
+def _round_plan(m):
+    rounds = st.builds(Round, st.integers(1, m + 1), _TURN)
+    return st.lists(rounds, max_size=10).map(lambda rs: RoundPlan(tuple(rs)))
+
+
+_TURN_SEQUENCE = st.builds(
+    TurnSequence, st.lists(_TURN, max_size=10).map(tuple), st.booleans()
+)
+
+
+@st.composite
+def _instances(draw, kind):
+    m = 2 if kind == "line" else draw(st.integers(2, 4))
+    k = draw(st.integers(1, 4))
+    f = draw(st.integers(0, k - 1))
+    robot = {
+        "orc": _round_plan(m),
+        "line": _TURN_SEQUENCE,
+        "mixed": st.one_of(_round_plan(m), _TURN_SEQUENCE),
+    }[kind]
+    strategies = draw(st.lists(robot, min_size=k, max_size=k))
+    N = draw(st.sampled_from([1.0, 2.0, 3.0, 4.5, 8.0, 50.0]))
+    return strategies, InstanceParams(m, k, f), N
+
+
+def _oracle_candidates(strategies, p, N):
+    if any(isinstance(s, TurnSequence) for s in strategies):
+        rays = [1, -1]
+    else:
+        rays = list(range(1, p.m + 1))
+    cands = [(Target(ray, 1.0), False) for ray in rays]
+    seen = set()
+    for s in strategies:
+        if isinstance(s, RoundPlan):
+            legs = [(rd.ray, rd.turn) for rd in s.rounds]
+        else:
+            legs = [(s.side(i), t) for i, t in enumerate(s.turns)]
+        for key in legs:
+            if 1.0 <= key[1] < N and key not in seen:
+                seen.add(key)
+                cands.append((Target(*key), True))
+    return cands, rays
+
+
+def _oracle_worst(strategies, p, N):
+    best, witness = -math.inf, None
+    for target, just_above in _oracle_candidates(strategies, p, N)[0]:
+        report = detection_time(strategies, p, target, just_above)
+        if report.tau is None:
+            return math.inf, target
+        if report.ratio > best:
+            best, witness = report.ratio, target
+    return best, witness
+
+
+def _oracle_rows(strategies, p, N, dense=False, rel_step=1e-3):
+    cands, rays = _oracle_candidates(strategies, p, N)
+    if dense:
+        n = max(2, int(math.log(N) / rel_step) + 1)
+        cands = [
+            (Target(ray, math.exp(math.log(N) * i / (n - 1))), False)
+            for ray in rays
+            for i in range(n)
+        ]
+    return [(t, ja, detection_time(strategies, p, t, ja)) for t, ja in cands]
+
+
+def _oracle_dense(strategies, p, N, rel_step):
+    ratios = [r.ratio for _, _, r in _oracle_rows(strategies, p, N, True, rel_step)]
+    return max((r for r in ratios if r is not None), default=-math.inf)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_answers(strategies, p, N):
+    assert _outcome(worst_ratio, strategies, p, N) == _outcome(
+        _oracle_worst, strategies, p, N
+    )
+    assert _outcome(sweep_rows, strategies, p, N) == _outcome(
+        _oracle_rows, strategies, p, N
+    )
+    for rel_step in (0.05, 0.3):
+        assert _outcome(
+            sweep_rows, strategies, p, N, dense=True, rel_step=rel_step
+        ) == _outcome(_oracle_rows, strategies, p, N, dense=True, rel_step=rel_step)
+        assert _outcome(dense_grid_ratio, strategies, p, N, rel_step) == _outcome(
+            _oracle_dense, strategies, p, N, rel_step
+        )
+
+
+class TestIndexMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_instances("orc"))
+    def test_round_plans(self, inst):
+        _assert_same_answers(*inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_instances("line"))
+    def test_turn_sequences(self, inst):
+        _assert_same_answers(*inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_instances("mixed"))
+    def test_mixed_sets_answer_or_fail_alike(self, inst):
+        _assert_same_answers(*inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_instances("orc"), _instances("line")), st.booleans())
+    def test_index_at_every_turn(self, inst, just_above):
+        # the sweeps probe turns only just above them; the index answers
+        # any target, exactly at a turn included
+        strategies, p, _ = inst
+        index = _VisitIndex(strategies, p)
+        for target, _ in _oracle_candidates(strategies, p, math.inf)[0]:
+            assert index.report(target, just_above) == detection_time(
+                strategies, p, target, just_above
+            )
+
+    def test_mixed_set_with_a_ray_past_two_is_rejected(self):
+        p = InstanceParams(3, 2, 0)
+        strategies = [RoundPlan((Round(3, 2.0),)), TurnSequence((4.0, 4.0))]
+        with pytest.raises(ValueError, match="line targets"):
+            sweep_rows(strategies, p, 10.0)
