@@ -69,7 +69,6 @@ from .strategy import (
     make_exponential_strategy,
     make_geometric_line_strategy,
     normalize_line_strategy,
-    normalize_round_plan,
     save_strategies,
 )
 

@@ -1,8 +1,10 @@
 """Command-line front end: bounds, ratio sweeps, and the refuter.
 
 Exit status: 0 success or certificate, 2 coverage failure / uncovered
-witness, 1 usage or parameter-regime errors.  All emitted CSV/JSON is
-deterministic for a given configuration (no timestamps in data files).
+witness, 1 usage or parameter-regime errors, among them a strategy file
+whose robot count or kind does not match -k and --mode, and an unknown
+RAYSEARCH_PRECISION.  All emitted CSV/JSON is deterministic for a given
+configuration (no timestamps in data files).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .formulas import (
     InstanceParams,
     NoFiniteHorizon,
     TrivialRegime,
+    _extended,
     growth_factor_delta,
     horizon_estimate,
     optimal_alpha,
@@ -148,9 +151,9 @@ def _write_trace_csv(path: str, trace: GrowthTrace | None) -> None:
         fh.write("step,robot,mu_star,x,step_ratio,log_potential\n")
         if trace is None:
             return
-        for s in trace.steps:
+        for i, s in enumerate(trace.steps):
             fh.write(
-                f"{s.index},{s.robot},{s.mu_star!r},{s.x!r},"
+                f"{i},{s.robot},{s.mu_star!r},{s.x!r},"
                 f"{s.step_ratio!r},{s.log_potential_after!r}\n"
             )
 
@@ -248,6 +251,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _extended()  # an unknown RAYSEARCH_PRECISION fails every command alike
         return args.func(args)
     except InfeasibleRegime as exc:
         print(f"raysearch: infeasible regime: {exc}", file=sys.stderr)

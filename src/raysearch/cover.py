@@ -1,15 +1,17 @@
 """Multicover verification and exact-multiplicity interval assignment.
 
+The search domain is distances of at least 1, so every check here runs
+over (1, hi]; the floor 1 is fixed, not a parameter.
 `verify_multicover` sweeps interval endpoints and reports the leftmost
-point of (1, N] whose coverage multiplicity falls short.
+point of (1, hi] whose coverage multiplicity falls short.
 `exact_q_assignment` verifies and truncates in one sweep: it reports the
 same leftmost witness, or truncates the cover intervals [t'', t] to
 half-open assigned intervals (t', t], t'' <= t' < t, so that every point
-of (1, N] is covered *exactly* q times.  Truncation keeps waiting the
+of (1, hi] is covered *exactly* q times.  Truncation keeps waiting the
 intervals with the largest right endpoints (they keep contributing
 farther right); skipped intervals disappear entirely.
 
-Intervals whose right endpoint sits at the domain boundary are kept
+Intervals whose right endpoint sits at or below the floor 1 are kept
 untruncated: they carry their turning distance into the robot loads
 without covering anything above the boundary.
 """
@@ -79,16 +81,16 @@ class ConfigurationError(Exception):
 
 
 def verify_multicover(
-    intervals: Sequence[AnyInterval], q: int, hi: float, lo: float = 1.0
+    intervals: Sequence[AnyInterval], q: int, hi: float
 ) -> Witness | None:
-    """None if every point of (lo, hi] has multiplicity >= q, else the
+    """None if every point of (1, hi] has multiplicity >= q, else the
     leftmost deficient point (segment deficits are reported at the endpoint
     just below where the deficit begins)."""
     if q <= 0:
         return None
-    ivs = [iv for iv in intervals if iv.right > lo and iv.left < hi]
+    ivs = [iv for iv in intervals if iv.right > 1.0 and iv.left < hi]
     if not ivs:
-        return Witness(lo, 0, q)
+        return Witness(1.0, 0, q)
     closed_starts = sorted(iv.left for iv in ivs if not iv.left_open)
     open_starts = sorted(iv.left for iv in ivs if iv.left_open)
     ends = sorted(iv.right for iv in ivs)
@@ -109,9 +111,9 @@ def verify_multicover(
         )
 
     mids = sorted(
-        {v for iv in ivs for v in (iv.left, iv.right) if lo < v < hi}
+        {v for iv in ivs for v in (iv.left, iv.right) if 1.0 < v < hi}
     )
-    points = [lo] + mids + [hi]
+    points = [1.0] + mids + [hi]
     for u, v in zip(points, points[1:]):
         m_seg = seg_mult(u)
         if m_seg < q:
@@ -123,9 +125,9 @@ def verify_multicover(
 
 
 def exact_q_assignment(
-    intervals: Sequence[CoverInterval], q: int, hi: float, lo: float = 1.0
+    intervals: Sequence[CoverInterval], q: int, hi: float
 ) -> list[AssignedInterval]:
-    """Truncate a >= q-fold cover of (lo, hi] to exact multiplicity q.
+    """Truncate a >= q-fold cover of (1, hi] to exact multiplicity q.
 
     The sweep is also the cover check.  On each segment (u, v) between
     consecutive endpoints, the opened intervals plus the unexpired
@@ -138,11 +140,11 @@ def exact_q_assignment(
     if q <= 0:
         return []
     out: list[AssignedInterval] = []
-    # boundary intervals: no coverage above lo, but their turning distances
+    # boundary intervals: no coverage above 1, but their turning distances
     # still belong to the robot loads of the potential argument
     pool = []
     for iv in intervals:
-        if iv.right <= lo:
+        if iv.right <= 1.0:
             if iv.left < iv.right:
                 out.append(
                     AssignedInterval(iv.robot, iv.round_index, iv.left, iv.right, iv.left)
@@ -151,8 +153,8 @@ def exact_q_assignment(
             pool.append(iv)
     pool.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
 
-    mids = sorted({v for iv in pool for v in (iv.left, iv.right) if lo < v < hi})
-    points = [lo] + mids + [hi]
+    mids = sorted({v for iv in pool for v in (iv.left, iv.right) if 1.0 < v < hi})
+    points = [1.0] + mids + [hi]
     nxt = 0  # next pool interval to become available
     # available but not yet opened, as a heap of (right, robot, round, pool
     # index); expired entries (right < v) are dropped when they reach the top
@@ -189,12 +191,12 @@ def exact_q_assignment(
 
 
 def ordered_stream(
-    assigned: Sequence[AssignedInterval], lo: float = 1.0
+    assigned: Sequence[AssignedInterval]
 ) -> tuple[list[AssignedInterval], int]:
     """Assigned intervals in left-endpoint order plus the base prefix size.
 
     The base prefix is the shortest one that contains every boundary
-    interval (right endpoint at or below lo) and at least one interval of
+    interval (right endpoint at or below 1) and at least one interval of
     every robot; the potential replay starts there.
     """
     seq = sorted(assigned, key=lambda iv: (iv.left, iv.robot, iv.round_index))
@@ -206,7 +208,7 @@ def ordered_stream(
     for idx, iv in enumerate(seq):
         if iv.robot not in first_seen:
             first_seen[iv.robot] = idx
-        if iv.right <= lo:
+        if iv.right <= 1.0:
             last_boundary = idx
     p0 = max(max(first_seen.values()), last_boundary) + 1
     return seq, p0

@@ -8,7 +8,8 @@ growth factor of the potential audit, and the refutation horizon.
 All products of large powers are computed in the log domain and only
 exponentiated at the API boundary (q^q overflows 64-bit floats near
 q ~ 170).  Setting RAYSEARCH_PRECISION=extended switches the internal
-log arithmetic to 50-digit mpmath.
+log arithmetic to 50-digit mpmath; unset or 64 keeps binary64, and any
+other value raises ValueError.
 """
 
 from __future__ import annotations
@@ -49,7 +50,12 @@ class NoFiniteHorizon(Exception):
 
 
 def _extended() -> bool:
-    return os.environ.get("RAYSEARCH_PRECISION", "64") == "extended"
+    value = os.environ.get("RAYSEARCH_PRECISION", "64")
+    if value not in ("64", "extended"):
+        raise ValueError(
+            f"RAYSEARCH_PRECISION must be unset, '64' or 'extended', got {value!r}"
+        )
+    return value == "extended"
 
 
 def _exp_of(log_terms: list[tuple[float, float]]) -> float:
@@ -59,7 +65,10 @@ def _exp_of(log_terms: list[tuple[float, float]]) -> float:
     base 1 placeholder.
     """
     if _extended():
-        import mpmath
+        try:
+            import mpmath
+        except ImportError:
+            raise ValueError("RAYSEARCH_PRECISION=extended needs mpmath installed") from None
 
         with mpmath.workdps(50):
             acc = mpmath.mpf(0)

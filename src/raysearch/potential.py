@@ -1,6 +1,7 @@
 """Mechanized potential-function lower-bound engine.
 
-Replays an exact-multiplicity assignment in left-endpoint order through
+Works on the search domain (1, hi], as `cover` does.  Replays an
+exact-multiplicity assignment in left-endpoint order through
 the covering-situation state: the sorted multiset A of multiplicity
 frontiers, per-robot loads (sums of assigned turning distances), and for
 the one-ray-cover setting the left endpoint b of each robot's next
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from .cover import (
@@ -29,7 +30,7 @@ from .cover import (
     ordered_stream,
 )
 from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical, poly_max_point
-from .strategy import Strategy, all_cover_intervals
+from .strategy import RoundPlan, Strategy, TurnSequence, all_cover_intervals
 
 __all__ = [
     "Mode",
@@ -62,22 +63,20 @@ class AuditError(Exception):
     """A replay invariant failed: drift, cap overflow, or a slow step."""
 
 
-def covering_situation(
-    intervals: Sequence[AssignedInterval], mult: int, lo: float = 1.0
-) -> list[float]:
+def covering_situation(intervals: Sequence[AssignedInterval], mult: int) -> list[float]:
     """The sorted frontier multiset [a_mult, ..., a_1] of a prefix.
 
-    a_j is the first point above lo whose coverage multiplicity drops
+    a_j is the first point above 1 whose coverage multiplicity drops
     below j; every point of (a_(j+1), a_j] is covered exactly j times.
     """
-    live = [iv for iv in intervals if iv.right > lo]
+    live = [iv for iv in intervals if iv.right > 1.0]
     starts = sorted(iv.left for iv in live)
     ends = sorted(iv.right for iv in live)
 
     def seg_mult(u: float) -> int:
         return bisect_right(starts, u) - bisect_right(ends, u)
 
-    points = [lo] + sorted({v for v in ends if v > lo})
+    points = [1.0] + sorted({v for v in ends if v > 1.0})
     a = [None] * (mult + 1)  # a[j] for j = 1..mult
     for u in points:
         m = seg_mult(u)
@@ -125,27 +124,13 @@ def _log_potential(state: PrefixState) -> float | None:
 
 
 def initial_state(
-    assigned: Sequence[AssignedInterval],
-    c: CoverParams,
-    p: InstanceParams,
-    mode: Mode,
-    rescale: bool = True,
-    lo: float = 1.0,
+    seq: Sequence[AssignedInterval], p0: int, p: InstanceParams, mode: Mode
 ) -> PrefixState:
-    """State of the base prefix, rescaled so that its frontier a equals 1."""
-    seq, p0 = ordered_stream(assigned, lo)
-    return _stream_state(seq, p0, p, mode, rescale, lo)
+    """State of the base prefix seq[:p0], rescaled so that its frontier a is 1.
 
-
-def _stream_state(
-    seq: Sequence[AssignedInterval],
-    p0: int,
-    p: InstanceParams,
-    mode: Mode,
-    rescale: bool,
-    lo: float,
-) -> PrefixState:
-    """`initial_state` of an assignment already put in stream order."""
+    `seq, p0` is the output of `ordered_stream`; the intervals after the
+    prefix become each robot's pending queue, in stream order.
+    """
     prefix = seq[:p0]
     robots = sorted({iv.robot for iv in seq})
     mult = p.s if mode == "line" else p.q
@@ -157,8 +142,8 @@ def _stream_state(
         raise ConfigurationError(
             f"load exponent {s_exp} < 1 (k={k_eff} robots): potential degenerate"
         )
-    A = covering_situation(prefix, mult, lo)
-    scale = A[0] if rescale else 1.0
+    A = covering_situation(prefix, mult)
+    scale = A[0]
     loads = {r: 0.0 for r in robots}
     for iv in prefix:
         loads[iv.robot] += iv.right / scale
@@ -182,7 +167,8 @@ def _stream_state(
 
 @dataclass(frozen=True)
 class GrowthStep:
-    index: int
+    """One audited extension; its index is its position in the trace."""
+
     robot: int
     mu_star: float
     x: float
@@ -190,16 +176,14 @@ class GrowthStep:
     log_potential_after: float
 
 
-def advance(
-    state: PrefixState, nxt: AssignedInterval, c: CoverParams
-) -> tuple[PrefixState, GrowthStep]:
+def advance(state: PrefixState, nxt: AssignedInterval, c: CoverParams) -> GrowthStep:
     """Extend the prefix by its next assigned interval, in place.
 
     The interval must start at the current frontier a and respect the
     load bound (realized slack mu* at most mu); the log-potential is
     updated incrementally from the step ratio.  Every check runs before
     the state is touched, so a rejected step leaves it as it was.
-    Returns the same, mutated state together with the step.
+    Returns the step; the state is updated in place.
     """
     r = nxt.robot
     queue = state.pending[r]
@@ -238,8 +222,7 @@ def advance(
     state.loads[r] = load_new
     if state.log_potential is not None:
         state.log_potential += log_ratio
-    step = GrowthStep(
-        index=-1,
+    return GrowthStep(
         robot=r,
         mu_star=mu_star,
         x=x,
@@ -248,7 +231,6 @@ def advance(
             math.nan if state.log_potential is None else state.log_potential
         ),
     )
-    return state, step
 
 
 def potential_value(state: PrefixState, c: CoverParams) -> float:
@@ -297,7 +279,6 @@ def audit_growth(
     c: CoverParams,
     p: InstanceParams,
     mode: Mode,
-    lo: float = 1.0,
 ) -> GrowthTrace:
     """Replay the assignment, checking every growth and boundedness invariant.
 
@@ -305,10 +286,11 @@ def audit_growth(
     the realized slack, and against the growth factor delta whenever mu is
     strictly below critical; incremental and from-scratch potentials must
     agree to 1e-9 relative.  The replay stops where the finite stream runs
-    out of next-left endpoints.
+    out of next-left endpoints; it never skips a step, so a step's index
+    is its position in `steps`.
     """
-    seq, p0 = ordered_stream(assigned, lo)
-    state = _stream_state(seq, p0, p, mode, True, lo)
+    seq, p0 = ordered_stream(assigned)
+    state = initial_state(seq, p0, p, mode)
     crit = mu_critical(state.s_exp, state.k)
     subcritical = c.mu < crit
     delta = growth_factor_delta(state.s_exp, state.k, c.mu)
@@ -327,7 +309,7 @@ def audit_growth(
     for idx, iv in enumerate(seq[p0:]):
         if mode == "orc" and len(state.pending[iv.robot]) < 2:
             break
-        state, step = advance(state, iv, c)
+        step = advance(state, iv, c)
         scratch = potential_value(state, c)
         if abs(state.log_potential - scratch) > _REL_TOL * max(1.0, abs(scratch)):
             raise AuditError(
@@ -338,12 +320,14 @@ def audit_growth(
         if step.step_ratio < floor * (1.0 - 1e-12):
             raise AuditError(
                 f"step ratio {step.step_ratio} below polynomial floor {floor}"
+                f" at step {idx}"
             )
         if subcritical and step.step_ratio < delta * (1.0 - _REL_TOL):
             raise AuditError(
                 f"step ratio {step.step_ratio} below growth factor {delta}"
+                f" at step {idx}"
             )
-        trace.steps.append(replace(step, index=idx))
+        trace.steps.append(step)
     return trace
 
 
@@ -447,11 +431,23 @@ def refute(
     assignment.  When a line-mode audit ran below the tight ratio,
     headroom_steps estimates how many more growth steps (hence how much
     more horizon) a contradiction needs.
+
+    The strategies must be p.k of the mode's kind: TurnSequences in line
+    mode, RoundPlans in orc mode; anything else raises ValueError.
     """
     c = CoverParams(lam)
     mult = p.s if mode == "line" else p.q
     if mode == "line" and p.m != 2:
         raise ValueError(f"line mode needs m=2, got m={p.m}")
+    if len(strategies) != p.k:
+        raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
+    kind = TurnSequence if mode == "line" else RoundPlan
+    for r, strat in enumerate(strategies):
+        if not isinstance(strat, kind):
+            raise ValueError(
+                f"{mode} mode needs {kind.__name__} strategies, "
+                f"robot {r} is a {type(strat).__name__}"
+            )
     params = {
         "m": p.m,
         "k": p.k,

@@ -30,7 +30,6 @@ __all__ = [
     "make_exponential_strategy",
     "make_geometric_line_strategy",
     "normalize_line_strategy",
-    "normalize_round_plan",
     "cover_intervals",
     "all_cover_intervals",
     "dumps_strategies",
@@ -191,18 +190,6 @@ def normalize_line_strategy(t: TurnSequence, c: CoverParams) -> TurnSequence:
         kept.append(turn)
         total = cand_total
     return TurnSequence(tuple(kept), first_positive=True)
-
-
-def normalize_round_plan(plan: RoundPlan, c: CoverParams) -> RoundPlan:
-    """Drop rounds that lambda-cover nothing (in the ORC reading)."""
-    mu = c.mu
-    kept: list[Round] = []
-    total = 0.0
-    for rd in plan.rounds:
-        if total / mu <= rd.turn:
-            kept.append(rd)
-            total += rd.turn
-    return RoundPlan(tuple(kept))
 
 
 def cover_intervals(

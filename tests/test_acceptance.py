@@ -149,12 +149,12 @@ def test_criterion_5_oracle_equivalences():
     strat = make_exponential_strategy(p, optimal_alpha(p), N)
     assigned = exact_q_assignment(all_cover_intervals(strat, c), p.q, N)
     seq, p0 = ordered_stream(assigned)
-    state = initial_state(assigned, c, p, "orc")
+    state = initial_state(seq, p0, p, "orc")
     steps = 0
     for nxt in seq[p0:]:
         if len(state.pending[nxt.robot]) < 2:
             break
-        state, _ = advance(state, nxt, c)
+        advance(state, nxt, c)
         steps += 1
         scratch = potential_value(state, c)
         assert abs(state.log_potential - scratch) <= 1e-9 * max(1.0, abs(scratch))

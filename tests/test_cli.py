@@ -6,6 +6,7 @@ import pytest
 from raysearch import (
     InstanceParams,
     make_exponential_strategy,
+    make_geometric_line_strategy,
     optimal_alpha,
     ratio_lower_bound,
     refute,
@@ -149,6 +150,9 @@ class TestRefute:
         lines = trace.read_text().splitlines()
         assert lines[0] == "# raysearch trace v1"
         assert len(lines) > 2
+        # the step column numbers the audited steps 0..n-1, n as in the verdict
+        steps = [int(line.split(",")[0]) for line in lines[2:]]
+        assert steps == list(range(doc["audit"]["steps"]))
 
     def test_failure_exits_two(self, capsys):
         code, out, _ = run(
@@ -221,6 +225,39 @@ class TestRefute:
         assert doc["kind"] == "certificate"
         assert doc["params"]["N"] == 1e10
 
+    @pytest.mark.parametrize(
+        "make, mode, lam, message",
+        [
+            (make_exponential_strategy, "line", "5.1", "line mode needs TurnSequence"),
+            (make_geometric_line_strategy, "orc", "5.4", "orc mode needs RoundPlan"),
+        ],
+    )
+    def test_strategy_file_must_match_the_mode(
+        self, capsys, tmp_path, make, mode, lam, message
+    ):
+        p = InstanceParams(2, 3, 1)
+        path = tmp_path / "strategy.txt"
+        save_strategies(make(p, optimal_alpha(p), 1e4), str(path))
+        code, out, err = run(
+            capsys, "refute", "-m", "2", "-k", "3", "-f", "1", "--lam", lam,
+            "-N", "1e4", "--mode", mode, "--strategy", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("raysearch: error: ") and message in err
+
+    def test_strategy_file_must_hold_k_robots(self, capsys, tmp_path):
+        p = InstanceParams(2, 2, 1)
+        path = tmp_path / "strategy.txt"
+        save_strategies(make_exponential_strategy(p, optimal_alpha(p), 1e4), str(path))
+        code, out, err = run(
+            capsys, "refute", "-m", "2", "-k", "3", "-f", "1", "--lam", "5.4",
+            "-N", "1e4", "--strategy", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "raysearch: error: expected 3 strategies, got 2\n"
+
     def test_missing_horizon_is_usage_error(self, capsys):
         code, _, err = run(capsys, "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "9.5")
         assert code == 1
@@ -237,3 +274,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--no-such-flag"])
         assert exc.value.code == 1
+
+    def test_unknown_precision_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAYSEARCH_PRECISION", "extnded")
+        code, out, err = run(capsys, "bound", "-m", "2", "-k", "3", "-f", "1")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "raysearch: error: RAYSEARCH_PRECISION must be unset, '64' or "
+            "'extended', got 'extnded'\n"
+        )

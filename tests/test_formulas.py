@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,3 +141,28 @@ class TestCoverParams:
     def test_rejects_degenerate_lambda(self):
         with pytest.raises(ValueError):
             CoverParams(1.0)
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("value", ["extnded", "", "128", "EXTENDED"])
+    def test_unknown_value_is_rejected(self, monkeypatch, three_robot, value):
+        monkeypatch.setenv("RAYSEARCH_PRECISION", value)
+        with pytest.raises(ValueError, match="unset, '64' or 'extended'"):
+            ratio_lower_bound(three_robot)
+
+    def test_unset_and_64_agree(self, monkeypatch, three_robot):
+        monkeypatch.delenv("RAYSEARCH_PRECISION", raising=False)
+        unset = ratio_lower_bound(three_robot)
+        monkeypatch.setenv("RAYSEARCH_PRECISION", "64")
+        assert ratio_lower_bound(three_robot) == unset
+
+    def test_extended_without_mpmath_is_rejected(self, monkeypatch, three_robot):
+        monkeypatch.setenv("RAYSEARCH_PRECISION", "extended")
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        with pytest.raises(ValueError, match="needs mpmath"):
+            ratio_lower_bound(three_robot)
+
+    def test_extended_is_accepted(self, monkeypatch):
+        pytest.importorskip("mpmath")
+        monkeypatch.setenv("RAYSEARCH_PRECISION", "extended")
+        assert ratio_lower_bound(InstanceParams(3, 1, 0)) == 14.5

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raysearch import (
     AuditError,
@@ -22,6 +23,7 @@ from raysearch import (
     potential_value,
     ratio_lower_bound,
     refute,
+    worst_ratio,
 )
 
 
@@ -52,11 +54,11 @@ class TestAdvance:
     def test_doubling_loads_and_ratios(self):
         p, assigned = doubling_assigned()
         c = CoverParams(9.0)
-        state = initial_state(assigned, c, p, "orc")
         seq, p0 = ordered_stream(assigned)
+        state = initial_state(seq, p0, p, "orc")
         mus, xs, ratios = [], [], []
         for nxt in seq[p0 : p0 + 3]:
-            state, step = advance(state, nxt, c)
+            step = advance(state, nxt, c)
             mus.append(step.mu_star)
             xs.append(step.x)
             ratios.append(step.step_ratio)
@@ -67,19 +69,19 @@ class TestAdvance:
     def test_realized_mu_never_exceeds_mu(self):
         p, assigned = doubling_assigned()
         c = CoverParams(9.0)
-        state = initial_state(assigned, c, p, "orc")
         seq, p0 = ordered_stream(assigned)
+        state = initial_state(seq, p0, p, "orc")
         for nxt in seq[p0:]:
             if len(state.pending[nxt.robot]) < 2:
                 break
-            state, step = advance(state, nxt, c)
+            step = advance(state, nxt, c)
             assert step.mu_star <= c.mu * (1 + 1e-9)
 
     def test_tight_load_is_rejected_at_smaller_mu(self):
         p, assigned = doubling_assigned()
         c_tight = CoverParams(7.0)  # mu = 3 < the realized 3.5
-        state = initial_state(assigned, c_tight, p, "orc")
         seq, p0 = ordered_stream(assigned)
+        state = initial_state(seq, p0, p, "orc")
         nxt = seq[p0]
         before = (
             list(state.A),
@@ -101,12 +103,12 @@ class TestAdvance:
     def test_incremental_matches_scratch(self):
         p, assigned = doubling_assigned()
         c = CoverParams(9.0)
-        state = initial_state(assigned, c, p, "orc")
         seq, p0 = ordered_stream(assigned)
+        state = initial_state(seq, p0, p, "orc")
         for nxt in seq[p0:]:
             if len(state.pending[nxt.robot]) < 2:
                 break
-            state, _ = advance(state, nxt, c)
+            advance(state, nxt, c)
             assert state.log_potential == pytest.approx(
                 potential_value(state, c), abs=1e-9
             )
@@ -201,3 +203,51 @@ class TestRefute:
         v = refute(strat, 8.99, p, 20.0, mode="line")
         assert v.kind == "certificate"
         assert v.headroom_steps is not None and v.headroom_steps > 0
+
+    def test_strategy_count_must_be_k(self, three_robot):
+        strat = make_exponential_strategy(three_robot, optimal_alpha(three_robot), 1e4)
+        with pytest.raises(ValueError, match="expected 3 strategies, got 2"):
+            refute(strat[:2], 5.4, three_robot, 1e4)
+
+    @pytest.mark.parametrize(
+        "make, mode, message",
+        [
+            (make_exponential_strategy, "line", "line mode needs TurnSequence"),
+            # a line strategy read as rounds gave a false coverage failure
+            (make_geometric_line_strategy, "orc", "orc mode needs RoundPlan"),
+        ],
+    )
+    def test_strategy_kind_must_match_the_mode(self, three_robot, make, mode, message):
+        strat = make(three_robot, optimal_alpha(three_robot), 1e4)
+        with pytest.raises(ValueError, match=message):
+            refute(strat, 5.4, three_robot, 1e4, mode=mode)
+
+
+@st.composite
+def _near_sup_refutes(draw):
+    mode = draw(st.sampled_from(["orc", "line"]))
+    m = 2 if mode == "line" else draw(st.integers(2, 3))
+    f = draw(st.integers(0, 1))
+    k = draw(st.integers(f + 1, m * (f + 1) - 1))
+    p = InstanceParams(m, k, f)
+    alpha = optimal_alpha(p) ** draw(st.floats(0.97, 1.03))
+    N = math.exp(draw(st.floats(math.log(1e2), math.log(1e6))))
+    eps = math.exp(draw(st.floats(math.log(1e-6), math.log(1e-2))))
+    return p, mode, alpha, N, eps, draw(st.booleans())
+
+
+class TestSoundness:
+    @settings(max_examples=200, deadline=None)
+    @given(_near_sup_refutes())
+    def test_coverage_failure_implies_ratio_above_lambda(self, case):
+        # the refuter's witness is independent evidence: the simulator's
+        # exact supremum must exceed the refuted lambda
+        p, mode, alpha, N, eps, above = case
+        make = make_geometric_line_strategy if mode == "line" else make_exponential_strategy
+        strat = make(p, alpha, N)
+        sup, _ = worst_ratio(strat, p, N)
+        base = sup if math.isfinite(sup) else ratio_lower_bound(p)
+        lam = base * (1.0 + eps if above else 1.0 - eps)
+        v = refute(strat, lam, p, N, mode=mode)
+        if v.kind == "coverage_failure":
+            assert sup > lam, (p, mode, alpha, N, lam, v.witness)
