@@ -20,7 +20,7 @@ N = 1e4
 strategy = make_exponential_strategy(p, optimal_alpha(p), N)
 
 print("Turn rounds of the doubling robot (ray, distance):")
-print(" ", [(r.ray, r.turn) for r in strategy[0].rounds[:8]], "...")
+print(" ", list(strategy[0].rounds[:8]), "...")
 print()
 
 print("Detection time at a few fixed targets:")

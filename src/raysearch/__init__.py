@@ -58,7 +58,6 @@ from .simulator import (
 )
 from .strategy import (
     CoverInterval,
-    Round,
     RoundPlan,
     TurnSequence,
     all_cover_intervals,

@@ -2,9 +2,10 @@
 
 Exit status: 0 success or certificate, 2 coverage failure / uncovered
 witness, 1 usage or parameter-regime errors, among them a strategy file
-whose robot count or kind does not match -k and --mode, and an unknown
-RAYSEARCH_PRECISION.  All emitted CSV/JSON is deterministic for a given
-configuration (no timestamps in data files).
+that is malformed or whose robot count or kind does not match -k and
+--mode, --alpha together with --strategy, a numeric flag that is NaN or
+infinite, and an unknown RAYSEARCH_PRECISION.  All emitted CSV/JSON is
+deterministic for a given configuration (no timestamps in data files).
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every float flag: NaN and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _instance(args) -> InstanceParams:
     return InstanceParams(args.m, args.k, args.f)
 
@@ -88,6 +100,10 @@ def cmd_bound(args) -> int:
 
 def _build_strategies(args, p: InstanceParams, N: float, mode: str = "orc"):
     if args.strategy:
+        if args.alpha is not None:
+            raise ValueError(
+                "--alpha and --strategy are exclusive: the file fixes the turns"
+            )
         return load_strategies(args.strategy)
     alpha = args.alpha if args.alpha is not None else optimal_alpha(p)
     make = make_geometric_line_strategy if mode == "line" else make_exponential_strategy
@@ -214,35 +230,35 @@ def build_parser() -> _Parser:
 
     b = subs.add_parser("bound", help="closed-form bounds and strategy constants")
     _add_instance_args(b)
-    b.add_argument("--lam", type=float, default=None, help="also print delta(lambda)")
-    b.add_argument("--eta", type=float, default=None, help="fractional ratio C(eta)")
+    b.add_argument("--lam", type=_finite, default=None, help="also print delta(lambda)")
+    b.add_argument("--eta", type=_finite, default=None, help="fractional ratio C(eta)")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=cmd_bound)
 
     s = subs.add_parser("simulate", help="worst-case ratio sweep of a strategy set")
     _add_instance_args(s)
-    s.add_argument("-N", type=float, default=1e4, help="sweep horizon (default 1e4)")
-    s.add_argument("--alpha", type=float, default=None, help="override strategy base")
+    s.add_argument("-N", type=_finite, default=1e4, help="sweep horizon (default 1e4)")
+    s.add_argument("--alpha", type=_finite, default=None, help="override strategy base")
     s.add_argument("--strategy", help="load strategies from file instead of generating")
     s.add_argument("--csv", help="write per-breakpoint rows here")
     s.add_argument("--summary", help="write the summary JSON here")
     s.add_argument("--dense", action="store_true", help="dense-grid rows instead of breakpoints")
-    s.add_argument("--rel-step", type=float, default=1e-3)
+    s.add_argument("--rel-step", type=_finite, default=1e-3)
     s.set_defaults(func=cmd_simulate)
 
     r = subs.add_parser("refute", help="verify/refute a multicover, audit the potential")
     _add_instance_args(r)
-    r.add_argument("--lam", type=float, required=True, help="candidate ratio lambda")
-    r.add_argument("-N", type=float, default=None, help="cover horizon")
+    r.add_argument("--lam", type=_finite, required=True, help="candidate ratio lambda")
+    r.add_argument("-N", type=_finite, default=None, help="cover horizon")
     r.add_argument("--auto-horizon", action="store_true", help="N from horizon_estimate")
-    r.add_argument("-C", type=float, default=None, help="gap constant for --auto-horizon")
+    r.add_argument("-C", type=_finite, default=None, help="gap constant for --auto-horizon")
     r.add_argument("--mode", choices=["orc", "line"], default="orc")
-    r.add_argument("--alpha", type=float, default=None)
+    r.add_argument("--alpha", type=_finite, default=None)
     r.add_argument("--strategy", help="load strategies from file instead of generating")
     r.add_argument("--json", help="write the verdict JSON here (always printed)")
     r.add_argument("--trace", help="write the growth-trace CSV here")
     r.add_argument("--assignment", help="write the exact assignment CSV here")
-    r.add_argument("--gap-constant", type=float, default=None, help="run the gap detector")
+    r.add_argument("--gap-constant", type=_finite, default=None, help="run the gap detector")
     r.set_defaults(func=cmd_refute)
     return parser
 

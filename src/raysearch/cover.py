@@ -1,7 +1,8 @@
 """Multicover verification and exact-multiplicity interval assignment.
 
 The search domain is distances of at least 1, so every check here runs
-over (1, hi]; the floor 1 is fixed, not a parameter.
+over (1, hi]; the floor 1 is fixed, not a parameter.  Both entry points
+reject a reversed cover interval (left > right) with ValueError.
 `verify_multicover` sweeps interval endpoints and reports the leftmost
 point of (1, hi] whose coverage multiplicity falls short.
 `exact_q_assignment` verifies and truncates in one sweep: it reports the
@@ -80,12 +81,19 @@ class ConfigurationError(Exception):
     pass
 
 
+def _require_ordered(intervals: Sequence[AnyInterval]) -> None:
+    for iv in intervals:
+        if iv.left > iv.right:
+            raise ValueError(f"empty cover interval {iv.left} > {iv.right}")
+
+
 def verify_multicover(
     intervals: Sequence[AnyInterval], q: int, hi: float
 ) -> Witness | None:
     """None if every point of (1, hi] has multiplicity >= q, else the
     leftmost deficient point (segment deficits are reported at the endpoint
     just below where the deficit begins)."""
+    _require_ordered(intervals)
     if q <= 0:
         return None
     ivs = [iv for iv in intervals if iv.right > 1.0 and iv.left < hi]
@@ -137,6 +145,7 @@ def exact_q_assignment(
     leftmost witness.  (The point check there cannot fire first: an
     interval live on (u, v) is closed on the right, so it contains v.)
     """
+    _require_ordered(intervals)
     if q <= 0:
         return []
     out: list[AssignedInterval] = []

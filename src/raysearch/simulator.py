@@ -27,7 +27,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import cycle
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .formulas import InstanceParams
 from .strategy import RoundPlan, Strategy, TurnSequence
@@ -79,10 +79,10 @@ def first_visit_time(
     x = target.x
     elapsed = 0.0
     if isinstance(strategy, RoundPlan):
-        for rd in strategy.rounds:
-            if rd.ray == target.ray and (rd.turn > x if just_above else rd.turn >= x):
+        for ray, turn in strategy.rounds:
+            if ray == target.ray and (turn > x if just_above else turn >= x):
                 return 2.0 * elapsed + x
-            elapsed += rd.turn
+            elapsed += turn
         return None
     if isinstance(strategy, TurnSequence):
         if target.ray not in (1, -1):
@@ -119,10 +119,10 @@ def detection_time(
     return DetectionReport(tau, visitors, tau / target.x)
 
 
-def _legs(strategy: Strategy) -> Iterator[tuple[int, float]]:
+def _legs(strategy: Strategy) -> Iterable[tuple[int, float]]:
     """(ray, turn) of each round or turn, in the order the robot walks them."""
     if isinstance(strategy, RoundPlan):
-        return ((rd.ray, rd.turn) for rd in strategy.rounds)
+        return strategy.rounds
     if isinstance(strategy, TurnSequence):
         sides = (1, -1) if strategy.first_positive else (-1, 1)
         return zip(cycle(sides), strategy.turns)
@@ -172,7 +172,6 @@ class _VisitIndex:
             elapsed = 0.0
             for ray, turn in _legs(strat):
                 turns, before = maxima.setdefault(ray, ([], []))
-                # turns are positive; a NaN turn never visits, as in first_visit_time
                 if turn > (turns[-1] if turns else 0.0):
                     turns.append(turn)
                     before.append(elapsed)
@@ -251,6 +250,8 @@ def sweep_rows(
 ) -> list[tuple[Target, bool, DetectionReport]]:
     """Per-target rows backing the sweep CSV: breakpoints or a dense grid."""
     if dense:
+        if not rel_step > 0.0:
+            raise ValueError(f"rel_step must be positive, got {rel_step}")
         n_pts = max(2, int(math.log(N) / rel_step) + 1)
         cands = [
             (ray, math.exp(math.log(N) * i / (n_pts - 1)), False)

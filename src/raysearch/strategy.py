@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .formulas import CoverParams, InstanceParams
 
 __all__ = [
     "TurnSequence",
-    "Round",
     "RoundPlan",
     "CoverInterval",
     "Strategy",
@@ -39,6 +38,10 @@ __all__ = [
 ]
 
 
+def _not_positive(turn: float) -> bool:
+    return not turn > 0.0  # the turn rule of both strategy kinds; NaN fails it
+
+
 @dataclass(frozen=True)
 class TurnSequence:
     """Line strategy: turning distances, alternating sides.
@@ -52,7 +55,7 @@ class TurnSequence:
     first_positive: bool = True
 
     def __post_init__(self) -> None:
-        if any(t <= 0.0 for t in self.turns):
+        if any(map(_not_positive, self.turns)):
             raise ValueError("turning distances must be positive")
 
     def side(self, i: int) -> int:
@@ -62,30 +65,24 @@ class TurnSequence:
 
 
 @dataclass(frozen=True)
-class Round:
-    ray: int
-    turn: float
+class RoundPlan:
+    """Rays/ORC strategy: origin->turn->origin excursions as (ray, turn) pairs."""
+
+    rounds: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        if self.ray < 1:
-            raise ValueError(f"ray index must be >= 1, got {self.ray}")
-        if not self.turn > 0.0:
-            raise ValueError(f"turn distance must be positive, got {self.turn}")
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    """Rays/ORC strategy: a sequence of origin->turn->origin excursions."""
-
-    rounds: tuple[Round, ...]
+        for ray, turn in self.rounds:
+            if ray < 1:
+                raise ValueError(f"ray index must be >= 1, got {ray}")
+            if _not_positive(turn):
+                raise ValueError(f"turn distance must be positive, got {turn}")
 
 
 Strategy = Union[TurnSequence, RoundPlan]
 
 
-@dataclass(frozen=True)
-class CoverInterval:
-    """The interval [left, right] a single turn/round lambda-covers."""
+class CoverInterval(NamedTuple):
+    """The interval [left, right] a turn or round lambda-covers; `cover` checks it."""
 
     robot: int
     round_index: int
@@ -94,9 +91,14 @@ class CoverInterval:
 
     left_open = False
 
-    def __post_init__(self) -> None:
-        if self.left > self.right:
-            raise ValueError(f"empty cover interval {self.left} > {self.right}")
+
+def _require_base_and_horizon(alpha: float, horizon: float) -> None:
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must be > 1, got {alpha}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if not (horizon >= 1.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be finite and >= 1, got {horizon}")
 
 
 def make_exponential_strategy(
@@ -114,22 +116,19 @@ def make_exponential_strategy(
     lie entirely beyond the horizon.
     """
     p.require_searchable()
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    if not (horizon >= 1.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be finite and >= 1, got {horizon}")
+    _require_base_and_horizon(alpha, horizon)
     m, k, q = p.m, p.k, p.q
     log_alpha = math.log(alpha)
     log_h = math.log(horizon)
     plans = []
     for r in range(1, k + 1):
-        rounds: list[Round] = []
+        rounds: list[tuple[int, float]] = []
         j = -2
         while True:
             cycle_beyond = True
             for i in range(1, m + 1):
                 exponent = k * (i + m * j) + m * r
-                rounds.append(Round(i, math.exp(exponent * log_alpha)))
+                rounds.append((i, math.exp(exponent * log_alpha)))
                 # assignment window for this turn starts at alpha^(exponent-q)
                 if (exponent - q) * log_alpha <= log_h:
                     cycle_beyond = False
@@ -152,10 +151,7 @@ def make_geometric_line_strategy(
     if p.m != 2:
         raise ValueError(f"line strategies need m=2, got m={p.m}")
     p.require_searchable()
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    if not (horizon >= 1.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be finite and >= 1, got {horizon}")
+    _require_base_and_horizon(alpha, horizon)
     k, s = p.k, p.s
     log_alpha = math.log(alpha)
     e_hi = math.log(horizon) / log_alpha + s + k
@@ -216,11 +212,11 @@ def cover_intervals(
             prev = turn
     elif isinstance(strategy, RoundPlan):
         total = 0.0
-        for i, rd in enumerate(strategy.rounds):
+        for i, (_, turn) in enumerate(strategy.rounds):
             left = total / mu
-            if left <= rd.turn:
-                out.append(CoverInterval(robot, i, left, rd.turn))
-            total += rd.turn
+            if left <= turn:
+                out.append(CoverInterval(robot, i, left, turn))
+            total += turn
     else:
         raise TypeError(f"unsupported strategy type {type(strategy)!r}")
     return out
@@ -244,7 +240,7 @@ def all_cover_intervals(
 
 def _dump_one(strategy: Strategy) -> str:
     if isinstance(strategy, RoundPlan):
-        return " ".join(f"{rd.ray}:{rd.turn!r}" for rd in strategy.rounds)
+        return " ".join(f"{ray}:{turn!r}" for ray, turn in strategy.rounds)
     parts = []
     for i, turn in enumerate(strategy.turns):
         parts.append(repr(turn) if strategy.side(i) > 0 else f"-{turn!r}")
@@ -255,36 +251,44 @@ def dumps_strategies(strategies: Iterable[Strategy]) -> str:
     return "".join(_dump_one(s) + "\n" for s in strategies)
 
 
-def _parse_line_tokens(tokens: list[str], lineno: int) -> TurnSequence:
+def _parse_plan_tokens(tokens: list[str]) -> RoundPlan:
+    rounds = []
+    for tok in tokens:
+        ray_s, colon, turn_s = tok.partition(":")
+        if not colon:
+            raise ValueError(f"expected ray:turn, got {tok!r}")
+        rounds.append((int(ray_s), float(turn_s)))
+    return RoundPlan(tuple(rounds))
+
+
+def _parse_line_tokens(tokens: list[str]) -> TurnSequence:
     signs = []
     turns = []
     for tok in tokens:
         value = float(tok)
         if value == 0.0:
-            raise ValueError(f"line {lineno}: zero turning point")
+            raise ValueError("zero turning point")
         signs.append(1 if value > 0 else -1)
         turns.append(abs(value))
     for a, b in zip(signs, signs[1:]):
         if a == b:
-            raise ValueError(f"line {lineno}: turning points must alternate sides")
+            raise ValueError("turning points must alternate sides")
     return TurnSequence(tuple(turns), first_positive=signs[0] > 0)
 
 
 def loads_strategies(text: str) -> list[Strategy]:
+    """One strategy per non-blank, non-comment line; errors name the line."""
     out: list[Strategy] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if ":" in tokens[0]:
-            rounds = []
-            for tok in tokens:
-                ray_s, _, turn_s = tok.partition(":")
-                rounds.append(Round(int(ray_s), float(turn_s)))
-            out.append(RoundPlan(tuple(rounds)))
-        else:
-            out.append(_parse_line_tokens(tokens, lineno))
+        parse = _parse_plan_tokens if ":" in tokens[0] else _parse_line_tokens
+        try:
+            out.append(parse(tokens))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return out
 
 

@@ -284,3 +284,78 @@ class TestUsage:
             "raysearch: error: RAYSEARCH_PRECISION must be unset, '64' or "
             "'extended', got 'extnded'\n"
         )
+
+
+class TestInputChecks:
+    DOUBLING = ("-m", "2", "-k", "1", "-f", "0")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("refute", *DOUBLING, "--lam", "inf", "-N", "1e3"), "--lam"),
+            (("refute", *DOUBLING, "--lam", "nan", "-N", "1e3"), "--lam"),
+            (("bound", "--eta", "inf"), "--eta"),
+            (("bound", *DOUBLING, "--lam=-inf"), "--lam"),
+            (("refute", *DOUBLING, "--lam", "9.5", "--auto-horizon", "-C", "inf"), "-C"),
+            (("simulate", *DOUBLING, "--alpha", "inf"), "--alpha"),
+            (("refute", *DOUBLING, "--lam", "9.5", "-N", "1e3", "--alpha", "nan"), "--alpha"),
+            (("simulate", *DOUBLING, "-N", "nan"), "-N"),
+            (("refute", *DOUBLING, "--lam", "9.5", "-N", "inf"), "-N"),
+            (("simulate", *DOUBLING, "--dense", "--rel-step", "inf"), "--rel-step"),
+            (
+                ("refute", *DOUBLING, "--lam", "9.5", "-N", "1e3", "--gap-constant", "nan"),
+                "--gap-constant",
+            ),
+        ],
+    )
+    def test_non_finite_flag_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument {flag}: must be finite, got " in err
+
+    def test_unparsable_number_keeps_the_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--eta", "abc"])
+        assert exc.value.code == 1
+        assert "error: argument --eta: invalid float value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel_step", ["0", "-1"])
+    def test_dense_step_must_be_positive(self, capsys, tmp_path, rel_step):
+        csv = tmp_path / "dense.csv"
+        code, out, err = run(
+            capsys, "simulate", *self.DOUBLING, "-N", "1e3", "--dense",
+            "--rel-step", rel_step, "--csv", str(csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"raysearch: error: rel_step must be positive, got {float(rel_step)}\n"
+        assert not csv.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra", [("simulate", ()), ("refute", ("--lam", "9.5"))]
+    )
+    def test_alpha_with_strategy_is_usage_error(self, capsys, tmp_path, command, extra):
+        path = tmp_path / "strategy.txt"
+        p = InstanceParams(2, 1, 0)
+        save_strategies(make_exponential_strategy(p, 2.0, 1e3), str(path))
+        code, out, err = run(
+            capsys, command, *self.DOUBLING, "-N", "1e3", *extra,
+            "--strategy", str(path), "--alpha", "3.0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("raysearch: error: --alpha and --strategy are exclusive")
+
+    def test_malformed_strategy_file_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "strategy.txt"
+        path.write_text("1:1.0 2:2.0 1:4.0\n0:1.0\n")
+        code, out, err = run(
+            capsys, "simulate", "-m", "2", "-k", "2", "-f", "0", "-N", "1e3",
+            "--strategy", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "raysearch: error: line 2: ray index must be >= 1, got 0\n"

@@ -88,6 +88,29 @@ class TestExactAssignment:
             exact_q_assignment(ivs, 2, 2.0)
 
 
+class TestReversedInterval:
+    # a CoverInterval is a plain tuple; cover checks the order on entry
+    def _intervals(self):
+        return [civ(1.0, 2.0), civ(3.0, 2.5, idx=1), civ(2.0, 4.0, idx=2)]
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_verify_rejects_it(self, q):
+        ivs = self._intervals()
+        with pytest.raises(ValueError, match="empty cover interval 3.0 > 2.5"):
+            verify_multicover(ivs, q, 4.0)
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_assignment_rejects_it(self, q):
+        ivs = self._intervals()
+        with pytest.raises(ValueError, match="empty cover interval 3.0 > 2.5"):
+            exact_q_assignment(ivs, q, 4.0)
+
+    def test_zero_length_interval_is_accepted(self):
+        ivs = [civ(1.0, 2.0), civ(2.0, 2.0, idx=1)]
+        assert verify_multicover(ivs, 1, 2.0) is None
+        assert exact_q_assignment(ivs, 1, 2.0)
+
+
 class TestOrderedStream:
     def test_prefix_skips_boundary_and_first_rounds(self):
         assigned = self._assigned()

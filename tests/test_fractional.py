@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from raysearch import (
     FractionalInstance,
     InstanceParams,
-    Round,
     RoundPlan,
     fractional_ratio,
     lift_strategy,
@@ -80,8 +79,8 @@ class TestRationalization:
 class TestLift:
     def test_clones_per_count(self):
         plans = [
-            RoundPlan((Round(1, 1.0),)),
-            RoundPlan((Round(2, 2.0),)),
+            RoundPlan(((1, 1.0),)),
+            RoundPlan(((2, 2.0),)),
         ]
         inst = FractionalInstance((0.5, 0.5), 2.0, 0.0)
         rat = rationalize_weights(inst)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from raysearch import (
     InstanceParams,
-    Round,
     RoundPlan,
     Target,
     TurnSequence,
@@ -73,7 +72,7 @@ class TestWorstRatio:
         assert witness.x == pytest.approx(2.0**13, rel=1e-9)
 
     def test_short_strategy_is_uncovered(self, doubling):
-        plan = RoundPlan((Round(1, 1.0), Round(2, 1.0)))
+        plan = RoundPlan(((1, 1.0), (2, 1.0)))
         r, witness = worst_ratio([plan], doubling, 1e4)
         assert r == math.inf
         assert witness.x >= 1.0
@@ -96,6 +95,15 @@ class TestSweepRows:
         best = max(r.ratio for _, _, r in rows if r.ratio is not None)
         exact, _ = worst_ratio(doubling_strategy, doubling, 1e3)
         assert best == pytest.approx(exact, abs=0.05)
+
+
+class TestDenseStep:
+    @pytest.mark.parametrize("rel_step", [0.0, -1.0, -0.0, math.nan])
+    def test_step_must_be_positive(self, doubling, doubling_strategy, rel_step):
+        with pytest.raises(ValueError, match="rel_step must be positive"):
+            sweep_rows(doubling_strategy, doubling, 100.0, dense=True, rel_step=rel_step)
+        with pytest.raises(ValueError, match="rel_step must be positive"):
+            dense_grid_ratio(doubling_strategy, doubling, 100.0, rel_step=rel_step)
 
 
 class TestTargetValidation:
@@ -121,7 +129,7 @@ _TURN = st.one_of(
 
 
 def _round_plan(m):
-    rounds = st.builds(Round, st.integers(1, m + 1), _TURN)
+    rounds = st.tuples(st.integers(1, m + 1), _TURN)
     return st.lists(rounds, max_size=10).map(lambda rs: RoundPlan(tuple(rs)))
 
 
@@ -154,7 +162,7 @@ def _oracle_candidates(strategies, p, N):
     seen = set()
     for s in strategies:
         if isinstance(s, RoundPlan):
-            legs = [(rd.ray, rd.turn) for rd in s.rounds]
+            legs = list(s.rounds)
         else:
             legs = [(s.side(i), t) for i, t in enumerate(s.turns)]
         for key in legs:
@@ -245,6 +253,6 @@ class TestIndexMatchesReference:
 
     def test_mixed_set_with_a_ray_past_two_is_rejected(self):
         p = InstanceParams(3, 2, 0)
-        strategies = [RoundPlan((Round(3, 2.0),)), TurnSequence((4.0, 4.0))]
+        strategies = [RoundPlan(((3, 2.0),)), TurnSequence((4.0, 4.0))]
         with pytest.raises(ValueError, match="line targets"):
             sweep_rows(strategies, p, 10.0)

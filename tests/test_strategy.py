@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from raysearch import (
     CoverParams,
     InstanceParams,
-    Round,
     RoundPlan,
     TurnSequence,
     all_cover_intervals,
@@ -26,8 +25,8 @@ class TestExponentialGenerator:
     def test_doubling_rounds(self, doubling):
         (plan,) = make_exponential_strategy(doubling, 2.0, 100.0)
         head = plan.rounds[:6]
-        assert [r.ray for r in head] == [1, 2, 1, 2, 1, 2]
-        assert [r.turn for r in head] == pytest.approx(
+        assert [ray for ray, _ in head] == [1, 2, 1, 2, 1, 2]
+        assert [turn for _, turn in head] == pytest.approx(
             [0.5, 1.0, 2.0, 4.0, 8.0, 16.0], rel=1e-12
         )
 
@@ -36,11 +35,11 @@ class TestExponentialGenerator:
         assert len(plans) == 3
         alpha = optimal_alpha(three_robot)
         for plan in plans:
-            rays = [r.ray for r in plan.rounds]
+            rays = [ray for ray, _ in plan.rounds]
             assert rays == [1 + i % 2 for i in range(len(rays))]
             per_ray = {}
-            for r in plan.rounds:
-                per_ray.setdefault(r.ray, []).append(r.turn)
+            for ray, turn in plan.rounds:
+                per_ray.setdefault(ray, []).append(turn)
             for turns in per_ray.values():
                 for lo, hi in zip(turns, turns[1:]):
                     assert hi / lo == pytest.approx(alpha**6, rel=1e-12)
@@ -50,10 +49,20 @@ class TestExponentialGenerator:
         plans = make_exponential_strategy(three_robot, optimal_alpha(three_robot), N)
         best = {}
         for plan in plans:
-            for r in plan.rounds:
-                best[r.ray] = max(best.get(r.ray, 0.0), r.turn)
+            for ray, turn in plan.rounds:
+                best[ray] = max(best.get(ray, 0.0), turn)
         assert set(best) == {1, 2}
         assert all(v >= N for v in best.values())
+
+
+@pytest.mark.parametrize(
+    "make", [make_exponential_strategy, make_geometric_line_strategy]
+)
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.0])
+def test_generators_require_a_finite_base_above_one(make, alpha):
+    message = "alpha must be finite" if alpha == math.inf else "alpha must be > 1"
+    with pytest.raises(ValueError, match=message):
+        make(InstanceParams(2, 3, 1), alpha, 100.0)
 
 
 class TestLineGenerator:
@@ -73,11 +82,50 @@ class TestLineGenerator:
             make_geometric_line_strategy(p, optimal_alpha(p), 100.0)
 
 
+# one plan or sequence is checked as a whole: a bad entry anywhere rejects it
+_GOOD_TURN = st.floats(1e-3, 1e6)
+_BAD_TURN = st.sampled_from([0.0, -0.0, -1.5, -math.inf, math.nan])
+
+
+class TestValidation:
+    @given(st.lists(_GOOD_TURN, max_size=8), _BAD_TURN, st.data())
+    def test_turn_sequence_rejects_a_bad_turn_anywhere(self, turns, bad, data):
+        turns.insert(data.draw(st.integers(0, len(turns))), bad)
+        with pytest.raises(ValueError, match="turning distances must be positive"):
+            TurnSequence(tuple(turns))
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), _GOOD_TURN), max_size=8),
+        _BAD_TURN,
+        st.data(),
+    )
+    def test_round_plan_rejects_a_bad_turn_anywhere(self, rounds, bad, data):
+        rounds.insert(data.draw(st.integers(0, len(rounds))), (1, bad))
+        with pytest.raises(ValueError, match="turn distance must be positive, got"):
+            RoundPlan(tuple(rounds))
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), _GOOD_TURN), max_size=8),
+        st.integers(-3, 0),
+        st.data(),
+    )
+    def test_round_plan_rejects_a_ray_below_one_anywhere(self, rounds, ray, data):
+        rounds.insert(data.draw(st.integers(0, len(rounds))), (ray, 1.0))
+        with pytest.raises(ValueError, match=f"ray index must be >= 1, got {ray}$"):
+            RoundPlan(tuple(rounds))
+
+    @given(st.lists(st.tuples(st.integers(1, 4), _GOOD_TURN), max_size=8))
+    def test_good_plans_and_sequences_are_accepted(self, rounds):
+        assert RoundPlan(tuple(rounds)).rounds == tuple(rounds)
+        turns = tuple(t for _, t in rounds)
+        assert TurnSequence(turns).turns == turns
+
+
 class TestCoverIntervals:
     def test_orc_example(self):
         # Two returns on the same ray at mu = 2: the second covering
         # starts at (sum of earlier turns) / mu = 0.5.
-        plan = RoundPlan((Round(1, 1.0), Round(1, 3.0)))
+        plan = RoundPlan(((1, 1.0), (1, 3.0)))
         ivs = cover_intervals(plan, CoverParams(5.0))
         assert [(iv.left, iv.right) for iv in ivs] == [(0.0, 1.0), (0.5, 3.0)]
 
@@ -92,8 +140,14 @@ class TestCoverIntervals:
             (4.0, 8.0),
         ]
 
+    def test_interval_is_a_plain_tuple(self):
+        (iv,) = cover_intervals(RoundPlan(((2, 4.0),)), CoverParams(5.0), robot=3)
+        assert iv == (3, 0, 0.0, 4.0)
+        assert (iv.robot, iv.round_index, iv.left, iv.right) == (3, 0, 0.0, 4.0)
+        assert iv.left_open is False
+
     def test_robot_tag_propagates(self, cover9):
-        plan = RoundPlan((Round(1, 1.0),))
+        plan = RoundPlan(((1, 1.0),))
         ivs = all_cover_intervals([plan, plan], cover9)
         assert sorted({iv.robot for iv in ivs}) == [0, 1]
 
@@ -145,9 +199,27 @@ class TestSerialization:
     def test_comments_and_blanks_skipped(self):
         text = "# a comment\n\n1:1.0 2:2.0\n"
         (plan,) = loads_strategies(text)
-        assert plan == RoundPlan((Round(1, 1.0), Round(2, 2.0)))
+        assert plan == RoundPlan(((1, 1.0), (2, 2.0)))
 
     def test_dumps_format_detection(self):
-        mixed = [RoundPlan((Round(1, 1.0),)), TurnSequence((1.0, 2.0))]
+        mixed = [RoundPlan(((1, 1.0),)), TurnSequence((1.0, 2.0))]
         again = loads_strategies(dumps_strategies(mixed))
         assert again == mixed
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1:abc", "could not convert string to float: 'abc'"),
+            ("0:1.0", "ray index must be >= 1, got 0"),
+            ("1:1.0 2.0", "expected ray:turn, got '2.0'"),
+            ("1:nan", "turn distance must be positive, got nan"),
+            ("-nan 2.0", "turning distances must be positive"),
+            ("1.0 2.0 -4.0 4.0", "turning points must alternate sides"),
+            ("1.0 0.0", "zero turning point"),
+        ],
+    )
+    def test_errors_name_the_line(self, bad, message):
+        # comments and blank lines count toward the line number
+        with pytest.raises(ValueError) as err:
+            loads_strategies(f"# robots\n\n1:1.0 2:2.0\n{bad}\n")
+        assert str(err.value) == f"line 4: {message}"
