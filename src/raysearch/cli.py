@@ -1,11 +1,17 @@
 """Command-line front end: bounds, ratio sweeps, and the refuter.
 
-Exit status: 0 success or certificate, 2 coverage failure / uncovered
-witness, 1 usage or parameter-regime errors, among them a strategy file
-that is malformed or whose robot count or kind does not match -k and
---mode, --alpha together with --strategy, a numeric flag that is NaN or
-infinite, and an unknown RAYSEARCH_PRECISION.  All emitted CSV/JSON is
-deterministic for a given configuration (no timestamps in data files).
+Exit status: 0 success or certificate; 1 usage or parameter-regime
+errors, among them a strategy file that is malformed or whose robot
+count or kind does not match -k and --mode, --alpha together with
+--strategy, a numeric flag that is NaN or infinite, --dense or
+--rel-step without --csv, --rel-step without --dense, an unknown
+RAYSEARCH_PRECISION and a cover.ConfigurationError (nothing the audit
+can run on); 2 coverage failure or uncovered witness, a
+cover.DeficientCoverError included; 3 a broken refuter invariant,
+potential.AuditError or potential.InvalidAssignmentError.  Each of these
+errors is written to stderr as one line `raysearch: ...` that keeps its
+own text.  All emitted CSV/JSON is deterministic for a
+given configuration (no timestamps in data files).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import math
 import sys
 from typing import Sequence
 
+from .cover import ConfigurationError, DeficientCoverError
 from .formulas import (
     CoverParams,
     InfeasibleRegime,
@@ -29,7 +36,7 @@ from .formulas import (
     ratio_lower_bound,
 )
 from .fractional import fractional_ratio
-from .potential import GrowthTrace, detect_gap, refute
+from .potential import AuditError, GrowthTrace, InvalidAssignmentError, detect_gap, refute
 from .simulator import supremum, sweep_rows, worst_ratio
 from .strategy import (
     load_strategies,
@@ -129,6 +136,10 @@ def _write_sweep_csv(path: str, rows) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if (args.dense or args.rel_step is not None) and not args.csv:
+        raise ValueError("--dense and --rel-step choose the --csv rows: give --csv")
+    if args.rel_step is not None and not args.dense:
+        raise ValueError("--rel-step is the step of the --dense grid: give --dense")
     p = _instance(args)
     strategies = _build_strategies(args, p, args.N)
     if args.csv and not args.dense:
@@ -138,7 +149,8 @@ def cmd_simulate(args) -> int:
     else:
         sup, witness = worst_ratio(strategies, p, args.N)
         if args.csv:
-            rows = sweep_rows(strategies, p, args.N, dense=True, rel_step=args.rel_step)
+            step = 1e-3 if args.rel_step is None else args.rel_step
+            rows = sweep_rows(strategies, p, args.N, dense=True, rel_step=step)
     if args.csv:
         _write_sweep_csv(args.csv, rows)
     try:
@@ -243,7 +255,7 @@ def build_parser() -> _Parser:
     s.add_argument("--csv", help="write per-breakpoint rows here")
     s.add_argument("--summary", help="write the summary JSON here")
     s.add_argument("--dense", action="store_true", help="dense-grid rows instead of breakpoints")
-    s.add_argument("--rel-step", type=_finite, default=1e-3)
+    s.add_argument("--rel-step", type=_finite, default=None, help="dense grid step (default 1e-3)")
     s.set_defaults(func=cmd_simulate)
 
     r = subs.add_parser("refute", help="verify/refute a multicover, audit the potential")
@@ -263,25 +275,31 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the stderr label and exit code of each error a command may raise
+_FAILURES = (
+    (InfeasibleRegime, "infeasible regime", 1),
+    (TrivialRegime, "trivial regime", 1),
+    (NoFiniteHorizon, "no finite horizon", 1),
+    (ValueError, "error", 1),
+    (OSError, "error", 1),
+    (ConfigurationError, "configuration error", 1),
+    (DeficientCoverError, "deficient cover", 2),
+    (AuditError, "audit failed", 3),
+    (InvalidAssignmentError, "invalid assignment", 3),
+)
+_FAILURE_TYPES = tuple(kind for kind, _, _ in _FAILURES)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _extended()  # an unknown RAYSEARCH_PRECISION fails every command alike
         return args.func(args)
-    except InfeasibleRegime as exc:
-        print(f"raysearch: infeasible regime: {exc}", file=sys.stderr)
-        return 1
-    except TrivialRegime as exc:
-        print(f"raysearch: trivial regime: {exc}", file=sys.stderr)
-        return 1
-    except NoFiniteHorizon as exc:
-        print(f"raysearch: no finite horizon: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"raysearch: error: {exc}", file=sys.stderr)
-        return 1
-
+    except _FAILURE_TYPES as exc:
+        label, code = next((lb, c) for kind, lb, c in _FAILURES if isinstance(exc, kind))
+        print(f"raysearch: {label}: {exc}", file=sys.stderr)
+        return code
 
 if __name__ == "__main__":
     raise SystemExit(main())

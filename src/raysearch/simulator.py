@@ -13,21 +13,23 @@ distance.  `worst_ratio` enumerates exactly those breakpoints;
 A robot first reaches (ray, x) on the first excursion to that ray whose
 turn is at least x, so only the turns that raise the running maximum on
 a ray can be first visits.  `worst_ratio` and `sweep_rows` (and through
-it `dense_grid_ratio`) build, once per query, an index of those turns per
-robot and ray, and answer each first visit with one bisection: a query
-over R rounds in all costs O(R) to index and O(k log R) per target,
-instead of O(k R) per target.  `first_visit_time` and `detection_time`
-walk the rounds from scratch; they are the reference path the index is
-tested against.
+it `dense_grid_ratio`) sweep each ray once, targets in increasing x,
+keeping every robot's offset 2*elapsed at its next record turn in one
+sorted list: after one sort of a ray's record turns and targets, each
+record turn passed costs one removal and one insertion in a list of at
+most k entries, and each target one lookup.  `first_visit_time` and
+`detection_time` walk the rounds from scratch; they are the reference
+path the sweep is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import cycle
-from typing import Iterable, Sequence, TypeVar
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .formulas import InstanceParams
 from .strategy import RoundPlan, Strategy, TurnSequence
@@ -44,6 +46,8 @@ __all__ = [
 ]
 
 K = TypeVar("K")
+
+_OFF_LINE = "line targets use ray=+1 or ray=-1"
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ def first_visit_time(
         return None
     if isinstance(strategy, TurnSequence):
         if target.ray not in (1, -1):
-            raise ValueError("line targets use ray=+1 or ray=-1")
+            raise ValueError(_OFF_LINE)
         for i, turn in enumerate(strategy.turns):
             if strategy.side(i) == target.ray and (
                 turn > x if just_above else turn >= x
@@ -129,8 +133,12 @@ def _legs(strategy: Strategy) -> Iterable[tuple[int, float]]:
     raise TypeError(f"unsupported strategy type {type(strategy)!r}")
 
 
+def _is_line(strategies: Sequence[Strategy]) -> bool:
+    return any(isinstance(s, TurnSequence) for s in strategies)
+
+
 def _rays(strategies: Sequence[Strategy], p: InstanceParams) -> list[int]:
-    if any(isinstance(s, TurnSequence) for s in strategies):
+    if _is_line(strategies):
         return [1, -1]
     return list(range(1, p.m + 1))
 
@@ -149,57 +157,69 @@ def _candidates(
     return cands
 
 
-class _VisitIndex:
-    """Every robot's first visits, answered by bisection.
+def _sweep(
+    strategies: Sequence[Strategy],
+    p: InstanceParams,
+    cands: Sequence[tuple[int, float, bool]],
+) -> Iterator[tuple[int, float, list[tuple[float, int]]]]:
+    """(i, x, live) for each candidate (ray, x, just_above), ray by ray in
+    increasing (x, just_above).
 
-    Per robot and ray it keeps the turns that raise the running maximum
-    on that ray, with the time elapsed before each, summed in walking
-    order exactly as `first_visit_time` sums it.  Only such a turn can be
-    a first visit, so the first visit of (ray, x) is the first of them
-    that reaches x (passes it, for just_above), at 2*elapsed + x.
+    live, updated in place, holds the sorted (2*elapsed, robot) of every
+    robot's first visit to the target, so live[f][0] + x is the detection
+    time.  x passes a turn when it exceeds it, or equals it just above.
     """
+    if len(strategies) != p.k:
+        raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
+    line = _is_line(strategies)
+    # per ray: (turn, robot, old, new): once x passes the turn, the robot's
+    # offset moves from old to new, None meaning out of the list.  A robot
+    # enters at turn 0 and moves at each of its record turns on the ray.
+    events: dict[int, list[tuple[float, int, float | None, float | None]]] = {}
+    for r, strat in enumerate(strategies):
+        last: dict[int, tuple[float, float | None]] = {}
+        elapsed = 0.0
+        for ray, turn in _legs(strat):
+            top, old = last.get(ray, (0.0, None))
+            if turn > top:
+                events.setdefault(ray, []).append((top, r, old, 2.0 * elapsed))
+                last[ray] = (turn, 2.0 * elapsed)
+            elapsed += turn
+        for ray, (top, old) in last.items():
+            events[ray].append((top, r, old, None))
+    ray = None
+    for i in sorted(range(len(cands)), key=cands.__getitem__):
+        if cands[i][0] != ray:
+            ray = cands[i][0]
+            if line and ray not in (1, -1):
+                raise ValueError(_OFF_LINE)
+            evs = sorted(events.get(ray, ()), key=itemgetter(0))
+            live: list[tuple[float, int]] = []
+            j = 0
+        _, x, just_above = cands[i]
+        while j < len(evs) and (evs[j][0] < x or just_above and evs[j][0] == x):
+            _, r, old, new = evs[j]
+            if old is not None:
+                del live[bisect_left(live, (old, r))]
+            if new is not None:
+                insort(live, (new, r))
+            j += 1
+        yield i, x, live
 
-    def __init__(self, strategies: Sequence[Strategy], p: InstanceParams) -> None:
-        if len(strategies) != p.k:
-            raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
-        self.f = p.f
-        self.line = any(isinstance(s, TurnSequence) for s in strategies)
-        # per ray: (robot, its turns on the ray that raise the running
-        # maximum, the time elapsed before each), in robot order
-        self.by_ray: dict[int, list[tuple[int, list[float], list[float]]]] = {}
-        for r, strat in enumerate(strategies):
-            maxima: dict[int, tuple[list[float], list[float]]] = {}
-            elapsed = 0.0
-            for ray, turn in _legs(strat):
-                turns, before = maxima.setdefault(ray, ([], []))
-                if turn > (turns[-1] if turns else 0.0):
-                    turns.append(turn)
-                    before.append(elapsed)
-                elapsed += turn
-            for ray, (turns, before) in maxima.items():
-                self.by_ray.setdefault(ray, []).append((r, turns, before))
 
-    def arrivals(self, ray: int, x: float, just_above: bool) -> list[tuple[float, int]]:
-        """Sorted (time, robot) first visits, as `detection_time` sorts them."""
-        if self.line and ray not in (1, -1):
-            raise ValueError("line targets use ray=+1 or ray=-1")
-        find = bisect_right if just_above else bisect_left
-        out = [
-            (2.0 * before[i] + x, r)
-            for r, turns, before in self.by_ray.get(ray, ())
-            if (i := find(turns, x)) < len(turns)
-        ]
-        out.sort()
-        return out
-
-    def report(self, target: Target, just_above: bool) -> DetectionReport:
-        """`detection_time` of the target, from the index."""
-        arrivals = self.arrivals(target.ray, target.x, just_above)
-        visitors = tuple((r, t) for t, r in arrivals)
-        if len(arrivals) <= self.f:
-            return DetectionReport(None, visitors, None)
-        tau = arrivals[self.f][0]
-        return DetectionReport(tau, visitors, tau / target.x)
+def _reports(
+    strategies: Sequence[Strategy],
+    p: InstanceParams,
+    cands: Sequence[tuple[int, float, bool]],
+) -> list[DetectionReport]:
+    """`detection_time` of each candidate, in candidate order, from one sweep."""
+    reports: list[DetectionReport] = [None] * len(cands)  # type: ignore[list-item]
+    for i, x, live in _sweep(strategies, p, cands):
+        # two offsets can round to one time: list visitors by (time, robot)
+        visitors = tuple((r, t) for t, r in sorted([(off + x, r) for off, r in live]))
+        tau = visitors[p.f][1] if len(visitors) > p.f else None
+        reports[i] = DetectionReport(tau, visitors, None if tau is None else tau / x)
+    return reports
 
 
 def supremum(pairs: Iterable[tuple[K, float | None]]) -> tuple[float, K]:
@@ -229,15 +249,20 @@ def worst_ratio(
     target is never detected.
     """
     cands = _candidates(strategies, p, N)
-    index = _VisitIndex(strategies, p)
+    # detection_time raises at a line set's ray past +-1, unless the scan
+    # in candidate order stops earlier at an undetected target
+    n = len(cands)
+    if _is_line(strategies):
+        n = next((i for i, c in enumerate(cands) if c[0] not in (1, -1)), n)
+    ratios: list[float | None] = [None] * n
     f = p.f
-
-    def ratios():
-        for ray, x, just_above in cands:
-            arrivals = index.arrivals(ray, x, just_above)
-            yield (ray, x), (arrivals[f][0] / x if len(arrivals) > f else None)
-
-    ratio, (ray, x) = supremum(ratios())
+    for i, x, live in _sweep(strategies, p, cands[:n]):
+        if len(live) > f:
+            ratios[i] = (live[f][0] + x) / x
+    ratio, i = supremum(enumerate(ratios))
+    if n < len(cands) and ratio < math.inf:
+        raise ValueError(_OFF_LINE)
+    ray, x, _ = cands[i]
     return ratio, Target(ray, x)
 
 
@@ -260,9 +285,8 @@ def sweep_rows(
         ]
     else:
         cands = _candidates(strategies, p, N)
-    targets = [(Target(ray, x), just_above) for ray, x, just_above in cands]
-    index = _VisitIndex(strategies, p)
-    return [(tgt, ja, index.report(tgt, ja)) for tgt, ja in targets]
+    reports = _reports(strategies, p, cands)
+    return [(Target(ray, x), ja, rep) for (ray, x, ja), rep in zip(cands, reports)]
 
 
 def dense_grid_ratio(

@@ -14,6 +14,8 @@ from raysearch import (
     worst_ratio,
 )
 from raysearch.cli import main
+from raysearch.cover import ConfigurationError, DeficientCoverError, Witness
+from raysearch.potential import AuditError, InvalidAssignmentError
 
 
 def run(capsys, *argv):
@@ -359,3 +361,57 @@ class TestInputChecks:
         assert code == 1
         assert out == ""
         assert err == "raysearch: error: line 2: ray index must be >= 1, got 0\n"
+
+    NEED_CSV = "--dense and --rel-step choose the --csv rows: give --csv"
+    NEED_DENSE = "--rel-step is the step of the --dense grid: give --dense"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--dense",), NEED_CSV),
+            (("--rel-step", "0.01"), NEED_CSV),
+            (("--dense", "--rel-step", "0"), NEED_CSV),
+            (("--rel-step", "0.01", "--csv", "CSV"), NEED_DENSE),
+        ],
+    )
+    def test_dense_flags_are_not_ignored(self, capsys, tmp_path, flags, message):
+        csv = tmp_path / "sweep.csv"
+        flags = [str(csv) if flag == "CSV" else flag for flag in flags]
+        code, out, err = run(capsys, "simulate", *self.DOUBLING, "-N", "10", *flags)
+        assert code == 1
+        assert out == ""
+        assert err == f"raysearch: error: {message}\n"
+        assert not csv.exists()
+
+    def test_dense_grid_step_defaults_with_csv(self, capsys, tmp_path):
+        csv = tmp_path / "dense.csv"
+        code, _, _ = run(
+            capsys, "simulate", *self.DOUBLING, "-N", "10", "--dense", "--csv", str(csv)
+        )
+        assert code == 0
+        # the default step 1e-3: int(ln 10 / 1e-3) + 1 points on each of 2 rays
+        rows = csv.read_text().splitlines()[2:]
+        assert len(rows) == 2 * (int(math.log(10) / 1e-3) + 1)
+
+
+class TestInvariantErrors:
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ConfigurationError("no assigned intervals"), 1, "configuration error"),
+            (DeficientCoverError(Witness(3.5, 1, 2)), 2, "deficient cover"),
+            (AuditError("step ratio 1.0 below growth factor 1.5"), 3, "audit failed"),
+            (InvalidAssignmentError("interval is not next"), 3, "invalid assignment"),
+        ],
+    )
+    def test_error_maps_to_its_exit_code(self, capsys, monkeypatch, error, code, prefix):
+        def broken_refute(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("raysearch.cli.refute", broken_refute)
+        got, out, err = run(
+            capsys, "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "9.5", "-N", "1e3"
+        )
+        assert got == code
+        assert out == ""
+        assert err == f"raysearch: {prefix}: {error}\n"

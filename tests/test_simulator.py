@@ -16,7 +16,7 @@ from raysearch import (
     sweep_rows,
     worst_ratio,
 )
-from raysearch.simulator import _VisitIndex
+from raysearch.simulator import _reports
 
 
 class TestFirstVisit:
@@ -112,10 +112,10 @@ class TestTargetValidation:
             Target(1, 0.5)
 
 
-# --- the visit index against the reference path --------------------------
+# --- the per-ray sweep against the reference path ------------------------
 #
-# worst_ratio, sweep_rows and dense_grid_ratio answer from a per-robot
-# visit index; the oracles below answer every target from scratch with
+# worst_ratio, sweep_rows and dense_grid_ratio answer from one sweep per
+# ray; the oracles below answer every target from scratch with
 # detection_time, enumerating the candidates as the simulator documents
 # them.  Answers must agree exactly, floats and visitor order included.
 
@@ -240,19 +240,57 @@ class TestIndexMatchesReference:
         _assert_same_answers(*inst)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(_instances("orc"), _instances("line")), st.booleans())
-    def test_index_at_every_turn(self, inst, just_above):
-        # the sweeps probe turns only just above them; the index answers
-        # any target, exactly at a turn included
+    @given(st.one_of(_instances("orc"), _instances("line")))
+    def test_sweep_at_every_turn(self, inst):
+        # worst_ratio and sweep_rows probe turns only just above them; the
+        # sweep answers any target, exactly at a turn included
         strategies, p, _ = inst
-        index = _VisitIndex(strategies, p)
-        for target, _ in _oracle_candidates(strategies, p, math.inf)[0]:
-            assert index.report(target, just_above) == detection_time(
-                strategies, p, target, just_above
-            )
+        targets = [
+            (target, just_above)
+            for target, _ in _oracle_candidates(strategies, p, math.inf)[0]
+            for just_above in (False, True)
+        ]
+        cands = [(t.ray, t.x, just_above) for t, just_above in targets]
+        assert _reports(strategies, p, cands) == [
+            detection_time(strategies, p, t, just_above) for t, just_above in targets
+        ]
 
     def test_mixed_set_with_a_ray_past_two_is_rejected(self):
         p = InstanceParams(3, 2, 0)
         strategies = [RoundPlan(((3, 2.0),)), TurnSequence((4.0, 4.0))]
         with pytest.raises(ValueError, match="line targets"):
             sweep_rows(strategies, p, 10.0)
+
+
+class TestRoundingAndLargeOffsets:
+    def test_visitors_tied_by_rounding_keep_robot_order(self):
+        # at x = 1e20 the offsets 4 (robot 0) and 2 (robot 1) both vanish
+        # in rounding: the sweep holds robot 1 first, detection_time lists
+        # the tied times by robot
+        strategies = [
+            RoundPlan(((2, 2.0), (1, 1e21))),
+            RoundPlan(((2, 1.0), (1, 1e21))),
+            RoundPlan(((1, 1e20),)),
+        ]
+        p = InstanceParams(2, 3, 1)
+        N = 1e21
+        rows = sweep_rows(strategies, p, N)
+        assert rows == _oracle_rows(strategies, p, N)
+        [report] = [r for t, ja, r in rows if (t.ray, t.x, ja) == (1, 1e20, True)]
+        assert report.visitors == ((0, 1e20), (1, 1e20))
+        assert worst_ratio(strategies, p, N) == _oracle_worst(strategies, p, N)
+
+    @pytest.mark.parametrize(
+        "m, k, f, N",
+        [(2, 1, 0, 1e200), (2, 3, 1, 1e120), (3, 2, 0, 1e200), (4, 3, 1, 1e60)],
+    )
+    def test_exponential_strategies_up_to_huge_horizons(self, m, k, f, N):
+        # about 150 rounds: the offsets at a target reach far past its x
+        p = InstanceParams(m, k, f)
+        strategies = make_exponential_strategy(p, math.exp(math.log(N) / 150), N)
+        assert 100 <= sum(len(s.rounds) for s in strategies) <= 200
+        assert worst_ratio(strategies, p, N) == _oracle_worst(strategies, p, N)
+        assert sweep_rows(strategies, p, N) == _oracle_rows(strategies, p, N)
+        assert sweep_rows(strategies, p, N, dense=True, rel_step=0.5) == _oracle_rows(
+            strategies, p, N, dense=True, rel_step=0.5
+        )
