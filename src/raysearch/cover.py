@@ -10,7 +10,10 @@ same leftmost witness, or truncates the cover intervals [t'', t] to
 half-open assigned intervals (t', t], t'' <= t' < t, so that every point
 of (1, hi] is covered *exactly* q times.  Truncation keeps waiting the
 intervals with the largest right endpoints (they keep contributing
-farther right); skipped intervals disappear entirely.
+farther right); skipped intervals disappear entirely.  The waiting and
+the opened intervals live in two heaps keyed by right endpoint; an
+opened interval closes from the top of its heap once the sweep passes
+its right endpoint, so no endpoint rescans the opened set.
 
 Intervals whose right endpoint sits at or below the floor 1 are kept
 untruncated: they carry their turning distance into the robot loads
@@ -144,6 +147,9 @@ def exact_q_assignment(
     When it falls short of q, DeficientCoverError carries the same
     leftmost witness.  (The point check there cannot fire first: an
     interval live on (u, v) is closed on the right, so it contains v.)
+    The opened intervals live in a heap by right endpoint and close from
+    its top once the sweep passes their right endpoint: O(log q) per
+    closing, with no pass over the opened set at each endpoint.
     """
     _require_ordered(intervals)
     if q <= 0:
@@ -168,21 +174,17 @@ def exact_q_assignment(
     # available but not yet opened, as a heap of (right, robot, round, pool
     # index); expired entries (right < v) are dropped when they reach the top
     avail: list[tuple[float, int, int, int]] = []
-    opened: list[tuple[CoverInterval, float]] = []  # (interval, t')
+    # opened, as a heap of (right, robot, round, pool index, t'); an interval
+    # closes when it reaches the top with right < v; t' is where it opened
+    opened: list[tuple[float, int, int, int, float]] = []
     for u, v in zip(points, points[1:]):
         while nxt < len(pool) and pool[nxt].left <= u:
             iv = pool[nxt]
             heappush(avail, (iv.right, iv.robot, iv.round_index, nxt))
             nxt += 1
-        still = []
-        for iv, t_prime in opened:
-            if iv.right >= v:
-                still.append((iv, t_prime))
-            else:
-                out.append(
-                    AssignedInterval(iv.robot, iv.round_index, t_prime, iv.right, iv.left)
-                )
-        opened = still
+        while opened and opened[0][0] < v:
+            right, robot, rnd, i, t_prime = heappop(opened)
+            out.append(AssignedInterval(robot, rnd, t_prime, right, pool[i].left))
         need = q - len(opened)
         if need > 0:
             while avail and avail[0][0] < v:
@@ -190,11 +192,9 @@ def exact_q_assignment(
             if len(avail) < need:
                 raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
             for _ in range(need):
-                opened.append((pool[heappop(avail)[3]], u))
-    for iv, t_prime in opened:
-        out.append(
-            AssignedInterval(iv.robot, iv.round_index, t_prime, iv.right, iv.left)
-        )
+                heappush(opened, (*heappop(avail), u))
+    for right, robot, rnd, i, t_prime in opened:
+        out.append(AssignedInterval(robot, rnd, t_prime, right, pool[i].left))
     out.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
     return out
 

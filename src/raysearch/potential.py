@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .cover import (
     AssignedInterval,
@@ -29,7 +29,7 @@ from .cover import (
     exact_q_assignment,
     ordered_stream,
 )
-from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical, poly_max_point
+from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical
 from .strategy import RoundPlan, Strategy, TurnSequence, all_cover_intervals
 
 __all__ = [
@@ -111,15 +111,22 @@ class PrefixState:
 
 
 def _log_potential(state: PrefixState) -> float | None:
+    # the summation order is part of the answer: per robot the load term,
+    # then the next-left term; the frontier terms last, as one sum
+    e, k, log = state.s_exp, state.k, math.log
     lp = 0.0
-    for r, load in state.loads.items():
-        lp += state.s_exp * math.log(load)
-        if state.mode == "orc":
-            b = state.b(r)
-            if b is None:
+    if state.mode == "orc":
+        pending, scale = state.pending, state.scale
+        for r, load in state.loads.items():
+            nxt = pending[r]
+            if not nxt:
                 return None
-            lp += state.k * math.log(b)
-    lp -= state.k * sum(math.log(y) for y in state.A)
+            lp += e * log(load)
+            lp += k * log(nxt[0].left / scale)
+    else:
+        for load in state.loads.values():
+            lp += e * log(load)
+    lp -= k * sum(map(log, state.A))
     return lp
 
 
@@ -165,8 +172,7 @@ def initial_state(
     return state
 
 
-@dataclass(frozen=True)
-class GrowthStep:
+class GrowthStep(NamedTuple):
     """One audited extension; its index is its position in the trace."""
 
     robot: int
@@ -223,13 +229,11 @@ def advance(state: PrefixState, nxt: AssignedInterval, c: CoverParams) -> Growth
     if state.log_potential is not None:
         state.log_potential += log_ratio
     return GrowthStep(
-        robot=r,
-        mu_star=mu_star,
-        x=x,
-        step_ratio=math.exp(log_ratio),
-        log_potential_after=(
-            math.nan if state.log_potential is None else state.log_potential
-        ),
+        r,
+        mu_star,
+        x,
+        math.exp(log_ratio),
+        math.nan if state.log_potential is None else state.log_potential,
     )
 
 
@@ -291,10 +295,13 @@ def audit_growth(
     """
     seq, p0 = ordered_stream(assigned)
     state = initial_state(seq, p0, p, mode)
-    crit = mu_critical(state.s_exp, state.k)
-    subcritical = c.mu < crit
-    delta = growth_factor_delta(state.s_exp, state.k, c.mu)
-    cap = state.k * state.s_exp * math.log(c.mu) if mode == "line" else None
+    e, k = state.s_exp, state.k
+    subcritical = c.mu < mu_critical(e, k)
+    delta = growth_factor_delta(e, k, c.mu)
+    # the polynomial floor of a step ratio at slack mu* is
+    # growth_factor_delta(e, k, mu*) = delta_1 * mu*^(-k)
+    delta_1 = growth_factor_delta(e, k, 1.0)
+    cap = k * e * math.log(c.mu) if mode == "line" else None
     trace = GrowthTrace(
         mode=mode,
         mult=state.mult,
@@ -316,7 +323,7 @@ def audit_growth(
                 f"incremental potential {state.log_potential} drifted from "
                 f"from-scratch value {scratch} at step {idx}"
             )
-        floor = _step_ratio_floor(step.mu_star, state.s_exp, state.k)
+        floor = delta_1 * step.mu_star**-k
         if step.step_ratio < floor * (1.0 - 1e-12):
             raise AuditError(
                 f"step ratio {step.step_ratio} below polynomial floor {floor}"
@@ -329,15 +336,6 @@ def audit_growth(
             )
         trace.steps.append(step)
     return trace
-
-
-def _step_ratio_floor(mu_star: float, e: int, k: int) -> float:
-    x_star = poly_max_point(e, k, mu_star)
-    return math.exp(
-        e * math.log(mu_star)
-        - e * math.log(x_star)
-        - k * math.log(mu_star - x_star)
-    )
 
 
 @dataclass(frozen=True)

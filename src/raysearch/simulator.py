@@ -17,9 +17,10 @@ it `dense_grid_ratio`) sweep each ray once, targets in increasing x,
 keeping every robot's offset 2*elapsed at its next record turn in one
 sorted list: after one sort of a ray's record turns and targets, each
 record turn passed costs one removal and one insertion in a list of at
-most k entries, and each target one lookup.  `first_visit_time` and
-`detection_time` walk the rounds from scratch; they are the reference
-path the sweep is tested against.
+most k entries, and each target one lookup.  The sweep takes one kind
+of strategy: a set that mixes RoundPlans and TurnSequences raises
+ValueError.  `first_visit_time` and `detection_time` walk the rounds
+from scratch; they are the reference path the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ __all__ = [
 ]
 
 K = TypeVar("K")
-
-_OFF_LINE = "line targets use ray=+1 or ray=-1"
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def first_visit_time(
         return None
     if isinstance(strategy, TurnSequence):
         if target.ray not in (1, -1):
-            raise ValueError(_OFF_LINE)
+            raise ValueError("line targets use ray=+1 or ray=-1")
         for i, turn in enumerate(strategy.turns):
             if strategy.side(i) == target.ray and (
                 turn > x if just_above else turn >= x
@@ -133,12 +132,8 @@ def _legs(strategy: Strategy) -> Iterable[tuple[int, float]]:
     raise TypeError(f"unsupported strategy type {type(strategy)!r}")
 
 
-def _is_line(strategies: Sequence[Strategy]) -> bool:
-    return any(isinstance(s, TurnSequence) for s in strategies)
-
-
 def _rays(strategies: Sequence[Strategy], p: InstanceParams) -> list[int]:
-    if _is_line(strategies):
+    if any(isinstance(s, TurnSequence) for s in strategies):
         return [1, -1]
     return list(range(1, p.m + 1))
 
@@ -171,7 +166,10 @@ def _sweep(
     """
     if len(strategies) != p.k:
         raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
-    line = _is_line(strategies)
+    if any(isinstance(s, RoundPlan) for s in strategies) and any(
+        isinstance(s, TurnSequence) for s in strategies
+    ):
+        raise ValueError("strategies mix RoundPlan and TurnSequence: give one kind")
     # per ray: (turn, robot, old, new): once x passes the turn, the robot's
     # offset moves from old to new, None meaning out of the list.  A robot
     # enters at turn 0 and moves at each of its record turns on the ray.
@@ -191,8 +189,6 @@ def _sweep(
     for i in sorted(range(len(cands)), key=cands.__getitem__):
         if cands[i][0] != ray:
             ray = cands[i][0]
-            if line and ray not in (1, -1):
-                raise ValueError(_OFF_LINE)
             evs = sorted(events.get(ray, ()), key=itemgetter(0))
             live: list[tuple[float, int]] = []
             j = 0
@@ -249,19 +245,12 @@ def worst_ratio(
     target is never detected.
     """
     cands = _candidates(strategies, p, N)
-    # detection_time raises at a line set's ray past +-1, unless the scan
-    # in candidate order stops earlier at an undetected target
-    n = len(cands)
-    if _is_line(strategies):
-        n = next((i for i, c in enumerate(cands) if c[0] not in (1, -1)), n)
-    ratios: list[float | None] = [None] * n
+    ratios: list[float | None] = [None] * len(cands)
     f = p.f
-    for i, x, live in _sweep(strategies, p, cands[:n]):
+    for i, x, live in _sweep(strategies, p, cands):
         if len(live) > f:
             ratios[i] = (live[f][0] + x) / x
     ratio, i = supremum(enumerate(ratios))
-    if n < len(cands) and ratio < math.inf:
-        raise ValueError(_OFF_LINE)
     ray, x, _ = cands[i]
     return ratio, Target(ray, x)
 

@@ -98,6 +98,23 @@ class TestSimulate:
         assert code == 2
         assert json.loads(out)["covered"] is False
 
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_mixed_strategy_file_is_rejected(self, capsys, tmp_path, csv):
+        # one round plan and one line robot: no ratio is meaningful
+        strat = tmp_path / "mixed.txt"
+        strat.write_text("1:2.0 2:4.0\n1.0 -2.0 4.0\n")
+        extra = ["--csv", str(tmp_path / "sweep.csv")] if csv else []
+        code, out, err = run(
+            capsys,
+            "simulate", "-m", "2", "-k", "2", "-f", "0", "-N", "10",
+            "--strategy", str(strat), *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "raysearch: error: strategies mix RoundPlan and TurnSequence: give one kind\n"
+        )
+
     @pytest.mark.parametrize("strategy", [None, "1:1.0 2:1.0 1:2.0\n"])
     def test_csv_leaves_the_summary_unchanged(self, capsys, tmp_path, strategy):
         # with --csv the summary comes from the breakpoint rows instead of

@@ -1,13 +1,15 @@
 import math
+from heapq import heappop, heappush
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from raysearch import (
     AssignedInterval,
     CoverInterval,
     CoverParams,
     DeficientCoverError,
+    Witness,
     all_cover_intervals,
     exact_q_assignment,
     make_exponential_strategy,
@@ -164,3 +166,88 @@ def test_assignment_preserves_exactness(spans):
         for x in probes:
             folds = sum(1 for iv in assigned if iv.left < x <= iv.right)
             assert folds == q
+
+
+def _list_assignment(intervals, q, hi):
+    """exact_q_assignment with its opened intervals in a list that is
+    rebuilt at every endpoint: the slow reference for the heap."""
+    if q <= 0:
+        return []
+    out = []
+    pool = []
+    for iv in intervals:
+        if iv.right <= 1.0:
+            if iv.left < iv.right:
+                out.append(
+                    AssignedInterval(iv.robot, iv.round_index, iv.left, iv.right, iv.left)
+                )
+        elif iv.left < hi:
+            pool.append(iv)
+    pool.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
+    mids = sorted({v for iv in pool for v in (iv.left, iv.right) if 1.0 < v < hi})
+    points = [1.0] + mids + [hi]
+    nxt = 0
+    avail = []
+    opened = []  # (interval, t')
+    for u, v in zip(points, points[1:]):
+        while nxt < len(pool) and pool[nxt].left <= u:
+            iv = pool[nxt]
+            heappush(avail, (iv.right, iv.robot, iv.round_index, nxt))
+            nxt += 1
+        still = []
+        for iv, t_prime in opened:
+            if iv.right >= v:
+                still.append((iv, t_prime))
+            else:
+                out.append(
+                    AssignedInterval(iv.robot, iv.round_index, t_prime, iv.right, iv.left)
+                )
+        opened = still
+        need = q - len(opened)
+        if need > 0:
+            while avail and avail[0][0] < v:
+                heappop(avail)
+            if len(avail) < need:
+                raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
+            for _ in range(need):
+                opened.append((pool[heappop(avail)[3]], u))
+    for iv, t_prime in opened:
+        out.append(
+            AssignedInterval(iv.robot, iv.round_index, t_prime, iv.right, iv.left)
+        )
+    out.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
+    return out
+
+
+def _assignment_or_witness(assign, ivs, q, hi):
+    try:
+        return assign(ivs, q, hi)
+    except DeficientCoverError as exc:
+        return exc.witness
+
+
+# a coarse grid gives tied right endpoints, zero-length intervals and
+# intervals ending at or below 1; repeating the spans gives exact ties and
+# enough folds for q above 1; hi None stands for the largest right end
+_GRID_ENDPOINT = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0]), st.floats(0.1, 50.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_GRID_ENDPOINT, _GRID_ENDPOINT), min_size=1, max_size=16),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.one_of(st.none(), st.sampled_from([1.5, 2.0, 5.0]), st.floats(1.0, 80.0)),
+)
+def test_heap_sweep_matches_the_list_sweep(spans, q, copies, hi):
+    ivs = [
+        civ(min(a, b), max(a, b), robot=i % 4, idx=i)
+        for i, (a, b) in enumerate(spans * copies)
+    ]
+    if hi is None:
+        hi = max(iv.right for iv in ivs)
+    assert _assignment_or_witness(exact_q_assignment, ivs, q, hi) == (
+        _assignment_or_witness(_list_assignment, ivs, q, hi)
+    )

@@ -20,11 +20,13 @@ from raysearch import (
     make_geometric_line_strategy,
     optimal_alpha,
     ordered_stream,
+    poly_max_point,
     potential_value,
     ratio_lower_bound,
     refute,
     worst_ratio,
 )
+from raysearch import potential
 
 
 def doubling_assigned(hi=1e3, lam=9.0):
@@ -141,6 +143,76 @@ class TestAuditGrowth:
         cap = p.k * p.s * math.log(CoverParams(lam).mu)
         assert trace.max_log_potential <= cap + 1e-9
         assert trace.line_cap_log == pytest.approx(cap)
+
+
+def _generator_log_potential(state):
+    # the from-scratch potential as first written, generator and all: the
+    # summation order any faster form must keep
+    lp = 0.0
+    for r, load in state.loads.items():
+        lp += state.s_exp * math.log(load)
+        if state.mode == "orc":
+            b = state.b(r)
+            if b is None:
+                return None
+            lp += state.k * math.log(b)
+    lp -= state.k * sum(math.log(y) for y in state.A)
+    return lp
+
+
+class TestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 24),
+        st.integers(1, 24),
+        st.floats(math.log(0.5), math.log(1e3)).map(math.exp),
+    )
+    def test_closed_form_floor_matches_the_polynomial_max(self, e, k, mu_star):
+        # the audit's floor delta_1 * mu*^(-k) against the step ratio at
+        # the maximizer x* of x^e (mu* - x)^k
+        x = poly_max_point(e, k, mu_star)
+        at_max = math.exp(
+            e * math.log(mu_star) - e * math.log(x) - k * math.log(mu_star - x)
+        )
+        floor = growth_factor_delta(e, k, 1.0) * mu_star**-k
+        assert floor == pytest.approx(at_max, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mode, p",
+        [("orc", InstanceParams(3, 2, 1)), ("line", InstanceParams(2, 3, 1))],
+    )
+    def test_scratch_potential_keeps_its_summation_order(self, mode, p):
+        make = make_geometric_line_strategy if mode == "line" else make_exponential_strategy
+        lam = ratio_lower_bound(p) * 1.01
+        c = CoverParams(lam)
+        covers = all_cover_intervals(make(p, optimal_alpha(p), 1e8), c)
+        assigned = exact_q_assignment(covers, p.s if mode == "line" else p.q, 1e8)
+        seq, p0 = ordered_stream(assigned)
+        state = initial_state(seq, p0, p, mode)
+        steps = 0
+        for nxt in seq[p0:]:
+            assert potential._log_potential(state) == _generator_log_potential(state)
+            if mode == "orc" and len(state.pending[nxt.robot]) < 2:
+                break
+            advance(state, nxt, c)
+            steps += 1
+        assert potential._log_potential(state) == _generator_log_potential(state)
+        assert steps > 20
+
+    def test_drift_is_caught_at_its_step(self, monkeypatch):
+        # an incremental update off by 1e-6 must fail the from-scratch check
+        # at the first step: the oracle runs at every step
+        p, assigned = doubling_assigned()
+        advance_exact = potential.advance
+
+        def advance_drifting(state, nxt, c):
+            step = advance_exact(state, nxt, c)
+            state.log_potential += 1e-6
+            return step
+
+        monkeypatch.setattr(potential, "advance", advance_drifting)
+        with pytest.raises(AuditError, match="drifted .* at step 0$"):
+            audit_growth(assigned, CoverParams(9.0), p, "orc")
 
 
 class TestDetectGap:

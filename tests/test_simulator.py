@@ -141,14 +141,17 @@ _TURN_SEQUENCE = st.builds(
 @st.composite
 def _instances(draw, kind):
     m = 2 if kind == "line" else draw(st.integers(2, 4))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(2 if kind == "mixed" else 1, 4))
     f = draw(st.integers(0, k - 1))
-    robot = {
-        "orc": _round_plan(m),
-        "line": _TURN_SEQUENCE,
-        "mixed": st.one_of(_round_plan(m), _TURN_SEQUENCE),
-    }[kind]
-    strategies = draw(st.lists(robot, min_size=k, max_size=k))
+    if kind == "mixed":
+        # at least one robot of each kind, the rest either
+        either = st.one_of(_round_plan(m), _TURN_SEQUENCE)
+        rest = draw(st.lists(either, min_size=k - 2, max_size=k - 2))
+        robots = [draw(_round_plan(m)), draw(_TURN_SEQUENCE), *rest]
+        strategies = draw(st.permutations(robots))
+    else:
+        robot = _round_plan(m) if kind == "orc" else _TURN_SEQUENCE
+        strategies = draw(st.lists(robot, min_size=k, max_size=k))
     N = draw(st.sampled_from([1.0, 2.0, 3.0, 4.5, 8.0, 50.0]))
     return strategies, InstanceParams(m, k, f), N
 
@@ -223,6 +226,18 @@ def _assert_same_answers(strategies, p, N):
         )
 
 
+def _assert_mixed_set_rejected(strategies, p, N):
+    message = "strategies mix RoundPlan and TurnSequence: give one kind"
+    with pytest.raises(ValueError, match=message):
+        worst_ratio(strategies, p, N)
+    with pytest.raises(ValueError, match=message):
+        sweep_rows(strategies, p, N)
+    with pytest.raises(ValueError, match=message):
+        sweep_rows(strategies, p, N, dense=True, rel_step=0.3)
+    with pytest.raises(ValueError, match=message):
+        dense_grid_ratio(strategies, p, N, 0.3)
+
+
 class TestIndexMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(_instances("orc"))
@@ -237,7 +252,15 @@ class TestIndexMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(_instances("mixed"))
     def test_mixed_sets_answer_or_fail_alike(self, inst):
-        _assert_same_answers(*inst)
+        # a mixed set has no meaningful ratio: every sweep entry point
+        # refuses it alike, whatever the candidate order
+        _assert_mixed_set_rejected(*inst)
+
+    def test_mixed_set_with_a_ray_past_two_is_rejected(self):
+        # a round plan on a ray past 2 beside a line robot
+        p = InstanceParams(3, 2, 0)
+        strategies = [RoundPlan(((3, 2.0),)), TurnSequence((4.0, 4.0))]
+        _assert_mixed_set_rejected(strategies, p, 10.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_instances("orc"), _instances("line")))
@@ -254,12 +277,6 @@ class TestIndexMatchesReference:
         assert _reports(strategies, p, cands) == [
             detection_time(strategies, p, t, just_above) for t, just_above in targets
         ]
-
-    def test_mixed_set_with_a_ray_past_two_is_rejected(self):
-        p = InstanceParams(3, 2, 0)
-        strategies = [RoundPlan(((3, 2.0),)), TurnSequence((4.0, 4.0))]
-        with pytest.raises(ValueError, match="line targets"):
-            sweep_rows(strategies, p, 10.0)
 
 
 class TestRoundingAndLargeOffsets:
