@@ -6,7 +6,6 @@ from .cover import (
     DeficientCoverError,
     Witness,
     exact_q_assignment,
-    ordered_stream,
     verify_multicover,
 )
 from .formulas import (
@@ -36,6 +35,7 @@ from .potential import (
     GrowthStep,
     GrowthTrace,
     InvalidAssignmentError,
+    Mode,
     PrefixState,
     Verdict,
     advance,
@@ -59,6 +59,7 @@ from .simulator import (
 from .strategy import (
     CoverInterval,
     RoundPlan,
+    Strategy,
     TurnSequence,
     all_cover_intervals,
     cover_intervals,

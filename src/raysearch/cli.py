@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cover import ConfigurationError, DeficientCoverError
 from .formulas import (
@@ -36,7 +36,7 @@ from .formulas import (
     ratio_lower_bound,
 )
 from .fractional import fractional_ratio
-from .potential import AuditError, GrowthTrace, InvalidAssignmentError, detect_gap, refute
+from .potential import AuditError, InvalidAssignmentError, detect_gap, refute
 from .simulator import supremum, sweep_rows, worst_ratio
 from .strategy import (
     load_strategies,
@@ -122,17 +122,15 @@ def _build_strategies(args, p: InstanceParams, N: float, mode: str = "orc"):
         ) from None
 
 
-def _write_sweep_csv(path: str, rows) -> None:
+def _write_csv(path: str, header: str, columns: str, lines: Iterable[str]) -> None:
+    """A CSV file: its format header, its column line, then one line per row."""
     with open(path, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        fh.write("ray,x,just_above,tau,ratio,robot_order\n")
-        for target, just_above, report in rows:
-            order = "|".join(str(r) for r, _ in report.visitors)
-            tau = "" if report.tau is None else repr(report.tau)
-            ratio = "" if report.ratio is None else repr(report.ratio)
-            fh.write(
-                f"{target.ray},{target.x!r},{int(just_above)},{tau},{ratio},{order}\n"
-            )
+        fh.write(f"{header}\n{columns}\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _cell(value: float | None) -> str:
+    return "" if value is None else repr(value)
 
 
 def cmd_simulate(args) -> int:
@@ -152,7 +150,14 @@ def cmd_simulate(args) -> int:
             step = 1e-3 if args.rel_step is None else args.rel_step
             rows = sweep_rows(strategies, p, args.N, dense=True, rel_step=step)
     if args.csv:
-        _write_sweep_csv(args.csv, rows)
+        lines = (
+            f"{t.ray},{t.x!r},{int(above)},"
+            f"{_cell(report.tau)},{_cell(report.ratio)},"
+            + "|".join(str(r) for r, _ in report.visitors)
+            for t, above, report in rows
+        )
+        columns = "ray,x,just_above,tau,ratio,robot_order"
+        _write_csv(args.csv, SWEEP_HEADER, columns, lines)
     try:
         lam0 = ratio_lower_bound(p)
     except (TrivialRegime, InfeasibleRegime):
@@ -171,27 +176,6 @@ def cmd_simulate(args) -> int:
             fh.write(text + "\n")
     print(text)
     return 0 if math.isfinite(sup) else 2
-
-
-def _write_trace_csv(path: str, trace: GrowthTrace | None) -> None:
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        fh.write("step,robot,mu_star,x,step_ratio,log_potential\n")
-        if trace is None:
-            return
-        for i, s in enumerate(trace.steps):
-            fh.write(
-                f"{i},{s.robot},{s.mu_star!r},{s.x!r},"
-                f"{s.step_ratio!r},{s.log_potential_after!r}\n"
-            )
-
-
-def _write_assignment_csv(path: str, assigned) -> None:
-    with open(path, "w") as fh:
-        fh.write(ASSIGNMENT_HEADER + "\n")
-        fh.write("robot,round,t_prime,t\n")
-        for iv in assigned:
-            fh.write(f"{iv.robot},{iv.round_index},{iv.left!r},{iv.right!r}\n")
 
 
 def cmd_refute(args) -> int:
@@ -218,10 +202,17 @@ def cmd_refute(args) -> int:
             "sub_lo": gap.sub_lo,
             "sub_hi": gap.sub_hi,
         }
+    # a coverage failure has no audit: --trace writes the header lines
+    # only, while --assignment writes no file.  Both files list the fields
+    # of a GrowthStep or an AssignedInterval, in their order.
     if args.trace:
-        _write_trace_csv(args.trace, verdict.trace)
+        steps = verdict.trace.steps if verdict.trace is not None else []
+        lines = (",".join(map(repr, (i, *s))) for i, s in enumerate(steps))
+        columns = "step,robot,mu_star,x,step_ratio,log_potential"
+        _write_csv(args.trace, TRACE_HEADER, columns, lines)
     if args.assignment and verdict.assignment is not None:
-        _write_assignment_csv(args.assignment, verdict.assignment)
+        lines = (",".join(map(repr, iv[:4])) for iv in verdict.assignment)
+        _write_csv(args.assignment, ASSIGNMENT_HEADER, "robot,round,t_prime,t", lines)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.json:
         with open(args.json, "w") as fh:

@@ -18,6 +18,10 @@ its right endpoint, so no endpoint rescans the opened set.
 Intervals whose right endpoint sits at or below the floor 1 are kept
 untruncated: they carry their turning distance into the robot loads
 without covering anything above the boundary.
+
+The assignment is the stream the potential audit replays: sorted once by
+(left, robot, round_index), then checked in one pass that also holds each
+interval to t'' <= t' < t; the audit runs the same pass on its input.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .strategy import CoverInterval
 
@@ -36,12 +40,10 @@ __all__ = [
     "ConfigurationError",
     "verify_multicover",
     "exact_q_assignment",
-    "ordered_stream",
 ]
 
 
-@dataclass(frozen=True)
-class AssignedInterval:
+class AssignedInterval(NamedTuple):
     """Half-open (left, right] retained after truncation to exact multiplicity."""
 
     robot: int
@@ -51,12 +53,6 @@ class AssignedInterval:
     cover_left: float  # the t'' of the cover interval this came from
 
     left_open = True
-
-    def __post_init__(self) -> None:
-        if not (self.cover_left <= self.left < self.right):
-            raise ValueError(
-                f"need t'' <= t' < t, got {self.cover_left}, {self.left}, {self.right}"
-            )
 
 
 AnyInterval = Union[CoverInterval, AssignedInterval]
@@ -88,6 +84,24 @@ def _require_ordered(intervals: Sequence[AnyInterval]) -> None:
     for iv in intervals:
         if iv.left > iv.right:
             raise ValueError(f"empty cover interval {iv.left} > {iv.right}")
+
+
+def _check_stream(assigned: Sequence[AssignedInterval]) -> None:
+    """ValueError naming the first index where t'' <= t' < t fails or the
+    key (left, robot, round_index) decreases; equal keys are allowed."""
+    prev = ()
+    for i, (robot, rnd, left, right, cover_left) in enumerate(assigned):
+        if not cover_left <= left < right:
+            raise ValueError(
+                f"assigned interval {i}: need t'' <= t' < t,"
+                f" got {cover_left}, {left}, {right}"
+            )
+        key = (left, robot, rnd)
+        if key < prev:
+            raise ValueError(
+                f"assigned interval {i}: key {key} < {prev}: not in stream order"
+            )
+        prev = key
 
 
 def verify_multicover(
@@ -196,28 +210,6 @@ def exact_q_assignment(
     for right, robot, rnd, i, t_prime in opened:
         out.append(AssignedInterval(robot, rnd, t_prime, right, pool[i].left))
     out.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
+    _check_stream(out)
     return out
 
-
-def ordered_stream(
-    assigned: Sequence[AssignedInterval]
-) -> tuple[list[AssignedInterval], int]:
-    """Assigned intervals in left-endpoint order plus the base prefix size.
-
-    The base prefix is the shortest one that contains every boundary
-    interval (right endpoint at or below 1) and at least one interval of
-    every robot; the potential replay starts there.
-    """
-    seq = sorted(assigned, key=lambda iv: (iv.left, iv.robot, iv.round_index))
-    robots = {iv.robot for iv in seq}
-    if not robots:
-        raise ConfigurationError("no assigned intervals")
-    first_seen: dict[int, int] = {}
-    last_boundary = -1
-    for idx, iv in enumerate(seq):
-        if iv.robot not in first_seen:
-            first_seen[iv.robot] = idx
-        if iv.right <= 1.0:
-            last_boundary = idx
-    p0 = max(max(first_seen.values()), last_boundary) + 1
-    return seq, p0

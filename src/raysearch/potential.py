@@ -1,7 +1,7 @@
 """Mechanized potential-function lower-bound engine.
 
 Works on the search domain (1, hi], as `cover` does.  Replays an
-exact-multiplicity assignment in left-endpoint order through
+exact-multiplicity assignment, as `exact_q_assignment` orders it, through
 the covering-situation state: the sorted multiset A of multiplicity
 frontiers, per-robot loads (sums of assigned turning distances), and for
 the one-ray-cover setting the left endpoint b of each robot's next
@@ -26,8 +26,8 @@ from .cover import (
     ConfigurationError,
     DeficientCoverError,
     Witness,
+    _check_stream,
     exact_q_assignment,
-    ordered_stream,
 )
 from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical
 from .strategy import RoundPlan, Strategy, TurnSequence, all_cover_intervals
@@ -98,6 +98,7 @@ class PrefixState:
     A: list[float]  # ascending; A[0] is the full-coverage frontier a
     loads: dict[int, float]
     pending: dict[int, deque[AssignedInterval]]  # per robot, stream order
+    stream: deque[AssignedInterval]  # the intervals not yet replayed, in order
     scale: float
     log_potential: float | None  # None when some next-left is undefined (orc)
 
@@ -131,15 +132,27 @@ def _log_potential(state: PrefixState) -> float | None:
 
 
 def initial_state(
-    seq: Sequence[AssignedInterval], p0: int, p: InstanceParams, mode: Mode
+    assigned: Sequence[AssignedInterval], p: InstanceParams, mode: Mode
 ) -> PrefixState:
-    """State of the base prefix seq[:p0], rescaled so that its frontier a is 1.
+    """State of the base prefix, rescaled so that its frontier a is 1.
 
-    `seq, p0` is the output of `ordered_stream`; the intervals after the
-    prefix become each robot's pending queue, in stream order.
+    `assigned` is checked to be in `exact_q_assignment`'s order.  The base
+    prefix is the shortest one with every boundary interval (right end at
+    most 1) and an interval of every robot; the rest is the state's stream,
+    split into each robot's pending queue as well.
     """
-    prefix = seq[:p0]
-    robots = sorted({iv.robot for iv in seq})
+    _check_stream(assigned)
+    first_seen: dict[int, int] = {}
+    last_boundary = -1
+    for idx, iv in enumerate(assigned):
+        first_seen.setdefault(iv.robot, idx)
+        if iv.right <= 1.0:
+            last_boundary = idx
+    if not first_seen:
+        raise ConfigurationError("no assigned intervals")
+    p0 = max(max(first_seen.values()), last_boundary) + 1
+    prefix = assigned[:p0]
+    robots = sorted(first_seen)
     mult = p.s if mode == "line" else p.q
     if mult < 1:
         raise ConfigurationError(f"multiplicity {mult} < 1: nothing to audit")
@@ -154,8 +167,9 @@ def initial_state(
     loads = {r: 0.0 for r in robots}
     for iv in prefix:
         loads[iv.robot] += iv.right / scale
+    stream = deque(assigned[p0:])
     pending = {r: deque() for r in robots}
-    for iv in seq[p0:]:
+    for iv in stream:
         pending[iv.robot].append(iv)
     state = PrefixState(
         mode=mode,
@@ -165,6 +179,7 @@ def initial_state(
         A=[y / scale for y in A],
         loads=loads,
         pending=pending,
+        stream=stream,
         scale=scale,
         log_potential=None,
     )
@@ -182,19 +197,23 @@ class GrowthStep(NamedTuple):
     log_potential_after: float
 
 
-def advance(state: PrefixState, nxt: AssignedInterval, c: CoverParams) -> GrowthStep:
-    """Extend the prefix by its next assigned interval, in place.
+def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
+    """Extend the prefix by the next interval of its stream, in place.
 
-    The interval must start at the current frontier a and respect the
-    load bound (realized slack mu* at most mu); the log-potential is
-    updated incrementally from the step ratio.  Every check runs before
-    the state is touched, so a rejected step leaves it as it was.
-    Returns the step; the state is updated in place.
+    None at the end of the stream, and in orc mode where the interval's
+    robot has no following one (next-left undefined).  The interval must
+    start at the current frontier a and respect the load bound (realized
+    slack mu* at most mu); the log-potential is updated incrementally from
+    the step ratio.  Every check runs before the state is touched, so a
+    rejected step leaves it, its stream included, as it was.
     """
+    if not state.stream:
+        return None
+    nxt = state.stream[0]
     r = nxt.robot
     queue = state.pending[r]
-    if not queue or queue[0] is not nxt:
-        raise InvalidAssignmentError("interval is not the robot's next in stream")
+    if state.mode == "orc" and len(queue) < 2:
+        return None
     left = nxt.left / state.scale
     right = nxt.right / state.scale
     a = state.a
@@ -204,14 +223,7 @@ def advance(state: PrefixState, nxt: AssignedInterval, c: CoverParams) -> Growth
         )
     load_old = state.loads[r]
     load_new = load_old + right
-    if state.mode == "orc":
-        if len(queue) < 2:
-            raise InvalidAssignmentError(
-                f"robot {r} has no following interval: next-left undefined"
-            )
-        denom = queue[1].left / state.scale
-    else:
-        denom = a
+    denom = queue[1].left / state.scale if state.mode == "orc" else a
     mu_star = load_new / denom
     if mu_star > c.mu * (1.0 + _REL_TOL):
         raise InvalidAssignmentError(
@@ -222,6 +234,7 @@ def advance(state: PrefixState, nxt: AssignedInterval, c: CoverParams) -> Growth
     log_ratio = (
         e * math.log(mu_star) - e * math.log(x) - state.k * math.log(mu_star - x)
     )
+    state.stream.popleft()
     queue.popleft()
     state.A.pop(0)
     insort(state.A, right)
@@ -289,12 +302,10 @@ def audit_growth(
     Each step ratio is checked against the worst-case polynomial bound at
     the realized slack, and against the growth factor delta whenever mu is
     strictly below critical; incremental and from-scratch potentials must
-    agree to 1e-9 relative.  The replay stops where the finite stream runs
-    out of next-left endpoints; it never skips a step, so a step's index
-    is its position in `steps`.
+    agree to 1e-9 relative.  The replay stops where `advance` does; it
+    never skips a step, so a step's index is its position in `steps`.
     """
-    seq, p0 = ordered_stream(assigned)
-    state = initial_state(seq, p0, p, mode)
+    state = initial_state(assigned, p, mode)
     e, k = state.s_exp, state.k
     subcritical = c.mu < mu_critical(e, k)
     delta = growth_factor_delta(e, k, c.mu)
@@ -313,10 +324,8 @@ def audit_growth(
     )
     if state.log_potential is None:
         return trace
-    for idx, iv in enumerate(seq[p0:]):
-        if mode == "orc" and len(state.pending[iv.robot]) < 2:
-            break
-        step = advance(state, iv, c)
+    while (step := advance(state, c)) is not None:
+        idx = len(trace.steps)
         scratch = potential_value(state, c)
         if abs(state.log_potential - scratch) > _REL_TOL * max(1.0, abs(scratch)):
             raise AuditError(
@@ -357,12 +366,15 @@ class GapReport:
 def detect_gap(
     assigned: Sequence[AssignedInterval], C: float, c: CoverParams
 ) -> GapReport:
-    """First per-robot pair of consecutive left endpoints with ratio above C."""
+    """First per-robot pair of consecutive left endpoints with ratio above C.
+
+    Reads `assigned` as given, after `initial_state`'s check of its order.
+    """
     if not C > 1.0:
         raise ValueError(f"gap constant C must be > 1, got {C}")
-    seq, _ = ordered_stream(assigned) if assigned else ([], 0)
+    _check_stream(assigned)
     prev: dict[int, float] = {}
-    for iv in seq:
+    for iv in assigned:
         last = prev.get(iv.robot)
         if last is not None and last >= 1.0 and iv.left / last > C:
             return GapReport(

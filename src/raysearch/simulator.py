@@ -8,7 +8,8 @@ Between consecutive turning distances the detection time has the form
 c + x with c constant, hence tau(x)/x is decreasing on every piece and
 the supremum over [1, N] is attained at x = 1 or just above a turning
 distance.  `worst_ratio` enumerates exactly those breakpoints;
-`dense_grid_ratio` is the brute-force oracle used to cross-check it.
+`dense_grid_ratio` samples a dense grid through the same sweep, so it
+cross-checks the breakpoint enumeration, not the sweep.
 
 A robot first reaches (ray, x) on the first excursion to that ray whose
 turn is at least x, so only the turns that raise the running maximum on
@@ -284,7 +285,8 @@ def dense_grid_ratio(
     N: float,
     rel_step: float = 1e-3,
 ) -> float:
-    """Brute-force sup of tau(x)/x on a geometric grid; oracle for worst_ratio."""
+    """Sup of tau(x)/x on a geometric grid, through worst_ratio's sweep: a
+    cross-check of its breakpoint enumeration, not of the sweep itself."""
     best = -math.inf
     for _, _, report in sweep_rows(strategies, p, N, dense=True, rel_step=rel_step):
         if report.ratio is not None and report.ratio > best:

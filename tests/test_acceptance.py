@@ -22,7 +22,6 @@ from raysearch import (
     make_exponential_strategy,
     make_geometric_line_strategy,
     optimal_alpha,
-    ordered_stream,
     poly_max_point,
     potential_value,
     ratio_lower_bound,
@@ -148,13 +147,9 @@ def test_criterion_5_oracle_equivalences():
     N = optimal_alpha(p) ** 1000
     strat = make_exponential_strategy(p, optimal_alpha(p), N)
     assigned = exact_q_assignment(all_cover_intervals(strat, c), p.q, N)
-    seq, p0 = ordered_stream(assigned)
-    state = initial_state(seq, p0, p, "orc")
+    state = initial_state(assigned, p, "orc")
     steps = 0
-    for nxt in seq[p0:]:
-        if len(state.pending[nxt.robot]) < 2:
-            break
-        advance(state, nxt, c)
+    while advance(state, c) is not None:
         steps += 1
         scratch = potential_value(state, c)
         assert abs(state.log_potential - scratch) <= 1e-9 * max(1.0, abs(scratch))

@@ -13,7 +13,6 @@ from raysearch import (
     all_cover_intervals,
     exact_q_assignment,
     make_exponential_strategy,
-    ordered_stream,
     verify_multicover,
 )
 
@@ -113,29 +112,7 @@ class TestReversedInterval:
         assert exact_q_assignment(ivs, 1, 2.0)
 
 
-class TestOrderedStream:
-    def test_prefix_skips_boundary_and_first_rounds(self):
-        assigned = self._assigned()
-        seq, p0 = ordered_stream(assigned)
-        assert [iv.right for iv in seq[:2]] == [0.5, 1.0]
-        assert p0 == 2
-        assert seq[p0].right == 2.0
-
-    def test_stream_sorted_by_left(self):
-        assigned = self._assigned()
-        seq, _ = ordered_stream(assigned)
-        lefts = [iv.left for iv in seq]
-        assert lefts == sorted(lefts)
-
-    def _assigned(self):
-        return TestExactAssignment()._doubling_assigned()
-
-
 class TestAssignedInterval:
-    def test_orientation_enforced(self):
-        with pytest.raises(ValueError):
-            AssignedInterval(robot=0, round_index=0, left=2.0, right=1.0, cover_left=0.5)
-
     def test_half_open_semantics(self):
         iv = AssignedInterval(robot=0, round_index=0, left=1.0, right=2.0, cover_left=0.5)
         assert iv.left_open
@@ -248,6 +225,10 @@ def test_heap_sweep_matches_the_list_sweep(spans, q, copies, hi):
     ]
     if hi is None:
         hi = max(iv.right for iv in ivs)
-    assert _assignment_or_witness(exact_q_assignment, ivs, q, hi) == (
-        _assignment_or_witness(_list_assignment, ivs, q, hi)
-    )
+    got = _assignment_or_witness(exact_q_assignment, ivs, q, hi)
+    assert got == _assignment_or_witness(_list_assignment, ivs, q, hi)
+    if isinstance(got, list):
+        # the stream contract the audit reads without sorting again
+        keys = [(iv.left, iv.robot, iv.round_index) for iv in got]
+        assert keys == sorted(keys)
+        assert all(iv.cover_left <= iv.left < iv.right for iv in got)

@@ -19,7 +19,6 @@ from raysearch import (
     make_exponential_strategy,
     make_geometric_line_strategy,
     optimal_alpha,
-    ordered_stream,
     poly_max_point,
     potential_value,
     ratio_lower_bound,
@@ -36,11 +35,25 @@ def doubling_assigned(hi=1e3, lam=9.0):
     return p, exact_q_assignment(covers, 2, hi)
 
 
+def _base_prefix(assigned, state):
+    return assigned[: len(assigned) - len(state.stream)]
+
+
+def _snapshot(state):
+    return (
+        list(state.A),
+        dict(state.loads),
+        {r: list(q) for r, q in state.pending.items()},
+        list(state.stream),
+        state.log_potential,
+    )
+
+
 class TestCoveringSituation:
     def test_doubling_prefix(self):
-        _, assigned = doubling_assigned()
-        seq, p0 = ordered_stream(assigned)
-        A = covering_situation(seq[:p0], 2)
+        p, assigned = doubling_assigned()
+        state = initial_state(assigned, p, "orc")
+        A = covering_situation(_base_prefix(assigned, state), 2)
         assert len(A) == 2
         assert A == sorted(A)
 
@@ -52,15 +65,25 @@ class TestCoveringSituation:
         assert A == pytest.approx([2.0, 4.0])
 
 
+class TestInitialState:
+    def test_prefix_skips_boundary_and_first_rounds(self):
+        p, assigned = doubling_assigned()
+        state = initial_state(assigned, p, "orc")
+        prefix = _base_prefix(assigned, state)
+        assert [iv.right for iv in prefix] == [0.5, 1.0]
+        assert state.stream[0] is assigned[2]
+        assert state.stream[0].right == 2.0
+        assert list(state.pending[0]) == list(state.stream)
+
+
 class TestAdvance:
     def test_doubling_loads_and_ratios(self):
         p, assigned = doubling_assigned()
         c = CoverParams(9.0)
-        seq, p0 = ordered_stream(assigned)
-        state = initial_state(seq, p0, p, "orc")
+        state = initial_state(assigned, p, "orc")
         mus, xs, ratios = [], [], []
-        for nxt in seq[p0 : p0 + 3]:
-            step = advance(state, nxt, c)
+        for _ in range(3):
+            step = advance(state, c)
             mus.append(step.mu_star)
             xs.append(step.x)
             ratios.append(step.step_ratio)
@@ -71,49 +94,94 @@ class TestAdvance:
     def test_realized_mu_never_exceeds_mu(self):
         p, assigned = doubling_assigned()
         c = CoverParams(9.0)
-        seq, p0 = ordered_stream(assigned)
-        state = initial_state(seq, p0, p, "orc")
-        for nxt in seq[p0:]:
-            if len(state.pending[nxt.robot]) < 2:
-                break
-            step = advance(state, nxt, c)
+        state = initial_state(assigned, p, "orc")
+        while (step := advance(state, c)) is not None:
             assert step.mu_star <= c.mu * (1 + 1e-9)
 
     def test_tight_load_is_rejected_at_smaller_mu(self):
         p, assigned = doubling_assigned()
         c_tight = CoverParams(7.0)  # mu = 3 < the realized 3.5
-        seq, p0 = ordered_stream(assigned)
-        state = initial_state(seq, p0, p, "orc")
-        nxt = seq[p0]
-        before = (
-            list(state.A),
-            dict(state.loads),
-            {r: list(q) for r, q in state.pending.items()},
-            state.log_potential,
-        )
+        state = initial_state(assigned, p, "orc")
+        before = _snapshot(state)
         with pytest.raises(InvalidAssignmentError):
-            advance(state, nxt, c_tight)
-        # the rejected step left the state untouched
-        after = (
-            state.A,
-            state.loads,
-            {r: list(q) for r, q in state.pending.items()},
-            state.log_potential,
-        )
-        assert after == before
+            advance(state, c_tight)
+        # the rejected step left the state untouched, its stream included
+        assert _snapshot(state) == before
 
     def test_incremental_matches_scratch(self):
         p, assigned = doubling_assigned()
         c = CoverParams(9.0)
-        seq, p0 = ordered_stream(assigned)
-        state = initial_state(seq, p0, p, "orc")
-        for nxt in seq[p0:]:
-            if len(state.pending[nxt.robot]) < 2:
-                break
-            advance(state, nxt, c)
+        state = initial_state(assigned, p, "orc")
+        while advance(state, c) is not None:
             assert state.log_potential == pytest.approx(
                 potential_value(state, c), abs=1e-9
             )
+
+
+class TestStreamContract:
+    # the audit reads exactly exact_q_assignment's order and checks it in
+    # one pass: a stream out of order or with t'' <= t' < t broken is a
+    # ValueError naming the first index where it fails
+    ENTRIES = {
+        "initial_state": lambda s, p, c: initial_state(s, p, "orc"),
+        "audit_growth": lambda s, p, c: audit_growth(s, c, p, "orc"),
+        "detect_gap": lambda s, p, c: detect_gap(s, 5.0, c),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("i", [2, 4])  # 2 and 3 tie on left and robot
+    def test_swapped_pair_names_its_index(self, entry, i):
+        p, assigned = doubling_assigned()
+        stream = list(assigned)
+        stream[i], stream[i + 1] = stream[i + 1], stream[i]
+        message = rf"^assigned interval {i + 1}: .* not in stream order$"
+        with pytest.raises(ValueError, match=message):
+            self.ENTRIES[entry](stream, p, CoverParams(9.0))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_reversed_interval_names_its_index(self, entry):
+        p, assigned = doubling_assigned()
+        stream = list(assigned)
+        iv = stream[3]
+        stream[3] = iv._replace(left=iv.right, right=iv.left)
+        with pytest.raises(ValueError, match=r"^assigned interval 3: need t'' <= t' < t, got "):
+            self.ENTRIES[entry](stream, p, CoverParams(9.0))
+
+    def test_equal_keys_are_allowed(self):
+        p, assigned = doubling_assigned()
+        stream = list(assigned)
+        stream.insert(6, stream[5])
+        assert detect_gap(stream, 5.0, CoverParams(9.0)).case == 1
+
+    def test_advance_stops_at_a_robot_without_a_following_interval(self):
+        p, assigned = doubling_assigned()
+        c = CoverParams(9.0)
+        state = initial_state(assigned, p, "orc")
+        steps = 0
+        while advance(state, c) is not None:
+            steps += 1
+        # the stream goes on, but its next robot has no next-left endpoint
+        assert steps > 0 and state.stream
+        assert len(state.pending[state.stream[0].robot]) == 1
+        before = _snapshot(state)
+        assert advance(state, c) is None
+        assert _snapshot(state) == before
+
+    def test_advance_stops_at_the_end_of_the_stream(self):
+        # line mode needs no next-left endpoint: only the stream's end stops it
+        p = InstanceParams(2, 3, 1)
+        c = CoverParams(ratio_lower_bound(p) + 0.1)
+        strat = make_geometric_line_strategy(p, optimal_alpha(p), 1e4)
+        assigned = exact_q_assignment(all_cover_intervals(strat, c), p.s, 1e4)
+        state = initial_state(assigned, p, "line")
+        remaining = len(state.stream)
+        steps = 0
+        while advance(state, c) is not None:
+            steps += 1
+        assert steps == remaining > 0
+        assert not state.stream
+        assert all(not q for q in state.pending.values())
+        assert advance(state, c) is None
 
 
 class TestAuditGrowth:
@@ -187,16 +255,12 @@ class TestOracle:
         c = CoverParams(lam)
         covers = all_cover_intervals(make(p, optimal_alpha(p), 1e8), c)
         assigned = exact_q_assignment(covers, p.s if mode == "line" else p.q, 1e8)
-        seq, p0 = ordered_stream(assigned)
-        state = initial_state(seq, p0, p, mode)
+        state = initial_state(assigned, p, mode)
         steps = 0
-        for nxt in seq[p0:]:
-            assert potential._log_potential(state) == _generator_log_potential(state)
-            if mode == "orc" and len(state.pending[nxt.robot]) < 2:
-                break
-            advance(state, nxt, c)
-            steps += 1
         assert potential._log_potential(state) == _generator_log_potential(state)
+        while advance(state, c) is not None:
+            assert potential._log_potential(state) == _generator_log_potential(state)
+            steps += 1
         assert steps > 20
 
     def test_drift_is_caught_at_its_step(self, monkeypatch):
@@ -205,9 +269,10 @@ class TestOracle:
         p, assigned = doubling_assigned()
         advance_exact = potential.advance
 
-        def advance_drifting(state, nxt, c):
-            step = advance_exact(state, nxt, c)
-            state.log_potential += 1e-6
+        def advance_drifting(state, c):
+            step = advance_exact(state, c)
+            if step is not None:
+                state.log_potential += 1e-6
             return step
 
         monkeypatch.setattr(potential, "advance", advance_drifting)
