@@ -4,7 +4,9 @@ Exit status: 0 success or certificate; 1 usage or parameter-regime
 errors, among them a strategy file that is malformed or whose robot
 count or kind does not match -k and --mode, --alpha together with
 --strategy, a numeric flag that is NaN or infinite, --dense or
---rel-step without --csv, --rel-step without --dense, an unknown
+--rel-step without --csv, --rel-step without --dense, -N together with
+--auto-horizon, -C without --auto-horizon, --lam together with --eta
+(a flag the command would ignore is an error), an unknown
 RAYSEARCH_PRECISION and a cover.ConfigurationError (nothing the audit
 can run on); 2 coverage failure or uncovered witness, a
 cover.DeficientCoverError included; 3 a broken refuter invariant,
@@ -73,6 +75,8 @@ def _instance(args) -> InstanceParams:
 
 def cmd_bound(args) -> int:
     if args.eta is not None:
+        if args.lam is not None:
+            raise ValueError("--eta and --lam are exclusive: C(eta) has no delta row")
         value = fractional_ratio(args.eta)
         if args.json:
             print(json.dumps({"eta": args.eta, "ratio": value}, sort_keys=True))
@@ -181,9 +185,13 @@ def cmd_simulate(args) -> int:
 def cmd_refute(args) -> int:
     p = _instance(args)
     if args.auto_horizon:
+        if args.N is not None:
+            raise ValueError("-N and --auto-horizon are exclusive: --auto-horizon sets N")
         C = args.C if args.C is not None else optimal_alpha(p) ** (2 * p.m * p.k)
         N = horizon_estimate(p, args.lam, C)
     else:
+        if args.C is not None:
+            raise ValueError("-C is the constant of --auto-horizon: give --auto-horizon")
         if args.N is None:
             raise ValueError("refute: provide -N or --auto-horizon")
         N = args.N

@@ -3,8 +3,9 @@
 The search domain is distances of at least 1, so every check here runs
 over (1, hi]; the floor 1 is fixed, not a parameter.  Both entry points
 reject a reversed cover interval (left > right) with ValueError.
-`verify_multicover` sweeps interval endpoints and reports the leftmost
-point of (1, hi] whose coverage multiplicity falls short.
+`verify_multicover` reports the leftmost point of (1, hi] whose coverage
+multiplicity falls short, from the one multiplicity scan that
+`potential.covering_situation` reads as well.
 `exact_q_assignment` verifies and truncates in one sweep: it reports the
 same leftmost witness, or truncates the cover intervals [t'', t] to
 half-open assigned intervals (t', t], t'' <= t' < t, so that every point
@@ -26,10 +27,11 @@ interval to t'' <= t' < t; the audit runs the same pass on its input.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence
 
 from .strategy import CoverInterval
 
@@ -51,11 +53,6 @@ class AssignedInterval(NamedTuple):
     left: float
     right: float
     cover_left: float  # the t'' of the cover interval this came from
-
-    left_open = True
-
-
-AnyInterval = Union[CoverInterval, AssignedInterval]
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class ConfigurationError(Exception):
     pass
 
 
-def _require_ordered(intervals: Sequence[AnyInterval]) -> None:
+def _require_ordered(intervals: Sequence[CoverInterval]) -> None:
     for iv in intervals:
         if iv.left > iv.right:
             raise ValueError(f"empty cover interval {iv.left} > {iv.right}")
@@ -104,48 +101,38 @@ def _check_stream(assigned: Sequence[AssignedInterval]) -> None:
         prev = key
 
 
+def _multiplicity_scan(
+    intervals: Sequence[CoverInterval | AssignedInterval], hi: float = math.inf
+) -> Iterator[tuple[float, int]]:
+    """(u, multiplicity just above u) at u = 1 and at each distinct right
+    end above 1, ascending, over the intervals above 1 that start below hi.
+
+    Segments decide: an interval live on a segment (u, v) between
+    consecutive endpoints has left <= u and right >= v, so it contains v,
+    closed or half-open.  Multiplicity falls only at a right end, so the
+    leftmost deficient segment starts at 1 or at a right end.
+    """
+    live = [iv for iv in intervals if iv.right > 1.0 and iv.left < hi]
+    starts = sorted(iv.left for iv in live)
+    ends = sorted(iv.right for iv in live)
+    for u in [1.0, *sorted(set(ends))]:
+        yield u, bisect_right(starts, u) - bisect_right(ends, u)
+
+
 def verify_multicover(
-    intervals: Sequence[AnyInterval], q: int, hi: float
+    intervals: Sequence[CoverInterval], q: int, hi: float
 ) -> Witness | None:
     """None if every point of (1, hi] has multiplicity >= q, else the
-    leftmost deficient point (segment deficits are reported at the endpoint
-    just below where the deficit begins)."""
+    leftmost deficient segment, reported at its left end: 1 or a right
+    end below hi.  Half-open intervals are read the same way."""
     _require_ordered(intervals)
     if q <= 0:
         return None
-    ivs = [iv for iv in intervals if iv.right > 1.0 and iv.left < hi]
-    if not ivs:
-        return Witness(1.0, 0, q)
-    closed_starts = sorted(iv.left for iv in ivs if not iv.left_open)
-    open_starts = sorted(iv.left for iv in ivs if iv.left_open)
-    ends = sorted(iv.right for iv in ivs)
-
-    def seg_mult(u: float) -> int:
-        # multiplicity on the open segment just above u
-        return (
-            bisect_right(closed_starts, u)
-            + bisect_right(open_starts, u)
-            - bisect_right(ends, u)
-        )
-
-    def point_mult(v: float) -> int:
-        return (
-            bisect_right(closed_starts, v)
-            + bisect_left(open_starts, v)
-            - bisect_left(ends, v)
-        )
-
-    mids = sorted(
-        {v for iv in ivs for v in (iv.left, iv.right) if 1.0 < v < hi}
-    )
-    points = [1.0] + mids + [hi]
-    for u, v in zip(points, points[1:]):
-        m_seg = seg_mult(u)
-        if m_seg < q:
-            return Witness(u, m_seg, q)
-        m_pt = point_mult(v)
-        if m_pt < q:
-            return Witness(v, m_pt, q)
+    for u, m in _multiplicity_scan(intervals, hi):
+        if u > 1.0 and u >= hi:
+            break
+        if m < q:
+            return Witness(u, m, q)
     return None
 
 
@@ -159,8 +146,7 @@ def exact_q_assignment(
     available ones are exactly those with left <= u and right >= v, so
     their count is the segment multiplicity `verify_multicover` reports.
     When it falls short of q, DeficientCoverError carries the same
-    leftmost witness.  (The point check there cannot fire first: an
-    interval live on (u, v) is closed on the right, so it contains v.)
+    leftmost witness.
     The opened intervals live in a heap by right endpoint and close from
     its top once the sweep passes their right endpoint: O(log q) per
     closing, with no pass over the opened set at each endpoint.

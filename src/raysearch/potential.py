@@ -16,7 +16,7 @@ replay or reports the coverage hole the theorem predicts.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Sequence
@@ -27,6 +27,7 @@ from .cover import (
     DeficientCoverError,
     Witness,
     _check_stream,
+    _multiplicity_scan,
     exact_q_assignment,
 )
 from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical
@@ -68,23 +69,14 @@ def covering_situation(intervals: Sequence[AssignedInterval], mult: int) -> list
 
     a_j is the first point above 1 whose coverage multiplicity drops
     below j; every point of (a_(j+1), a_j] is covered exactly j times.
+    The multiplicity is `cover`'s scan; at the largest right end it is at
+    most 0, so every a_j is set.
     """
-    live = [iv for iv in intervals if iv.right > 1.0]
-    starts = sorted(iv.left for iv in live)
-    ends = sorted(iv.right for iv in live)
-
-    def seg_mult(u: float) -> int:
-        return bisect_right(starts, u) - bisect_right(ends, u)
-
-    points = [1.0] + sorted({v for v in ends if v > 1.0})
-    a = [None] * (mult + 1)  # a[j] for j = 1..mult
-    for u in points:
-        m = seg_mult(u)
-        for j in range(m + 1, mult + 1):
-            if a[j] is None:
-                a[j] = u
-    top = points[-1]
-    return [top if a[j] is None else a[j] for j in range(mult, 0, -1)]
+    frontier: list[float] = []  # a_mult first
+    for u, m in _multiplicity_scan(intervals):
+        while len(frontier) < mult and m < mult - len(frontier):
+            frontier.append(u)
+    return frontier
 
 
 @dataclass
@@ -477,7 +469,8 @@ def refute(
     try:
         trace = audit_growth(assigned, c, p, mode)
     except ConfigurationError:
-        # degenerate regime (k >= multiplicity or a robot with one interval)
+        # degenerate regime: load exponent q - k < 1 in orc mode (a robot
+        # with one interval only ends the replay: an empty trace, no raise)
         return Verdict(kind="certificate", params=params, assignment=assigned)
     headroom = None
     if trace.delta_bound is not None and trace.steps and trace.line_cap_log is not None:

@@ -89,8 +89,6 @@ class CoverInterval(NamedTuple):
     left: float
     right: float
 
-    left_open = False
-
 
 def _require_base_and_horizon(alpha: float, horizon: float) -> None:
     if not alpha > 1.0:

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from raysearch import (
+    CoverParams,
     InstanceParams,
+    growth_factor_delta,
     make_exponential_strategy,
     make_geometric_line_strategy,
     optimal_alpha,
@@ -44,6 +46,13 @@ class TestBound:
         )
         doc = json.loads(out)
         assert doc["delta"] > 1.0
+
+    def test_delta_text_row(self, capsys):
+        code, out, _ = run(capsys, "bound", "-m", "2", "-k", "1", "-f", "0", "--lam", "8.0")
+        assert code == 0
+        p = InstanceParams(2, 1, 0)
+        delta = growth_factor_delta(p.s, p.k, CoverParams(8.0).mu)
+        assert out.splitlines()[-1] == f"delta(8.0) = {delta:.10g}"
 
     def test_eta_mode(self, capsys):
         code, out, _ = run(capsys, "bound", "--eta", "2.0", "--json")
@@ -399,6 +408,29 @@ class TestInputChecks:
         assert out == ""
         assert err == f"raysearch: error: {message}\n"
         assert not csv.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("refute", *DOUBLING, "--lam", "8.0", "--auto-horizon", "-C", "16", "-N", "10"),
+                "-N and --auto-horizon are exclusive: --auto-horizon sets N",
+            ),
+            (
+                ("refute", *DOUBLING, "--lam", "8.0", "-N", "1e3", "-C", "5"),
+                "-C is the constant of --auto-horizon: give --auto-horizon",
+            ),
+            (
+                ("bound", "--eta", "2", "--lam", "5"),
+                "--eta and --lam are exclusive: C(eta) has no delta row",
+            ),
+        ],
+    )
+    def test_ignored_flag_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"raysearch: error: {message}\n"
 
     def test_dense_grid_step_defaults_with_csv(self, capsys, tmp_path):
         csv = tmp_path / "dense.csv"

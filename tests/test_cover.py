@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 
 import pytest
@@ -110,12 +111,6 @@ class TestReversedInterval:
         ivs = [civ(1.0, 2.0), civ(2.0, 2.0, idx=1)]
         assert verify_multicover(ivs, 1, 2.0) is None
         assert exact_q_assignment(ivs, 1, 2.0)
-
-
-class TestAssignedInterval:
-    def test_half_open_semantics(self):
-        iv = AssignedInterval(robot=0, round_index=0, left=1.0, right=2.0, cover_left=0.5)
-        assert iv.left_open
 
 
 # endpoints from a small grid touch each other and the boundary 1
@@ -232,3 +227,72 @@ def test_heap_sweep_matches_the_list_sweep(spans, q, copies, hi):
         keys = [(iv.left, iv.robot, iv.round_index) for iv in got]
         assert keys == sorted(keys)
         assert all(iv.cover_left <= iv.left < iv.right for iv in got)
+
+
+def _point_check_verify(intervals, q, hi):
+    """verify_multicover with its former point check and closed/half-open
+    split (an AssignedInterval is half-open): the slow reference."""
+    if q <= 0:
+        return None
+    ivs = [iv for iv in intervals if iv.right > 1.0 and iv.left < hi]
+    if not ivs:
+        return Witness(1.0, 0, q)
+    half_open = [isinstance(iv, AssignedInterval) for iv in ivs]
+    closed_starts = sorted(iv.left for iv, o in zip(ivs, half_open) if not o)
+    open_starts = sorted(iv.left for iv, o in zip(ivs, half_open) if o)
+    ends = sorted(iv.right for iv in ivs)
+
+    def seg_mult(u):
+        return (
+            bisect_right(closed_starts, u)
+            + bisect_right(open_starts, u)
+            - bisect_right(ends, u)
+        )
+
+    def point_mult(v):
+        return (
+            bisect_right(closed_starts, v)
+            + bisect_left(open_starts, v)
+            - bisect_left(ends, v)
+        )
+
+    mids = sorted({v for iv in ivs for v in (iv.left, iv.right) if 1.0 < v < hi})
+    points = [1.0] + mids + [hi]
+    for u, v in zip(points, points[1:]):
+        m_seg = seg_mult(u)
+        if m_seg < q:
+            return Witness(u, m_seg, q)
+        m_pt = point_mult(v)
+        if m_pt < q:
+            return Witness(v, m_pt, q)
+    return None
+
+
+# per span: closed, half-open, or either at random (mixed sets)
+_KIND = st.sampled_from(["closed", "half_open"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(_GRID_ENDPOINT, _GRID_ENDPOINT, _KIND), max_size=16),
+    st.integers(0, 2),
+    st.integers(0, 5),
+    st.one_of(
+        st.none(),
+        st.sampled_from([0.25, 1.0, 1.5, 2.0, 5.0, 1e3]),
+        st.floats(0.1, 80.0),
+    ),
+)
+def test_scan_matches_the_point_check(spans, copies, q, hi):
+    # zero-length spans, ends at or below 1, hi <= 1 and hi past every end
+    # (None: the largest right end) all occur
+    ivs = []
+    for i, (a, b, kind) in enumerate(spans * copies):
+        lo, up = min(a, b), max(a, b)
+        if kind == "closed":
+            ivs.append(civ(lo, up, robot=i % 3, idx=i))
+        else:
+            ivs.append(AssignedInterval(i % 3, i, lo, up, lo))
+    if hi is None:
+        hi = max((iv.right for iv in ivs), default=2.0)
+    assert verify_multicover(ivs, q, hi) == _point_check_verify(ivs, q, hi)

@@ -1,13 +1,16 @@
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raysearch import (
+    AssignedInterval,
     AuditError,
     CoverParams,
     InstanceParams,
     InvalidAssignmentError,
+    RoundPlan,
     advance,
     all_cover_intervals,
     audit_growth,
@@ -63,6 +66,43 @@ class TestCoveringSituation:
         # With (0,.5], (.125,1], (1,2], (1,4] open, one fold is lost at
         # 2 and the second at 4.
         assert A == pytest.approx([2.0, 4.0])
+
+
+def _bisect_covering_situation(intervals, mult):
+    """covering_situation with its own bisection scan and the fallback to
+    the largest right end for an unset a_j: the slow reference."""
+    live = [iv for iv in intervals if iv.right > 1.0]
+    starts = sorted(iv.left for iv in live)
+    ends = sorted(iv.right for iv in live)
+    points = [1.0] + sorted({v for v in ends if v > 1.0})
+    a = [None] * (mult + 1)  # a[j] for j = 1..mult
+    for u in points:
+        m = bisect_right(starts, u) - bisect_right(ends, u)
+        for j in range(m + 1, mult + 1):
+            if a[j] is None:
+                a[j] = u
+    top = points[-1]
+    return [top if a[j] is None else a[j] for j in range(mult, 0, -1)]
+
+
+# a coarse grid gives ties, zero-length intervals and ends at or below 1
+_ENDPOINT = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0]), st.floats(0.1, 50.0)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(_ENDPOINT, _ENDPOINT), max_size=16),
+    st.integers(1, 3),
+    st.integers(0, 6),
+)
+def test_covering_situation_matches_the_bisect_scan(spans, copies, mult):
+    ivs = [
+        AssignedInterval(i % 3, i, min(a, b), max(a, b), min(a, b))
+        for i, (a, b) in enumerate(spans * copies)
+    ]
+    assert covering_situation(ivs, mult) == _bisect_covering_situation(ivs, mult)
 
 
 class TestInitialState:
@@ -340,6 +380,17 @@ class TestRefute:
         v = refute(strat, 8.99, p, 20.0, mode="line")
         assert v.kind == "certificate"
         assert v.headroom_steps is not None and v.headroom_steps > 0
+        assert v.to_dict()["headroom_steps"] == v.headroom_steps
+
+    def test_degenerate_load_exponent_certifies_without_audit(self):
+        # k = q = 2 robots: the load exponent q - k is 0, and the audit's
+        # ConfigurationError becomes a certificate without a trace
+        p = InstanceParams(2, 2, 0)
+        strat = [RoundPlan(((1, 100.0),)), RoundPlan(((2, 100.0),))]
+        v = refute(strat, 3.0, p, 50.0, mode="orc")
+        assert v.kind == "certificate"
+        assert v.trace is None
+        assert len(v.assignment) == 2
 
     def test_strategy_count_must_be_k(self, three_robot):
         strat = make_exponential_strategy(three_robot, optimal_alpha(three_robot), 1e4)

@@ -106,6 +106,26 @@ class TestDenseStep:
             dense_grid_ratio(doubling_strategy, doubling, 100.0, rel_step=rel_step)
 
 
+class TestStrategyCount:
+    # every entry point takes exactly p.k strategies
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, p: worst_ratio(s, p, 1e3),
+            lambda s, p: sweep_rows(s, p, 1e3),
+            lambda s, p: sweep_rows(s, p, 1e3, dense=True, rel_step=0.1),
+            lambda s, p: dense_grid_ratio(s, p, 1e3, rel_step=0.1),
+            lambda s, p: detection_time(s, p, Target(1, 2.0)),
+        ],
+        ids=["worst_ratio", "sweep_rows", "sweep_rows_dense", "dense_grid_ratio",
+             "detection_time"],
+    )
+    def test_one_strategy_short_is_rejected(self, three_robot, call):
+        strat = make_exponential_strategy(three_robot, optimal_alpha(three_robot), 1e3)
+        with pytest.raises(ValueError, match="expected 3 strategies, got 2"):
+            call(strat[:2], three_robot)
+
+
 class TestTargetValidation:
     def test_rejects_sub_unit_distance(self):
         with pytest.raises(ValueError):

@@ -144,7 +144,6 @@ class TestCoverIntervals:
         (iv,) = cover_intervals(RoundPlan(((2, 4.0),)), CoverParams(5.0), robot=3)
         assert iv == (3, 0, 0.0, 4.0)
         assert (iv.robot, iv.round_index, iv.left, iv.right) == (3, 0, 0.0, 4.0)
-        assert iv.left_open is False
 
     def test_robot_tag_propagates(self, cover9):
         plan = RoundPlan(((1, 1.0),))
