@@ -25,8 +25,6 @@ from .fractional import (
     FractionalInstance,
     Rationalization,
     fractional_ratio,
-    lift_strategy,
-    load_instance,
     rationalize_weights,
 )
 from .potential import (
@@ -68,7 +66,6 @@ from .strategy import (
     loads_strategies,
     make_exponential_strategy,
     make_geometric_line_strategy,
-    normalize_line_strategy,
     save_strategies,
 )
 

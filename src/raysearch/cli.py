@@ -5,8 +5,9 @@ errors, among them a strategy file that is malformed or whose robot
 count or kind does not match -k and --mode, --alpha together with
 --strategy, a numeric flag that is NaN or infinite, --dense or
 --rel-step without --csv, --rel-step without --dense, -N together with
---auto-horizon, -C without --auto-horizon, --lam together with --eta
-(a flag the command would ignore is an error), an unknown
+--auto-horizon, -C without --auto-horizon, --lam, -m, -k or -f together
+with --eta (a flag the command would ignore is an error), a
+--gap-constant of at most 1 (whatever the verdict), an unknown
 RAYSEARCH_PRECISION and a cover.ConfigurationError (nothing the audit
 can run on); 2 coverage failure or uncovered witness, a
 cover.DeficientCoverError included; 3 a broken refuter invariant,
@@ -70,13 +71,20 @@ def _finite(text: str) -> float:
 
 
 def _instance(args) -> InstanceParams:
-    return InstanceParams(args.m, args.k, args.f)
+    # -m, -k and -f default to None, so that `bound --eta` can tell them given
+    return InstanceParams(
+        2 if args.m is None else args.m,
+        1 if args.k is None else args.k,
+        0 if args.f is None else args.f,
+    )
 
 
 def cmd_bound(args) -> int:
     if args.eta is not None:
         if args.lam is not None:
             raise ValueError("--eta and --lam are exclusive: C(eta) has no delta row")
+        if (args.m, args.k, args.f) != (None, None, None):
+            raise ValueError("--eta and -m/-k/-f are exclusive: C(eta) depends on eta alone")
         value = fractional_ratio(args.eta)
         if args.json:
             print(json.dumps({"eta": args.eta, "ratio": value}, sort_keys=True))
@@ -183,6 +191,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_refute(args) -> int:
+    if args.gap_constant is not None and not args.gap_constant > 1.0:
+        raise ValueError(f"gap constant C must be > 1, got {args.gap_constant}")
     p = _instance(args)
     if args.auto_horizon:
         if args.N is not None:
@@ -200,7 +210,9 @@ def cmd_refute(args) -> int:
     doc = verdict.to_dict()
     # only a certificate carries an assignment; it is empty only when the
     # multiplicity is 0, where there is no stream to scan for gaps
-    if args.gap_constant is not None and verdict.assignment:
+    if args.gap_constant is not None and verdict.assignment is None:
+        doc["gap"] = None  # a coverage failure has no stream to scan
+    elif args.gap_constant is not None and verdict.assignment:
         gap = detect_gap(verdict.assignment, args.gap_constant, CoverParams(args.lam))
         doc["gap"] = {
             "case": gap.case,
@@ -230,9 +242,9 @@ def cmd_refute(args) -> int:
 
 
 def _add_instance_args(sub):
-    sub.add_argument("-m", type=int, default=2, help="ray count (default 2)")
-    sub.add_argument("-k", type=int, default=1, help="robot count (default 1)")
-    sub.add_argument("-f", type=int, default=0, help="faulty count (default 0)")
+    sub.add_argument("-m", type=int, help="ray count (default 2)")
+    sub.add_argument("-k", type=int, help="robot count (default 1)")
+    sub.add_argument("-f", type=int, help="faulty count (default 0)")
 
 
 def build_parser() -> _Parser:

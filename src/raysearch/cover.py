@@ -20,9 +20,11 @@ Intervals whose right endpoint sits at or below the floor 1 are kept
 untruncated: they carry their turning distance into the robot loads
 without covering anything above the boundary.
 
-The assignment is the stream the potential audit replays: sorted once by
-(left, robot, round_index), then checked in one pass that also holds each
-interval to t'' <= t' < t; the audit runs the same pass on its input.
+The assignment is the stream the potential audit replays, sorted once by
+(left, robot, round_index); every interval has t'' <= t' < t by
+construction.  `_check_stream` holds a stream to that contract in one
+pass; the entries that read a stream from outside, `initial_state` and
+`detect_gap`, run it on their input.
 """
 
 from __future__ import annotations
@@ -196,6 +198,5 @@ def exact_q_assignment(
     for right, robot, rnd, i, t_prime in opened:
         out.append(AssignedInterval(robot, rnd, t_prime, right, pool[i].left))
     out.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
-    _check_stream(out)
     return out
 

@@ -4,27 +4,21 @@ A fractional instance asks weighted robots (weights summing to 1) to
 cover every point with robots of total weight eta > 1, counting repeat
 coverings only after returns to the origin.  Its tight ratio has the same
 shape as the integer bound; the bridge between the two is a
-rationalization of the weights to k_i/q brackets and a lift that clones
-each weighted robot's round plan.
+rationalization of the weights to k_i/q brackets.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .formulas import _exp_of
-from .strategy import RoundPlan
 
 __all__ = [
     "FractionalInstance",
     "Rationalization",
     "fractional_ratio",
     "rationalize_weights",
-    "lift_strategy",
-    "load_instance",
 ]
 
 _DEFAULT_DENOMINATOR_CAP = 10**6
@@ -92,33 +86,4 @@ def rationalize_weights(
         f"no denominator up to {cap} fits bracket "
         f"[{lows[tightest]}, {lows[tightest] + inst.delta_rat}] "
         f"(weight {inst.weights[tightest]}, eta {inst.eta}, delta {inst.delta_rat})"
-    )
-
-
-def lift_strategy(
-    plans: Sequence[RoundPlan], rat: Rationalization
-) -> list[RoundPlan]:
-    """Clone weighted robot i's round plan k_i times: the integer lift.
-
-    The lifted set q-fold covers whatever the fractional strategy
-    eta-covered, at the same competitive ratio.
-    """
-    if len(plans) != len(rat.counts):
-        raise ValueError(
-            f"{len(plans)} weighted robots but {len(rat.counts)} rationalized counts"
-        )
-    out: list[RoundPlan] = []
-    for plan, k_i in zip(plans, rat.counts):
-        out.extend([plan] * k_i)
-    return out
-
-
-def load_instance(path: str) -> FractionalInstance:
-    """Read a fractional instance from JSON: {weights, eta, delta}."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return FractionalInstance(
-        weights=tuple(float(w) for w in doc["weights"]),
-        eta=float(doc["eta"]),
-        delta_rat=float(doc.get("delta", 0.0)),
     )

@@ -360,7 +360,8 @@ def detect_gap(
 ) -> GapReport:
     """First per-robot pair of consecutive left endpoints with ratio above C.
 
-    Reads `assigned` as given, after `initial_state`'s check of its order.
+    A public entry for any stream, so it runs `_check_stream` on `assigned`
+    itself; a left endpoint below 1 never starts a jump.
     """
     if not C > 1.0:
         raise ValueError(f"gap constant C must be > 1, got {C}")

@@ -9,8 +9,9 @@ Two settings are supported, mirroring the two covering relaxations:
   after a return to the origin.
 
 The cyclic exponential strategy of the tight upper bound is generated
-here, together with normalization (drop unfruitful turns) and extraction
-of the lambda-cover intervals that feed the covering machinery.
+here, together with extraction of the lambda-cover intervals that feed
+the covering machinery; a strategy is read as given, unfruitful turns
+included.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "Strategy",
     "make_exponential_strategy",
     "make_geometric_line_strategy",
-    "normalize_line_strategy",
     "cover_intervals",
     "all_cover_intervals",
     "dumps_strategies",
@@ -47,8 +47,8 @@ class TurnSequence:
     """Line strategy: turning distances, alternating sides.
 
     `turns` are magnitudes; the robot moves first toward the positive
-    side unless `first_positive` is False (a mirrored strategy, accepted
-    on input and flipped by normalization).
+    side unless `first_positive` is False (a mirrored strategy, as a
+    strategy file may give it).
     """
 
     turns: tuple[float, ...]
@@ -162,28 +162,6 @@ def make_geometric_line_strategy(
         )
         out.append(TurnSequence(turns))
     return out
-
-
-def normalize_line_strategy(t: TurnSequence, c: CoverParams) -> TurnSequence:
-    """Drop unfruitful and repeated turns; mirror to first-move-positive.
-
-    The output covers at least what the input covered, its turns are
-    strictly increasing, every turn is fruitful, and the map is
-    idempotent.
-    """
-    mu = c.mu
-    kept: list[float] = []
-    total = 0.0
-    for turn in t.turns:
-        if kept and turn <= kept[-1]:
-            continue
-        cand_total = total + turn
-        left = max(cand_total / mu, kept[-1] if kept else 0.0)
-        if left > turn:
-            continue
-        kept.append(turn)
-        total = cand_total
-    return TurnSequence(tuple(kept), first_positive=True)
 
 
 def cover_intervals(

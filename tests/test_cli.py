@@ -222,6 +222,28 @@ class TestRefute:
         assert code == 0
         assert json.loads(out)["gap"]["case"] == 1
 
+    def test_gap_is_null_on_a_coverage_failure(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "8.0",
+            "-N", "1e3", "--gap-constant", "5.0",
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["kind"] == "coverage_failure" and doc["gap"] is None
+
+    @pytest.mark.parametrize("lam", ["8.0", "9.5"])  # a failure and a certificate
+    @pytest.mark.parametrize("gap_c", ["0.5", "1.0"])
+    def test_gap_constant_at_most_one_exits_one(self, capsys, lam, gap_c):
+        code, out, err = run(
+            capsys,
+            "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", lam,
+            "-N", "1e3", "--gap-constant", gap_c,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"raysearch: error: gap constant C must be > 1, got {float(gap_c)}\n"
+
     def test_assignment_csv_spans_the_whole_horizon(self, capsys, tmp_path):
         # A strategy file reaching past 1e7 is audited up to N; the CSV
         # holds that same assignment, not one rebuilt on a shorter range.
@@ -423,6 +445,13 @@ class TestInputChecks:
             (
                 ("bound", "--eta", "2", "--lam", "5"),
                 "--eta and --lam are exclusive: C(eta) has no delta row",
+            ),
+            *(
+                (
+                    ("bound", "--eta", "2", *flags),
+                    "--eta and -m/-k/-f are exclusive: C(eta) depends on eta alone",
+                )
+                for flags in (("-m", "3", "-k", "2", "-f", "1"), ("-m", "2"), ("-f", "0"))
             ),
         ],
     )

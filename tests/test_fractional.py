@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -7,10 +6,7 @@ from hypothesis import given, strategies as st
 from raysearch import (
     FractionalInstance,
     InstanceParams,
-    RoundPlan,
     fractional_ratio,
-    lift_strategy,
-    load_instance,
     rationalize_weights,
     ratio_lower_bound,
 )
@@ -74,27 +70,3 @@ class TestRationalization:
         inst = FractionalInstance((1e-9, 1.0 - 1e-9), 1.5, 0.0)
         with pytest.raises(ValueError):
             rationalize_weights(inst, cap=100)
-
-
-class TestLift:
-    def test_clones_per_count(self):
-        plans = [
-            RoundPlan(((1, 1.0),)),
-            RoundPlan(((2, 2.0),)),
-        ]
-        inst = FractionalInstance((0.5, 0.5), 2.0, 0.0)
-        rat = rationalize_weights(inst)
-        lifted = lift_strategy(plans, rat)
-        assert len(lifted) == rat.k
-        assert lifted.count(plans[0]) == rat.counts[0]
-        assert lifted.count(plans[1]) == rat.counts[1]
-
-
-class TestLoadInstance:
-    def test_json_round_trip(self, tmp_path):
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps({"weights": [0.25, 0.75], "eta": 1.5, "delta": 0.01}))
-        inst = load_instance(str(path))
-        assert inst.weights == (0.25, 0.75)
-        assert inst.eta == 1.5
-        assert inst.delta_rat == 0.01

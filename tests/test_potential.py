@@ -28,7 +28,7 @@ from raysearch import (
     refute,
     worst_ratio,
 )
-from raysearch import potential
+from raysearch import cover, potential
 
 
 def doubling_assigned(hi=1e3, lam=9.0):
@@ -187,6 +187,14 @@ class TestStreamContract:
         with pytest.raises(ValueError, match=r"^assigned interval 3: need t'' <= t' < t, got "):
             self.ENTRIES[entry](stream, p, CoverParams(9.0))
 
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_zero_length_interval_names_its_index(self, entry):
+        p, assigned = doubling_assigned()
+        stream = list(assigned)
+        stream[3] = stream[3]._replace(right=stream[3].left)  # t' == t, keys in order
+        with pytest.raises(ValueError, match=r"^assigned interval 3: need t'' <= t' < t, got "):
+            self.ENTRIES[entry](stream, p, CoverParams(9.0))
+
     def test_equal_keys_are_allowed(self):
         p, assigned = doubling_assigned()
         stream = list(assigned)
@@ -341,12 +349,51 @@ class TestDetectGap:
         # the other robots must cover [mu * t', C * t'] one fold short
         assert (rep.sub_lo, rep.sub_hi) == (pytest.approx(8.0), pytest.approx(10.0))
 
+    @pytest.mark.parametrize("C", [1.0, 0.5])
+    def test_gap_constant_must_exceed_one(self, C):
+        p, assigned = doubling_assigned()
+        with pytest.raises(ValueError, match=rf"^gap constant C must be > 1, got {C}$"):
+            detect_gap(assigned, C, CoverParams(9.0))
+
+    @pytest.mark.parametrize(
+        "first_left, second_left, case",
+        [
+            (2.0, 10.0, 1),  # a ratio of exactly C is no jump
+            (0.5, 50.0, 1),  # a previous left end below 1 starts no jump
+            (1.0, 50.0, 2),  # one at exactly 1 does
+        ],
+    )
+    def test_jump_boundaries(self, first_left, second_left, case):
+        stream = [
+            AssignedInterval(0, 0, first_left, first_left * 1.5, first_left),
+            AssignedInterval(0, 1, second_left, second_left * 1.5, second_left),
+        ]
+        assert detect_gap(stream, 5.0, CoverParams(9.0)).case == case
+
 
 class TestRefute:
     def test_certificate_above_bound(self, doubling, doubling_strategy):
         v = refute(doubling_strategy, 9.5, doubling, 1e4)
         assert v.kind == "certificate"
         assert v.trace is not None and v.trace.min_step_ratio >= 1.0 - 1e-9
+
+    def test_a_certificate_checks_its_stream_once(self, monkeypatch, doubling, doubling_strategy):
+        # exact_q_assignment's output is in order by construction: only the
+        # audit's entry checks it, and detect_gap checks what it is handed
+        calls = []
+        check = cover._check_stream
+
+        def counted(assigned):
+            calls.append(len(assigned))
+            check(assigned)
+
+        monkeypatch.setattr(cover, "_check_stream", counted)
+        monkeypatch.setattr(potential, "_check_stream", counted)
+        verdict = refute(doubling_strategy, 9.5, doubling, 1e3)
+        assert verdict.kind == "certificate"
+        assert calls == [len(verdict.assignment)]
+        detect_gap(verdict.assignment, 100.0, CoverParams(9.5))
+        assert len(calls) == 2
 
     def test_failure_below_bound(self, doubling, doubling_strategy):
         v = refute(doubling_strategy, 8.0, doubling, 1e4)

@@ -15,7 +15,6 @@ from raysearch import (
     loads_strategies,
     make_exponential_strategy,
     make_geometric_line_strategy,
-    normalize_line_strategy,
     optimal_alpha,
     save_strategies,
 )
@@ -149,34 +148,6 @@ class TestCoverIntervals:
         plan = RoundPlan(((1, 1.0),))
         ivs = all_cover_intervals([plan, plan], cover9)
         assert sorted({iv.robot for iv in ivs}) == [0, 1]
-
-
-class TestNormalize:
-    def test_drops_non_increasing_turns(self, cover9):
-        t = TurnSequence((1.0, 2.0, 1.5, 4.0))
-        out = normalize_line_strategy(t, cover9)
-        assert out.turns == (1.0, 2.0, 4.0)
-
-    def test_drops_unfruitful_turns(self):
-        # At mu = 2 the turn 2.5 starts covering only past itself.
-        t = TurnSequence((1.0, 2.0, 2.5, 16.0))
-        out = normalize_line_strategy(t, CoverParams(5.0))
-        assert 2.5 not in out.turns
-
-    def test_mirrors_to_first_positive(self, cover9):
-        t = TurnSequence((1.0, 2.0), first_positive=False)
-        out = normalize_line_strategy(t, cover9)
-        assert out.first_positive
-
-    @given(
-        st.lists(st.floats(0.1, 1e6), min_size=1, max_size=20),
-        st.floats(3.5, 20.0),
-    )
-    def test_idempotent(self, turns, lam):
-        c = CoverParams(lam)
-        once = normalize_line_strategy(TurnSequence(tuple(turns)), c)
-        twice = normalize_line_strategy(once, c)
-        assert once == twice
 
 
 class TestSerialization:
