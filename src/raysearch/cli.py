@@ -4,24 +4,33 @@ Exit status: 0 success or certificate; 1 usage or parameter-regime
 errors, among them a strategy file that is malformed or whose robot
 count or kind does not match -k and --mode, --alpha together with
 --strategy, a numeric flag that is NaN or infinite, --dense or
---rel-step without --csv, --rel-step without --dense, -N together with
+--rel-step without --csv, --rel-step without --dense, a --rel-step too
+small for a finite dense grid up to N, -N together with
 --auto-horizon, -C without --auto-horizon, --lam, -m, -k or -f together
 with --eta (a flag the command would ignore is an error), a
 --gap-constant of at most 1 (whatever the verdict), an unknown
 RAYSEARCH_PRECISION and a cover.ConfigurationError (nothing the audit
 can run on); 2 coverage failure or uncovered witness, a
 cover.DeficientCoverError included; 3 a broken refuter invariant,
-potential.AuditError or potential.InvalidAssignmentError.  Each of these
-errors is written to stderr as one line `raysearch: ...` that keeps its
-own text.  All emitted CSV/JSON is deterministic for a
+potential.AuditError or potential.InvalidAssignmentError; 141 (128 +
+SIGPIPE, as a shell reports a tool that a closed pipe stops) when the
+reader of stdout has gone, with nothing written to stderr.  Each of the
+other errors is written to stderr as one line `raysearch: ...` that
+keeps its own text.  All emitted CSV/JSON is deterministic for a
 given configuration (no timestamps in data files).
+
+`main` builds its argument parser on its first call and hands the same
+parser to every later call in the process; parsing keeps no state
+between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -299,14 +308,27 @@ _FAILURES = (
     (InvalidAssignmentError, "invalid assignment", 3),
 )
 _FAILURE_TYPES = tuple(kind for kind, _, _ in _FAILURES)
+BROKEN_PIPE_EXIT = 141
+
+
+@functools.cache
+def _parser() -> _Parser:
+    # built on first use, not at import, and kept for the process
+    return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _extended()  # an unknown RAYSEARCH_PRECISION fails every command alike
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: say nothing, and point stdout at devnull so
+        # that the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
     except _FAILURE_TYPES as exc:
         label, code = next((lb, c) for kind, lb, c in _FAILURES if isinstance(exc, kind))
         print(f"raysearch: {label}: {exc}", file=sys.stderr)

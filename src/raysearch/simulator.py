@@ -267,7 +267,13 @@ def sweep_rows(
     if dense:
         if not rel_step > 0.0:
             raise ValueError(f"rel_step must be positive, got {rel_step}")
-        n_pts = max(2, int(math.log(N) / rel_step) + 1)
+        span = math.log(N) / rel_step
+        if not math.isfinite(span):
+            raise ValueError(
+                f"rel_step={rel_step!r} too small for N={N!r}: "
+                "the dense grid's point count log(N)/rel_step is not finite"
+            )
+        n_pts = max(2, int(span) + 1)
         cands = [
             (ray, math.exp(math.log(N) * i / (n_pts - 1)), False)
             for ray in _rays(strategies, p)

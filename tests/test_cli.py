@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import raysearch
 from raysearch import (
     CoverParams,
     InstanceParams,
@@ -15,7 +23,8 @@ from raysearch import (
     save_strategies,
     worst_ratio,
 )
-from raysearch.cli import main
+from raysearch import cli
+from raysearch.cli import BROKEN_PIPE_EXIT, build_parser, main
 from raysearch.cover import ConfigurationError, DeficientCoverError, Witness
 from raysearch.potential import AuditError, InvalidAssignmentError
 
@@ -24,6 +33,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def call(*argv):
+    """main(argv) with stdout and stderr of its own: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _child_env() -> dict:
+    """The environment of a child Python that imports raysearch from this checkout."""
+    src = str(Path(raysearch.__file__).resolve().parents[1])
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
 
 
 class TestBound:
@@ -384,6 +413,21 @@ class TestInputChecks:
         assert err == f"raysearch: error: rel_step must be positive, got {float(rel_step)}\n"
         assert not csv.exists()
 
+    def test_dense_step_too_small_for_the_horizon(self, capsys, tmp_path):
+        # log(1e3) / 1e-320 overflows: no finite grid has that step
+        csv = tmp_path / "dense.csv"
+        code, out, err = run(
+            capsys, "simulate", *self.DOUBLING, "-N", "1e3", "--dense",
+            "--rel-step", "1e-320", "--csv", str(csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "raysearch: error: rel_step=1e-320 too small for N=1000.0: "
+            "the dense grid's point count log(N)/rel_step is not finite\n"
+        )
+        assert not csv.exists()
+
     @pytest.mark.parametrize(
         "command, extra", [("simulate", ()), ("refute", ("--lam", "9.5"))]
     )
@@ -493,3 +537,131 @@ class TestInvariantErrors:
         assert got == code
         assert out == ""
         assert err == f"raysearch: {prefix}: {error}\n"
+
+
+DOUBLING_REFUTE = ("refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "9.5", "-N", "1e3")
+
+
+class TestSharedParser:
+    """main builds one parser per process; no call sees what another parsed."""
+
+    @pytest.mark.parametrize(
+        "first, second, key",
+        [
+            (("bound", "--json", "--lam", "8.0"), ("bound", "--json"), "delta"),
+            ((*DOUBLING_REFUTE, "--gap-constant", "5.0"), DOUBLING_REFUTE, "gap"),
+        ],
+    )
+    def test_a_flag_does_not_leak_into_the_next_call(self, first, second, key):
+        cli._parser.cache_clear()
+        alone = call(*second)
+        code, out, _ = call(*first)
+        assert code == 0 and key in json.loads(out)
+        assert call(*second) == alone
+        assert key not in json.loads(alone[1])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("frobnicate",),
+            ("bound", "--no-such-flag"),
+            ("bound", "--eta", "abc"),
+            ("simulate", "-N", "nan"),
+            ("refute", "-m", "2", "-k", "1"),  # --lam is required
+        ],
+    )
+    @pytest.mark.parametrize("good", [("bound", "-m", "2", "-k", "3", "-f", "1"), DOUBLING_REFUTE])
+    def test_a_usage_error_leaves_nothing_behind(self, bad, good):
+        cli._parser.cache_clear()
+        alone = call(*good)
+        code, out, err = call(*bad)
+        assert (code, out) == (1, "")
+        assert "raysearch" in err and "error: " in err
+        assert call(*good) == alone
+
+    @pytest.mark.parametrize("argv", [("--help",), ("refute", "--help")])
+    def test_help_goes_to_each_calls_stdout(self, capsys, argv):
+        first, second = call(*argv), call(*argv)
+        assert first == second
+        code, out, err = first
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: raysearch")
+        assert capsys.readouterr() == ("", "")
+
+    def test_twenty_calls_build_one_parser(self, monkeypatch):
+        builds = []
+
+        def counted_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        cli._parser.cache_clear()
+        for lam in range(20):
+            code, out, _ = call("bound", "--json", "--lam", f"{8 + lam / 10}")
+            assert code == 0 and "delta" in json.loads(out)
+        assert len(builds) == 1
+
+    def test_no_parser_is_built_at_import(self):
+        probe = "import raysearch.cli as c; print(c._parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+class TestBrokenPipe:
+    # buffered, the closed pipe shows when main flushes; unbuffered, at the print
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["refute", "-m", "2", "-k", "1", "--lam", "9.5", "-N", "1e4"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "raysearch.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            proc.stdout.close()  # the child is still importing: it has written nothing
+            err = proc.stderr.read()
+            code = proc.wait()
+        assert err == b""
+        assert code == BROKEN_PIPE_EXIT == 141
+
+
+# small nontrivial instances, f < k < m(f+1)
+_INSTANCES = [(m, k, f) for m in (2, 3) for f in (0, 1) for k in range(f + 1, m * (f + 1))]
+_HORIZON = st.floats(2.0, 300.0).map(lambda e: 10.0**e)  # N log-uniform in [1e2, 1e300]
+
+
+def _instance_flags(m, k, f):
+    return "-m", str(m), "-k", str(k), "-f", str(f)
+
+
+class TestLibraryAgreement:
+    """The CLI answers as the library does; every example goes through one parser."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(_INSTANCES), _HORIZON)
+    def test_simulate_reports_worst_ratio(self, mkf, N):
+        p = InstanceParams(*mkf)
+        sup, witness = worst_ratio(make_exponential_strategy(p, optimal_alpha(p), N), p, N)
+        code, out, err = call("simulate", *_instance_flags(*mkf), "-N", repr(N))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["sup_ratio"] == sup
+        assert doc["witness"] == {"ray": witness.ray, "x": witness.x}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(_INSTANCES), _HORIZON, st.sampled_from([1 - 1e-2, 1 + 1e-2]))
+    def test_refute_gives_the_library_verdict(self, mkf, N, scale):
+        p = InstanceParams(*mkf)
+        lam = ratio_lower_bound(p) * scale
+        verdict = refute(make_exponential_strategy(p, optimal_alpha(p), N), lam, p, N)
+        code, out, err = call("refute", *_instance_flags(*mkf), "--lam", repr(lam), "-N", repr(N))
+        assert err == ""
+        assert code == (0 if verdict.kind == "certificate" else 2)
+        doc, expected = json.loads(out), verdict.to_dict()
+        assert doc["kind"] == expected["kind"]
+        assert doc.get("audit", {}).get("steps") == expected.get("audit", {}).get("steps")
