@@ -67,6 +67,13 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def print_help(self, file=None):
+        # argparse drops a failed write, and --help exits before main's
+        # flush: write and flush here, so a closed pipe reaches main
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
 
 def _finite(text: str) -> float:
     """The argparse type of every float flag: NaN and +-inf are usage errors."""
@@ -318,8 +325,8 @@ def _parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _extended()  # an unknown RAYSEARCH_PRECISION fails every command alike
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

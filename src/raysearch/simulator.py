@@ -14,13 +14,16 @@ cross-checks the breakpoint enumeration, not the sweep.
 A robot first reaches (ray, x) on the first excursion to that ray whose
 turn is at least x, so only the turns that raise the running maximum on
 a ray can be first visits.  `worst_ratio` and `sweep_rows` (and through
-it `dense_grid_ratio`) sweep each ray once, targets in increasing x,
-keeping every robot's offset 2*elapsed at its next record turn in one
-sorted list: after one sort of a ray's record turns and targets, each
-record turn passed costs one removal and one insertion in a list of at
-most k entries, and each target one lookup.  The sweep takes one kind
-of strategy: a set that mixes RoundPlans and TurnSequences raises
-ValueError.  `first_visit_time` and `detection_time` walk the rounds
+it `dense_grid_ratio`) walk each robot's legs once.  That one pass lists
+the candidate targets and, per ray, the sweep's items: one at each
+record turn, where the robot's first-visit offset 2*elapsed moves on,
+and one at each other turn that is a candidate.  After one sort of a
+ray's items the sweep answers its targets in increasing x, keeping the
+robots' offsets in a sorted list of at most k floats: each record turn
+passed costs one removal and one insertion, and each target one lookup.
+The sweep takes one kind of strategy: a set that mixes RoundPlans and
+TurnSequences raises ValueError, and so does a RoundPlan that visits a
+ray past m.  `first_visit_time` and `detection_time` walk the rounds
 from scratch; they are the reference path the sweep is tested against.
 """
 
@@ -31,7 +34,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import cycle
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .formulas import InstanceParams
 from .strategy import RoundPlan, Strategy, TurnSequence
@@ -139,31 +142,27 @@ def _rays(strategies: Sequence[Strategy], p: InstanceParams) -> list[int]:
     return list(range(1, p.m + 1))
 
 
-def _candidates(
-    strategies: Sequence[Strategy], p: InstanceParams, N: float
-) -> list[tuple[int, float, bool]]:
-    """(ray, x, just_above) at x = 1 on every ray, then just past each turn below N."""
-    cands = [(ray, 1.0, False) for ray in _rays(strategies, p)]
-    seen: set[tuple[int, float]] = set()
-    for strat in strategies:
-        for key in _legs(strat):
-            if 1.0 <= key[1] < N and key not in seen:
-                seen.add(key)
-                cands.append((*key, True))
-    return cands
+def _at_one(strategies: Sequence[Strategy], p: InstanceParams) -> list[tuple[int, float]]:
+    return [(ray, 1.0) for ray in _rays(strategies, p)]
+
+
+# ends each ray's items: it carries no target, so the last one is answered
+_END = (math.inf, -1, -1, None)
 
 
 def _sweep(
     strategies: Sequence[Strategy],
     p: InstanceParams,
-    cands: Sequence[tuple[int, float, bool]],
-) -> Iterator[tuple[int, float, list[tuple[float, int]]]]:
-    """(i, x, live) for each candidate (ray, x, just_above), ray by ray in
-    increasing (x, just_above).
+    probes: Sequence[tuple[int, float]],
+    N: float = 1.0,
+    visitors: bool = False,
+) -> tuple[list[tuple[int, float, bool]], list]:
+    """Answer each target from one walk of each robot and one sweep per ray.
 
-    live, updated in place, holds the sorted (2*elapsed, robot) of every
-    robot's first visit to the target, so live[f][0] + x is the detection
-    time.  x passes a turn when it exceeds it, or equals it just above.
+    The targets are the probes (ray, x), answered at x itself, then just
+    past each turn t with 1 <= t < N, at its first appearance.  Returns
+    the targets as (ray, x, just_above) and, for each, its ratio (None
+    if undetected) or, with `visitors` set, its DetectionReport.
     """
     if len(strategies) != p.k:
         raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
@@ -171,52 +170,75 @@ def _sweep(
         isinstance(s, TurnSequence) for s in strategies
     ):
         raise ValueError("strategies mix RoundPlan and TurnSequence: give one kind")
-    # per ray: (turn, robot, old, new): once x passes the turn, the robot's
-    # offset moves from old to new, None meaning out of the list.  A robot
-    # enters at turn 0 and moves at each of its record turns on the ray.
-    events: dict[int, list[tuple[float, int, float | None, float | None]]] = {}
+    # per ray, (key, i, r, new) items: once x passes key, robot r's
+    # first-visit offset 2*elapsed becomes new (None: no visit), or none
+    # moves if r = -1; target i >= 0 is answered after its last item.
+    # A probe sorts before the turns at its own x: the sort is stable.
+    items: dict[int, list[tuple[float, int, int, float | None]]] = {
+        ray: [] for ray in _rays(strategies, p)
+    }
+    for i, (ray, x) in enumerate(probes):
+        items[ray].append((x, i, -1, None))
+    # (ray, turn) -> its target, in order of first appearance
+    index: dict[tuple[int, float], int] = {}
+    n = len(probes)
     for r, strat in enumerate(strategies):
-        last: dict[int, tuple[float, float | None]] = {}
+        # ray -> (top, i): the robot's record turn there and its target
+        last: dict[int, tuple[float, int]] = {}
         elapsed = 0.0
-        for ray, turn in _legs(strat):
-            top, old = last.get(ray, (0.0, None))
+        for leg in _legs(strat):
+            ray, turn = leg
+            try:
+                evs = items[ray]
+            except KeyError:
+                raise ValueError(f"robot {r} visits ray {ray}, past m = {p.m}") from None
+            i = index.setdefault(leg, n + len(index)) if 1.0 <= turn < N else -1
+            top, j = last.get(ray, (0.0, -1))
             if turn > top:
-                events.setdefault(ray, []).append((top, r, old, 2.0 * elapsed))
-                last[ray] = (turn, 2.0 * elapsed)
+                # the robot enters at 0 and moves at each record turn
+                evs.append((top, j, r, 2.0 * elapsed))
+                last[ray] = (turn, i)
+            elif i >= 0:
+                evs.append((turn, i, -1, None))
             elapsed += turn
-        for ray, (top, old) in last.items():
-            events[ray].append((top, r, old, None))
-    ray = None
-    for i in sorted(range(len(cands)), key=cands.__getitem__):
-        if cands[i][0] != ray:
-            ray = cands[i][0]
-            evs = sorted(events.get(ray, ()), key=itemgetter(0))
-            live: list[tuple[float, int]] = []
-            j = 0
-        _, x, just_above = cands[i]
-        while j < len(evs) and (evs[j][0] < x or just_above and evs[j][0] == x):
-            _, r, old, new = evs[j]
-            if old is not None:
-                del live[bisect_left(live, (old, r))]
-            if new is not None:
-                insort(live, (new, r))
-            j += 1
-        yield i, x, live
+        for ray, (top, j) in last.items():
+            items[ray].append((top, j, r, None))
+    targets = [(ray, x, False) for ray, x in probes]
+    targets += [(ray, x, True) for ray, x in index]
+    f = p.f
+    answers: list = [None] * len(targets)
+    for evs in items.values():
+        evs.sort(key=itemgetter(0))  # each robot's items are mostly ascending
+        evs.append(_END)
+        live: list[float] = []  # the offsets in cur, sorted: live[f] + x is tau
+        cur: list[float | None] = [None] * p.k
+        i, x = -1, 0.0
+        for key, idx, r, new in evs:
+            if idx != i:
+                # every item of target i is passed, and none after it
+                if i >= 0:
+                    if visitors:
+                        answers[i] = _report(cur, x, f)
+                    elif len(live) > f:
+                        answers[i] = (live[f] + x) / x
+                i, x = idx, key
+            if r >= 0:
+                old = cur[r]
+                if old is not None:
+                    del live[bisect_left(live, old)]
+                if new is not None:
+                    insort(live, new)
+                cur[r] = new
+    return targets, answers
 
 
-def _reports(
-    strategies: Sequence[Strategy],
-    p: InstanceParams,
-    cands: Sequence[tuple[int, float, bool]],
-) -> list[DetectionReport]:
-    """`detection_time` of each candidate, in candidate order, from one sweep."""
-    reports: list[DetectionReport] = [None] * len(cands)  # type: ignore[list-item]
-    for i, x, live in _sweep(strategies, p, cands):
-        # two offsets can round to one time: list visitors by (time, robot)
-        visitors = tuple((r, t) for t, r in sorted([(off + x, r) for off, r in live]))
-        tau = visitors[p.f][1] if len(visitors) > p.f else None
-        reports[i] = DetectionReport(tau, visitors, None if tau is None else tau / x)
-    return reports
+def _report(cur: Sequence[float | None], x: float, f: int) -> DetectionReport:
+    """`detection_time` at x, from each robot's first-visit offset."""
+    # two offsets can round to one time: list visitors by (time, robot)
+    times = sorted([(off + x, r) for r, off in enumerate(cur) if off is not None])
+    visitors = tuple((r, t) for t, r in times)
+    tau = visitors[f][1] if len(visitors) > f else None
+    return DetectionReport(tau, visitors, None if tau is None else tau / x)
 
 
 def supremum(pairs: Iterable[tuple[K, float | None]]) -> tuple[float, K]:
@@ -245,14 +267,9 @@ def worst_ratio(
     Returns (inf, witness) as the uncovered signal if some candidate
     target is never detected.
     """
-    cands = _candidates(strategies, p, N)
-    ratios: list[float | None] = [None] * len(cands)
-    f = p.f
-    for i, x, live in _sweep(strategies, p, cands):
-        if len(live) > f:
-            ratios[i] = (live[f][0] + x) / x
+    targets, ratios = _sweep(strategies, p, _at_one(strategies, p), N)
     ratio, i = supremum(enumerate(ratios))
-    ray, x, _ = cands[i]
+    ray, x, _ = targets[i]
     return ratio, Target(ray, x)
 
 
@@ -274,15 +291,15 @@ def sweep_rows(
                 "the dense grid's point count log(N)/rel_step is not finite"
             )
         n_pts = max(2, int(span) + 1)
-        cands = [
-            (ray, math.exp(math.log(N) * i / (n_pts - 1)), False)
+        grid = [
+            (ray, math.exp(math.log(N) * i / (n_pts - 1)))
             for ray in _rays(strategies, p)
             for i in range(n_pts)
         ]
+        targets, reports = _sweep(strategies, p, grid, visitors=True)
     else:
-        cands = _candidates(strategies, p, N)
-    reports = _reports(strategies, p, cands)
-    return [(Target(ray, x), ja, rep) for (ray, x, ja), rep in zip(cands, reports)]
+        targets, reports = _sweep(strategies, p, _at_one(strategies, p), N, visitors=True)
+    return [(Target(ray, x), ja, rep) for (ray, x, ja), rep in zip(targets, reports)]
 
 
 def dense_grid_ratio(

@@ -153,6 +153,23 @@ class TestSimulate:
             "raysearch: error: strategies mix RoundPlan and TurnSequence: give one kind\n"
         )
 
+    @pytest.mark.parametrize("rows", [None, "breakpoints", "dense"])
+    def test_round_past_m_is_rejected(self, capsys, tmp_path, rows):
+        # a round on ray 3 of two: no witness there can be meaningful
+        strat = tmp_path / "past.txt"
+        strat.write_text("1:2.0 2:2.0 3:40.0 1:8.0 2:8.0 1:32 2:32 1:128 2:128\n")
+        csv = tmp_path / "sweep.csv"
+        extra = {None: [], "breakpoints": ["--csv", str(csv)],
+                 "dense": ["--csv", str(csv), "--dense"]}[rows]
+        code, out, err = run(
+            capsys,
+            "simulate", "-m", "2", "-k", "1", "-f", "0", "-N", "100",
+            "--strategy", str(strat), *extra,
+        )
+        assert (code, out) == (1, "")
+        assert err == "raysearch: error: robot 0 visits ray 3, past m = 2\n"
+        assert not csv.exists()
+
     @pytest.mark.parametrize("strategy", [None, "1:1.0 2:1.0 1:2.0\n"])
     def test_csv_leaves_the_summary_unchanged(self, capsys, tmp_path, strategy):
         # with --csv the summary comes from the breakpoint rows instead of
@@ -612,13 +629,12 @@ class TestSharedParser:
 
 class TestBrokenPipe:
     # buffered, the closed pipe shows when main flushes; unbuffered, at the print
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_closed_stdout_exits_quietly(self, unbuffered):
+    @staticmethod
+    def _run_into_closed_stdout(argv, unbuffered):
         env = _child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        argv = ["refute", "-m", "2", "-k", "1", "--lam", "9.5", "-N", "1e4"]
         with subprocess.Popen(
             [sys.executable, "-m", "raysearch.cli", *argv], env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -628,6 +644,16 @@ class TestBrokenPipe:
             code = proc.wait()
         assert err == b""
         assert code == BROKEN_PIPE_EXIT == 141
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        argv = ["refute", "-m", "2", "-k", "1", "--lam", "9.5", "-N", "1e4"]
+        self._run_into_closed_stdout(argv, unbuffered)
+
+    # --help writes from inside the parser, before main's own flush
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_help_into_a_closed_stdout_exits_quietly(self, unbuffered):
+        self._run_into_closed_stdout(["--help"], unbuffered)
 
 
 # small nontrivial instances, f < k < m(f+1)

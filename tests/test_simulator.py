@@ -1,4 +1,7 @@
 import math
+import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,8 @@ from raysearch import (
     sweep_rows,
     worst_ratio,
 )
-from raysearch.simulator import _reports
+from raysearch import simulator
+from raysearch.simulator import _sweep
 
 
 class TestFirstVisit:
@@ -148,8 +152,9 @@ _TURN = st.one_of(
 )
 
 
-def _round_plan(m):
-    rounds = st.tuples(st.integers(1, m + 1), _TURN)
+def _round_plan(m, past=True):
+    # a ray past m is rejected by the sweep, not by the reference path
+    rounds = st.tuples(st.integers(1, m + 1 if past else m), _TURN)
     return st.lists(rounds, max_size=10).map(lambda rs: RoundPlan(tuple(rs)))
 
 
@@ -159,7 +164,7 @@ _TURN_SEQUENCE = st.builds(
 
 
 @st.composite
-def _instances(draw, kind):
+def _instances(draw, kind, past=True):
     m = 2 if kind == "line" else draw(st.integers(2, 4))
     k = draw(st.integers(2 if kind == "mixed" else 1, 4))
     f = draw(st.integers(0, k - 1))
@@ -170,7 +175,7 @@ def _instances(draw, kind):
         robots = [draw(_round_plan(m)), draw(_TURN_SEQUENCE), *rest]
         strategies = draw(st.permutations(robots))
     else:
-        robot = _round_plan(m) if kind == "orc" else _TURN_SEQUENCE
+        robot = _round_plan(m, past) if kind == "orc" else _TURN_SEQUENCE
         strategies = draw(st.lists(robot, min_size=k, max_size=k))
     N = draw(st.sampled_from([1.0, 2.0, 3.0, 4.5, 8.0, 50.0]))
     return strategies, InstanceParams(m, k, f), N
@@ -230,7 +235,21 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _ray_past_m(strategies, p):
+    """The error every sweep entry point gives for the first round on a
+    ray past p.m, or None: the reference path takes any ray."""
+    for r, s in enumerate(strategies):
+        for ray, _ in getattr(s, "rounds", ()):
+            if ray > p.m:
+                return f"robot {r} visits ray {ray}, past m = {p.m}"
+    return None
+
+
 def _assert_same_answers(strategies, p, N):
+    past = _ray_past_m(strategies, p)
+    if past is not None:
+        _assert_rejected(strategies, p, N, past)
+        return
     assert _outcome(worst_ratio, strategies, p, N) == _outcome(
         _oracle_worst, strategies, p, N
     )
@@ -246,8 +265,8 @@ def _assert_same_answers(strategies, p, N):
         )
 
 
-def _assert_mixed_set_rejected(strategies, p, N):
-    message = "strategies mix RoundPlan and TurnSequence: give one kind"
+def _assert_rejected(strategies, p, N, message):
+    message = re.escape(message)
     with pytest.raises(ValueError, match=message):
         worst_ratio(strategies, p, N)
     with pytest.raises(ValueError, match=message):
@@ -258,10 +277,21 @@ def _assert_mixed_set_rejected(strategies, p, N):
         dense_grid_ratio(strategies, p, N, 0.3)
 
 
+def _assert_mixed_set_rejected(strategies, p, N):
+    _assert_rejected(
+        strategies, p, N, "strategies mix RoundPlan and TurnSequence: give one kind"
+    )
+
+
 class TestIndexMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(_instances("orc"))
     def test_round_plans(self, inst):
+        _assert_same_answers(*inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_instances("orc", past=False))
+    def test_round_plans_on_rays_up_to_m(self, inst):
         _assert_same_answers(*inst)
 
     @settings(max_examples=200, deadline=None)
@@ -288,14 +318,22 @@ class TestIndexMatchesReference:
         # worst_ratio and sweep_rows probe turns only just above them; the
         # sweep answers any target, exactly at a turn included
         strategies, p, _ = inst
-        targets = [
-            (target, just_above)
-            for target, _ in _oracle_candidates(strategies, p, math.inf)[0]
-            for just_above in (False, True)
+        cands, rays = _oracle_candidates(strategies, p, math.inf)
+        past = _ray_past_m(strategies, p)
+        if past is not None:
+            probes = [(ray, 1.0) for ray in rays]
+            with pytest.raises(ValueError, match=re.escape(past)):
+                _sweep(strategies, p, probes, math.inf, visitors=True)
+            return
+        probes = [(t.ray, t.x) for t, _ in cands]
+        targets, reports = _sweep(strategies, p, probes, math.inf, visitors=True)
+        # every probe exactly at its x, then just past each turn from 1 on
+        assert targets == [(ray, x, False) for ray, x in probes] + [
+            (t.ray, t.x, True) for t, _ in cands[len(rays):]
         ]
-        cands = [(t.ray, t.x, just_above) for t, just_above in targets]
-        assert _reports(strategies, p, cands) == [
-            detection_time(strategies, p, t, just_above) for t, just_above in targets
+        assert reports == [
+            detection_time(strategies, p, Target(ray, x), just_above)
+            for ray, x, just_above in targets
         ]
 
 
@@ -331,3 +369,86 @@ class TestRoundingAndLargeOffsets:
         assert sweep_rows(strategies, p, N, dense=True, rel_step=0.5) == _oracle_rows(
             strategies, p, N, dense=True, rel_step=0.5
         )
+
+
+# --- the float sup against exact arithmetic -------------------------------
+#
+# The sweep adds and divides in binary64, so its sup can sit a few ulp off
+# the true one.  The reference below evaluates the same candidates with
+# Fraction: turns are read exactly, and nothing rounds.
+
+
+def _exact_worst(strategies, p, N):
+    best = None
+    for target, just_above in _oracle_candidates(strategies, p, N)[0]:
+        x = Fraction(target.x)
+        times = []
+        for plan in strategies:
+            elapsed = Fraction(0)
+            for ray, turn in plan.rounds:
+                if ray == target.ray and (turn > x if just_above else turn >= x):
+                    times.append(2 * elapsed + x)
+                    break
+                elapsed += Fraction(turn)
+        if len(times) <= p.f:
+            return None
+        ratio = sorted(times)[p.f] / x
+        best = ratio if best is None else max(best, ratio)
+    return best
+
+
+def _perturbed_sets(count):
+    # optimal strategies with turns jittered by up to 5 % and 3 % of the
+    # rounds dropped, each up to a horizon between 1e1 and 1e8
+    rng = random.Random(20171)
+    shapes = [(2, 1, 0), (2, 2, 1), (2, 3, 1), (3, 2, 0), (3, 4, 1), (4, 3, 0)]
+    for n in range(count):
+        p = InstanceParams(*shapes[n % len(shapes)])
+        N = 10.0 ** rng.uniform(1.0, 8.0)
+        plans = [
+            RoundPlan(tuple(
+                (ray, turn * rng.uniform(0.95, 1.05))
+                for ray, turn in plan.rounds
+                if rng.random() >= 0.03
+            ))
+            for plan in make_exponential_strategy(p, optimal_alpha(p), N)
+        ]
+        yield plans, p, N
+
+
+class TestExactReference:
+    def test_float_sup_within_four_ulp_of_the_exact_sup(self):
+        off = []
+        for strategies, p, N in _perturbed_sets(300):
+            ratio, _ = worst_ratio(strategies, p, N)
+            exact = _exact_worst(strategies, p, N)
+            if exact is None:
+                assert ratio == math.inf
+                continue
+            off.append(abs(Fraction(ratio) - exact) / Fraction(math.ulp(float(exact))))
+        assert len(off) >= 290  # most sets stay covered
+        # 300 sets read 180 within half an ulp, 101 within one, 18 within two
+        assert max(off) <= 4
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, p: worst_ratio(s, p, 1e4),
+            lambda s, p: sweep_rows(s, p, 1e4),
+        ],
+        ids=["worst_ratio", "sweep_rows"],
+    )
+    def test_each_robot_is_walked_once(self, monkeypatch, three_robot, call):
+        strategies = make_exponential_strategy(three_robot, optimal_alpha(three_robot), 1e4)
+        walked = []
+        legs = simulator._legs
+
+        def counted(strategy):
+            walked.append(strategy)
+            return legs(strategy)
+
+        monkeypatch.setattr(simulator, "_legs", counted)
+        call(strategies, three_robot)
+        assert walked == strategies
