@@ -3,7 +3,7 @@
 Exit status: 0 success or certificate; 1 usage or parameter-regime
 errors, among them a strategy file that is malformed or whose robot
 count or kind does not match -k and --mode, --alpha together with
---strategy, a numeric flag that is NaN or infinite, --dense or
+--strategy, a numeric flag that is NaN or infinite, -N below 1, --dense or
 --rel-step without --csv, --rel-step without --dense, a --rel-step too
 small for a finite dense grid up to N, -N together with
 --auto-horizon, -C without --auto-horizon, --lam, -m, -k or -f together

@@ -11,12 +11,22 @@ factor delta whenever the candidate ratio sits below the tight bound;
 the line-mode potential is simultaneously capped by mu^(k*s).  A valid
 cover therefore cannot extend forever: the engine either certifies the
 replay or reports the coverage hole the theorem predicts.
+
+Cost: a step changes three values (one robot's load, in orc mode that
+robot's next-left b, and one frontier, as A[0] leaves and the interval's
+right end enters), and the state keeps the log term of every value, so
+a step takes three logs for the incremental update and three for the
+terms it replaces.  The from-scratch oracle, `potential_value`, runs at
+every audited step and sums the stored terms; it never reads the
+incremental value.  Fresh logs of every value are still taken twice per
+audit, by `_log_potential`: for the initial potential, and once after
+the last step, where the audit checks the stored terms against them.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Sequence
@@ -31,7 +41,13 @@ from .cover import (
     exact_q_assignment,
 )
 from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical
-from .strategy import RoundPlan, Strategy, TurnSequence, all_cover_intervals
+from .strategy import (
+    RoundPlan,
+    Strategy,
+    TurnSequence,
+    _require_horizon,
+    all_cover_intervals,
+)
 
 __all__ = [
     "Mode",
@@ -81,14 +97,22 @@ def covering_situation(intervals: Sequence[AssignedInterval], mult: int) -> list
 
 @dataclass
 class PrefixState:
-    """Covering situation, loads, and next-left endpoints of one prefix."""
+    """Covering situation, loads, and next-left endpoints of one prefix.
+
+    Beside the values it keeps their log terms, `log_A` and `terms`, which
+    `advance` replaces together with the values and `potential_value`
+    sums.  A robot's k*log(b) term is NaN while its b is undefined.
+    """
 
     mode: Mode
     mult: int  # required multiplicity: s (line) or q (orc)
     k: int  # robots actually present
     s_exp: int  # load exponent: s (line) or q - k (orc)
     A: list[float]  # ascending; A[0] is the full-coverage frontier a
+    log_A: list[float]  # log of each entry of A, in A's order
     loads: dict[int, float]
+    terms: list[float]  # per robot, in loads' order: e*log(load), then k*log(b) (orc)
+    slot: dict[int, int]  # robot -> index of its load term in `terms`
     pending: dict[int, deque[AssignedInterval]]  # per robot, stream order
     stream: deque[AssignedInterval]  # the intervals not yet replayed, in order
     scale: float
@@ -104,8 +128,10 @@ class PrefixState:
 
 
 def _log_potential(state: PrefixState) -> float | None:
-    # the summation order is part of the answer: per robot the load term,
-    # then the next-left term; the frontier terms last, as one sum
+    # fresh logs of every value, for the initial potential and the audit's
+    # closing check.  The summation order is part of the answer: per robot
+    # the load term, then the next-left term; the frontier terms last, as
+    # one sum.  `terms` and `log_A` are laid out in this order.
     e, k, log = state.s_exp, state.k, math.log
     lp = 0.0
     if state.mode == "orc":
@@ -156,6 +182,7 @@ def initial_state(
         )
     A = covering_situation(prefix, mult)
     scale = A[0]
+    A = [y / scale for y in A]
     loads = {r: 0.0 for r in robots}
     for iv in prefix:
         loads[iv.robot] += iv.right / scale
@@ -163,13 +190,25 @@ def initial_state(
     pending = {r: deque() for r in robots}
     for iv in stream:
         pending[iv.robot].append(iv)
+    log = math.log
+    terms: list[float] = []
+    slot: dict[int, int] = {}
+    for r, load in loads.items():
+        slot[r] = len(terms)
+        terms.append(s_exp * log(load))
+        if mode == "orc":
+            nxt = pending[r]
+            terms.append(k_eff * log(nxt[0].left / scale) if nxt else math.nan)
     state = PrefixState(
         mode=mode,
         mult=mult,
         k=k_eff,
         s_exp=s_exp,
-        A=[y / scale for y in A],
+        A=A,
+        log_A=[log(y) for y in A],
         loads=loads,
+        terms=terms,
+        slot=slot,
         pending=pending,
         stream=stream,
         scale=scale,
@@ -196,8 +235,10 @@ def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
     robot has no following one (next-left undefined).  The interval must
     start at the current frontier a and respect the load bound (realized
     slack mu* at most mu); the log-potential is updated incrementally from
-    the step ratio.  Every check runs before the state is touched, so a
-    rejected step leaves it, its stream included, as it was.
+    the step ratio, with three logs that read no stored term.  The three
+    values the step changes get their log terms anew: three more logs.
+    Every check runs before the state is touched, so a rejected step
+    leaves it, its stream and log terms included, as it was.
     """
     if not state.stream:
         return None
@@ -228,9 +269,16 @@ def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
     )
     state.stream.popleft()
     queue.popleft()
-    state.A.pop(0)
-    insort(state.A, right)
+    A, log_A = state.A, state.log_A
+    del A[0], log_A[0]
+    i = bisect_right(A, right)
+    A.insert(i, right)
+    log_A.insert(i, math.log(right))
     state.loads[r] = load_new
+    j = state.slot[r]
+    state.terms[j] = e * math.log(load_new)
+    if state.mode == "orc":
+        state.terms[j + 1] = state.k * math.log(denom)  # r's next left end
     if state.log_potential is not None:
         state.log_potential += log_ratio
     return GrowthStep(
@@ -242,14 +290,21 @@ def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
     )
 
 
+def _stored_log_potential(state: PrefixState) -> float:
+    return sum(state.terms) - state.k * sum(state.log_A)
+
+
 def potential_value(state: PrefixState, c: CoverParams) -> float:
     """From-scratch log-domain potential of the state.
 
-    In line mode also asserts the boundedness cap log f <= k*s*log(mu).
+    The sum of the state's stored log terms, laid out in `_log_potential`'s
+    order, without taking a log: it shares no arithmetic with the incremental
+    value.  In line mode also asserts the boundedness cap
+    log f <= k*s*log(mu).
     """
-    lp = _log_potential(state)
-    if lp is None:
+    if state.log_potential is None:
         raise ConfigurationError("potential undefined: a robot has no next interval")
+    lp = _stored_log_potential(state)
     if state.mode == "line":
         cap = state.k * state.s_exp * math.log(c.mu)
         if lp > cap + _REL_TOL * max(1.0, abs(cap)):
@@ -294,7 +349,8 @@ def audit_growth(
     Each step ratio is checked against the worst-case polynomial bound at
     the realized slack, and against the growth factor delta whenever mu is
     strictly below critical; incremental and from-scratch potentials must
-    agree to 1e-9 relative.  The replay stops where `advance` does; it
+    agree to 1e-9 relative, and so must the stored log terms and fresh
+    logs after the last step.  The replay stops where `advance` does; it
     never skips a step, so a step's index is its position in `steps`.
     """
     state = initial_state(assigned, p, mode)
@@ -336,6 +392,13 @@ def audit_growth(
                 f" at step {idx}"
             )
         trace.steps.append(step)
+    # one pass of fresh logs: a stored term gone stale fails the run too
+    stored, fresh = _stored_log_potential(state), _log_potential(state)
+    if abs(stored - fresh) > _REL_TOL * max(1.0, abs(fresh)):
+        raise AuditError(
+            f"stored log terms sum to {stored}, fresh logs to {fresh},"
+            f" after {len(trace.steps)} steps"
+        )
     return trace
 
 
@@ -436,8 +499,10 @@ def refute(
     more horizon) a contradiction needs.
 
     The strategies must be p.k of the mode's kind: TurnSequences in line
-    mode, RoundPlans in orc mode; anything else raises ValueError.
+    mode, RoundPlans in orc mode; anything else raises ValueError, and so
+    does N below 1 or NaN.
     """
+    _require_horizon(N)
     c = CoverParams(lam)
     mult = p.s if mode == "line" else p.q
     if mode == "line" and p.m != 2:

@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .formulas import InstanceParams
-from .strategy import RoundPlan, Strategy, TurnSequence
+from .strategy import RoundPlan, Strategy, TurnSequence, _require_horizon
 
 __all__ = [
     "Target",
@@ -265,8 +265,9 @@ def worst_ratio(
     """Exact sup of tau(x)/x over targets with 1 <= x <= N, with witness.
 
     Returns (inf, witness) as the uncovered signal if some candidate
-    target is never detected.
+    target is never detected.  N below 1, or NaN, is a ValueError.
     """
+    _require_horizon(N)
     targets, ratios = _sweep(strategies, p, _at_one(strategies, p), N)
     ratio, i = supremum(enumerate(ratios))
     ray, x, _ = targets[i]
@@ -280,7 +281,11 @@ def sweep_rows(
     dense: bool = False,
     rel_step: float = 1e-3,
 ) -> list[tuple[Target, bool, DetectionReport]]:
-    """Per-target rows backing the sweep CSV: breakpoints or a dense grid."""
+    """Per-target rows backing the sweep CSV: breakpoints or a dense grid.
+
+    N below 1, or NaN, is a ValueError.
+    """
+    _require_horizon(N)
     if dense:
         if not rel_step > 0.0:
             raise ValueError(f"rel_step must be positive, got {rel_step}")

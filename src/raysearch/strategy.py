@@ -90,6 +90,12 @@ class CoverInterval(NamedTuple):
     right: float
 
 
+def _require_horizon(N: float) -> None:
+    """The horizon check of the queries up to N: N = inf passes, NaN fails."""
+    if not N >= 1.0:
+        raise ValueError(f"horizon N must be >= 1, got {N!r}")
+
+
 def _require_base_and_horizon(alpha: float, horizon: float) -> None:
     if not alpha > 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")

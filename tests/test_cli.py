@@ -412,6 +412,30 @@ class TestInputChecks:
         assert out == ""
         assert f"error: argument {flag}: must be finite, got " in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("simulate",),
+            ("simulate", "--csv", "CSV"),
+            ("simulate", "--csv", "CSV", "--dense"),
+            ("refute", "--lam", "9.5"),
+        ],
+        ids=["simulate", "simulate_csv", "simulate_dense", "refute"],
+    )
+    def test_horizon_below_one_is_usage_error(self, capsys, tmp_path, command):
+        # a strategy file skips the generator's horizon check; the sweep and
+        # the refuter check N themselves (unchecked, they answered at x = 1)
+        strat = tmp_path / "strategy.txt"
+        strat.write_text("1:2.0 2:2.0 1:8.0 2:8.0 1:32 2:32 1:128 2:128\n")
+        csv = tmp_path / "rows.csv"
+        name, *flags = (str(csv) if a == "CSV" else a for a in command)
+        code, out, err = run(
+            capsys, name, *self.DOUBLING, *flags, "-N", "0.5", "--strategy", str(strat)
+        )
+        assert (code, out) == (1, "")
+        assert err == "raysearch: error: horizon N must be >= 1, got 0.5\n"
+        assert not csv.exists()
+
     def test_unparsable_number_keeps_the_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--eta", "abc"])

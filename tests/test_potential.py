@@ -21,6 +21,7 @@ from raysearch import (
     initial_state,
     make_exponential_strategy,
     make_geometric_line_strategy,
+    mu_critical,
     optimal_alpha,
     poly_max_point,
     potential_value,
@@ -45,7 +46,9 @@ def _base_prefix(assigned, state):
 def _snapshot(state):
     return (
         list(state.A),
+        list(state.log_A),
         dict(state.loads),
+        list(state.terms),
         {r: list(q) for r, q in state.pending.items()},
         list(state.stream),
         state.log_potential,
@@ -148,6 +151,38 @@ class TestAdvance:
         # the rejected step left the state untouched, its stream included
         assert _snapshot(state) == before
 
+    def test_load_on_the_tolerance_is_accepted(self):
+        # mu * (1 + 1e-9) rounds to exactly the first step's mu* = 3.5: the
+        # load bound holds with equality; the next step's 3.75 breaks it
+        p, assigned = doubling_assigned()
+        c = CoverParams(7.999999992999999)
+        assert c.mu < 3.5 == c.mu * (1.0 + 1e-9)
+        state = initial_state(assigned, p, "orc")
+        assert advance(state, c).mu_star == 3.5
+        with pytest.raises(InvalidAssignmentError, match="load bound violated"):
+            advance(state, c)
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_start_off_the_frontier_by_the_tolerance(self, past):
+        # at this frontier a, the tolerance 1e-9 * a lies on the float grid
+        # near a: a start exactly that far off is accepted, one float more
+        # is not a cover prefix
+        p, assigned = doubling_assigned()
+        a = 4503600 * 2.0**-52 / 1e-9
+        tol = 1e-9 * a
+        left = a + tol
+        assert left - a == tol
+        state = initial_state(assigned, p, "orc")
+        assert state.scale == 1.0
+        state.A[:] = [a, a]
+        start = math.nextafter(left, 2.0) if past else left
+        state.stream[0] = state.stream[0]._replace(left=start)
+        if past:
+            with pytest.raises(InvalidAssignmentError, match="not a cover prefix"):
+                advance(state, CoverParams(9.0))
+        else:
+            assert advance(state, CoverParams(9.0)).mu_star == 3.5
+
     def test_incremental_matches_scratch(self):
         p, assigned = doubling_assigned()
         c = CoverParams(9.0)
@@ -236,6 +271,9 @@ class TestAuditGrowth:
     def test_doubling_trace_ratios_approach_one(self):
         p, assigned = doubling_assigned()
         trace = audit_growth(assigned, CoverParams(9.0), p, "orc")
+        # mu = 4 is exactly critical: delta would be 1, so there is no floor
+        assert mu_critical(1, 1) == CoverParams(9.0).mu
+        assert trace.delta_bound is None
         assert trace.min_step_ratio >= 1.0 - 1e-9
         assert trace.steps[-1].step_ratio == pytest.approx(1.0, abs=1e-2)
 
@@ -260,6 +298,25 @@ class TestAuditGrowth:
         assert trace.max_log_potential <= cap + 1e-9
         assert trace.line_cap_log == pytest.approx(cap)
 
+    @pytest.mark.parametrize("past", [False, True])
+    def test_line_cap_is_checked_on_the_stored_terms(self, past):
+        # stored terms that sum to the cap plus its tolerance pass; one
+        # float more fails
+        p = InstanceParams(2, 3, 1)
+        c = CoverParams(ratio_lower_bound(p) + 0.1)
+        strat = make_geometric_line_strategy(p, optimal_alpha(p), 1e4)
+        assigned = exact_q_assignment(all_cover_intervals(strat, c), p.s, 1e4)
+        state = initial_state(assigned, p, "line")
+        cap = state.k * state.s_exp * math.log(c.mu)
+        top = cap + 1e-9 * max(1.0, abs(cap))
+        state.terms[:] = [math.nextafter(top, math.inf) if past else top] + [0.0] * (p.k - 1)
+        state.log_A[:] = [0.0] * len(state.A)
+        if past:
+            with pytest.raises(AuditError, match="exceeds cap"):
+                potential_value(state, c)
+        else:
+            assert potential_value(state, c) == top
+
 
 def _generator_log_potential(state):
     # the from-scratch potential as first written, generator and all: the
@@ -274,6 +331,27 @@ def _generator_log_potential(state):
             lp += state.k * math.log(b)
     lp -= state.k * sum(math.log(y) for y in state.A)
     return lp
+
+
+def _fresh_terms(state):
+    # the state's stored terms, each from a fresh log of its value
+    terms = []
+    for r, load in state.loads.items():
+        terms.append(state.s_exp * math.log(load))
+        if state.mode == "orc":
+            terms.append(state.k * math.log(state.b(r)))
+    return terms, [math.log(y) for y in state.A]
+
+
+def _assert_oracles_agree(state, c):
+    fresh = _generator_log_potential(state)
+    assert potential._log_potential(state) == fresh
+    terms, log_A = _fresh_terms(state)
+    assert (state.terms, state.log_A) == (terms, log_A)
+    # sum() of floats is compensated from Python 3.12 on: the stored-term
+    # sum may leave the sequential order by a few ulp of its magnitude
+    magnitude = math.fsum(map(abs, terms)) + state.k * math.fsum(log_A)
+    assert abs(potential_value(state, c) - fresh) <= 4 * math.ulp(magnitude)
 
 
 class TestOracle:
@@ -305,9 +383,9 @@ class TestOracle:
         assigned = exact_q_assignment(covers, p.s if mode == "line" else p.q, 1e8)
         state = initial_state(assigned, p, mode)
         steps = 0
-        assert potential._log_potential(state) == _generator_log_potential(state)
+        _assert_oracles_agree(state, c)
         while advance(state, c) is not None:
-            assert potential._log_potential(state) == _generator_log_potential(state)
+            _assert_oracles_agree(state, c)
             steps += 1
         assert steps > 20
 
@@ -326,6 +404,67 @@ class TestOracle:
         monkeypatch.setattr(potential, "advance", advance_drifting)
         with pytest.raises(AuditError, match="drifted .* at step 0$"):
             audit_growth(assigned, CoverParams(9.0), p, "orc")
+
+    def test_stale_stored_terms_are_caught_after_the_last_step(self, monkeypatch):
+        # the stored terms and the incremental value agree at every step,
+        # but the fresh logs after the last one do not: the audit fails
+        p, assigned = doubling_assigned()
+        steps = len(audit_growth(assigned, CoverParams(9.0), p, "orc").steps)
+        fresh = potential._log_potential
+        calls = []
+
+        def fresh_after_the_first_call(state):
+            calls.append(state)
+            return fresh(state) + (1e-6 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(potential, "_log_potential", fresh_after_the_first_call)
+        message = rf"^stored log terms sum to .*, fresh logs to .*, after {steps} steps$"
+        with pytest.raises(AuditError, match=message):
+            audit_growth(assigned, CoverParams(9.0), p, "orc")
+        assert len(calls) == 2  # the initial potential, and the closing check
+
+    @pytest.mark.parametrize("check", ["drift", "floor", "delta"])
+    def test_a_tie_with_the_tolerance_passes(self, monkeypatch, check):
+        # each check fails strictly past its tolerance: steps made to meet
+        # it exactly pass, the closing fresh-log check's included
+        lam = 8.99 if check == "delta" else 9.0
+        c = CoverParams(lam)
+        if check == "delta":  # subcritical: mu < mu_critical(1, 1) = 4
+            p = InstanceParams(2, 1, 0)
+            strat = make_exponential_strategy(p, 2.0, 20.0)
+            assigned = exact_q_assignment(all_cover_intervals(strat, c), 2, 20.0)
+        else:
+            p, assigned = doubling_assigned()
+        advance_exact, fresh = potential.advance, potential._log_potential
+        delta_1, delta = growth_factor_delta(1, 1, 1.0), growth_factor_delta(1, 1, c.mu)
+
+        def advance_on_the_tolerance(state, c):
+            step = advance_exact(state, c)
+            if step is None:
+                return None
+            if check == "drift":
+                # stored terms sum to 0, the incremental value is 1e-9 off
+                state.terms[:] = [0.0] * len(state.terms)
+                state.log_A[:] = [0.0] * len(state.log_A)
+                state.log_potential = 1e-9
+            elif check == "floor":
+                step = step._replace(step_ratio=delta_1 * step.mu_star**-1 * (1.0 - 1e-12))
+            else:  # a slack far above mu puts the floor far below delta
+                step = step._replace(mu_star=2.0 * c.mu, step_ratio=delta * (1.0 - 1e-9))
+            return step
+
+        calls = []
+
+        def fresh_on_the_tolerance(state):
+            # the closing check's fresh logs read 1e-9 off the zeroed terms
+            calls.append(state)
+            return fresh(state) if len(calls) == 1 else 1e-9
+
+        monkeypatch.setattr(potential, "advance", advance_on_the_tolerance)
+        if check == "drift":
+            monkeypatch.setattr(potential, "_log_potential", fresh_on_the_tolerance)
+        trace = audit_growth(assigned, c, p, "orc")
+        assert len(trace.steps) > 3
 
 
 class TestDetectGap:
@@ -394,6 +533,16 @@ class TestRefute:
         assert calls == [len(verdict.assignment)]
         detect_gap(verdict.assignment, 100.0, CoverParams(9.5))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["orc", "line"])
+    @pytest.mark.parametrize("N", [0.5, math.nan])
+    def test_horizon_below_one_or_nan_is_rejected(self, doubling, mode, N):
+        # unchecked, N = nan gave a coverage failure at 1, and N = 0.5 a
+        # certificate of 0 steps
+        make = make_geometric_line_strategy if mode == "line" else make_exponential_strategy
+        strat = make(doubling, 2.0, 1e3)
+        with pytest.raises(ValueError, match=rf"^horizon N must be >= 1, got {N!r}$"):
+            refute(strat, 9.5, doubling, N, mode=mode)
 
     def test_failure_below_bound(self, doubling, doubling_strategy):
         v = refute(doubling_strategy, 8.0, doubling, 1e4)

@@ -110,6 +110,28 @@ class TestDenseStep:
             dense_grid_ratio(doubling_strategy, doubling, 100.0, rel_step=rel_step)
 
 
+class TestHorizon:
+    # a sup over [1, N] needs N >= 1: below it, the sweep answered at x = 1
+    ENTRIES = {
+        "worst_ratio": lambda s, p, N: worst_ratio(s, p, N),
+        "sweep_rows": lambda s, p, N: sweep_rows(s, p, N),
+        "sweep_rows_dense": lambda s, p, N: sweep_rows(s, p, N, dense=True, rel_step=0.1),
+        "dense_grid_ratio": lambda s, p, N: dense_grid_ratio(s, p, N, rel_step=0.1),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("N", [0.5, 0.0, -1.0, math.nan])
+    def test_below_one_or_nan_is_rejected(self, doubling, doubling_strategy, entry, N):
+        with pytest.raises(ValueError, match=rf"^horizon N must be >= 1, got {N!r}$"):
+            self.ENTRIES[entry](doubling_strategy, doubling, N)
+
+    def test_infinite_horizon_is_allowed(self, doubling, doubling_strategy):
+        # every turn is a breakpoint, and past the last one x goes undetected
+        ratio, witness = worst_ratio(doubling_strategy, doubling, math.inf)
+        assert ratio == math.inf and witness.x > 1e4
+        assert len(sweep_rows(doubling_strategy, doubling, math.inf)) > 2
+
+
 class TestStrategyCount:
     # every entry point takes exactly p.k strategies
     @pytest.mark.parametrize(
