@@ -2,7 +2,10 @@
 
 The search domain is distances of at least 1, so every check here runs
 over (1, hi]; the floor 1 is fixed, not a parameter.  Both entry points
-reject a reversed cover interval (left > right) with ValueError.
+reject a horizon hi below 1 or NaN and a reversed cover interval (left >
+right) with ValueError.  hi = inf passes, and so does hi = 1, which
+checks the multiplicity just above 1 alone: a cover of (1, hi] passes
+there for every hi down to 1.
 `verify_multicover` reports the leftmost point of (1, hi] whose coverage
 multiplicity falls short, from the one multiplicity scan that
 `potential.covering_situation` reads as well.
@@ -29,13 +32,12 @@ pass; the entries that read a stream from outside, `initial_state` and
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple, Sequence
 
-from .strategy import CoverInterval
+from .strategy import CoverInterval, _require_horizon
 
 __all__ = [
     "AssignedInterval",
@@ -104,17 +106,17 @@ def _check_stream(assigned: Sequence[AssignedInterval]) -> None:
 
 
 def _multiplicity_scan(
-    intervals: Sequence[CoverInterval | AssignedInterval], hi: float = math.inf
+    intervals: Sequence[CoverInterval | AssignedInterval],
 ) -> Iterator[tuple[float, int]]:
     """(u, multiplicity just above u) at u = 1 and at each distinct right
-    end above 1, ascending, over the intervals above 1 that start below hi.
+    end above 1, ascending, over the intervals that end above 1.
 
     Segments decide: an interval live on a segment (u, v) between
     consecutive endpoints has left <= u and right >= v, so it contains v,
     closed or half-open.  Multiplicity falls only at a right end, so the
     leftmost deficient segment starts at 1 or at a right end.
     """
-    live = [iv for iv in intervals if iv.right > 1.0 and iv.left < hi]
+    live = [iv for iv in intervals if iv.right > 1.0]
     starts = sorted(iv.left for iv in live)
     ends = sorted(iv.right for iv in live)
     for u in [1.0, *sorted(set(ends))]:
@@ -127,10 +129,11 @@ def verify_multicover(
     """None if every point of (1, hi] has multiplicity >= q, else the
     leftmost deficient segment, reported at its left end: 1 or a right
     end below hi.  Half-open intervals are read the same way."""
+    _require_horizon(hi)
     _require_ordered(intervals)
     if q <= 0:
         return None
-    for u, m in _multiplicity_scan(intervals, hi):
+    for u, m in _multiplicity_scan(intervals):
         if u > 1.0 and u >= hi:
             break
         if m < q:
@@ -153,6 +156,7 @@ def exact_q_assignment(
     its top once the sweep passes their right endpoint: O(log q) per
     closing, with no pass over the opened set at each endpoint.
     """
+    _require_horizon(hi)
     _require_ordered(intervals)
     if q <= 0:
         return []
@@ -166,7 +170,7 @@ def exact_q_assignment(
                 out.append(
                     AssignedInterval(iv.robot, iv.round_index, iv.left, iv.right, iv.left)
                 )
-        elif iv.left < hi:
+        elif iv.left <= 1.0 or iv.left < hi:  # opens at a u that is 1 or below hi
             pool.append(iv)
     pool.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
 

@@ -61,8 +61,7 @@ def _extended() -> bool:
 def _exp_of(log_terms: list[tuple[float, float]]) -> float:
     """exp(sum of coeff*log(base)) with optional extended precision.
 
-    log_terms: list of (coeff, base) pairs, base > 0; coeff may be 0 with
-    base 1 placeholder.
+    log_terms: list of (coeff, base) pairs, base > 0.
     """
     if _extended():
         try:
@@ -73,13 +72,11 @@ def _exp_of(log_terms: list[tuple[float, float]]) -> float:
         with mpmath.workdps(50):
             acc = mpmath.mpf(0)
             for coeff, base in log_terms:
-                if coeff != 0:
-                    acc += mpmath.mpf(coeff) * mpmath.log(mpmath.mpf(base))
+                acc += mpmath.mpf(coeff) * mpmath.log(mpmath.mpf(base))
             return float(mpmath.e**acc)
     acc = 0.0
     for coeff, base in log_terms:
-        if coeff != 0:
-            acc += coeff * math.log(base)
+        acc += coeff * math.log(base)
     if acc > _LOG_FLOAT_MAX:
         return math.inf
     return math.exp(acc)

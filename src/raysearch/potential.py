@@ -5,22 +5,27 @@ exact-multiplicity assignment, as `exact_q_assignment` orders it, through
 the covering-situation state: the sorted multiset A of multiplicity
 frontiers, per-robot loads (sums of assigned turning distances), and for
 the one-ray-cover setting the left endpoint b of each robot's next
-assigned interval.  Each added interval multiplies the log-domain
-potential by mu*^e / (x^e (mu*-x)^k), which is at least the growth
-factor delta whenever the candidate ratio sits below the tight bound;
-the line-mode potential is simultaneously capped by mu^(k*s).  A valid
-cover therefore cannot extend forever: the engine either certifies the
-replay or reports the coverage hole the theorem predicts.
+assigned interval.  The orc potential is defined only while every
+robot has such a next interval: `initial_state` rejects a robot with
+none past the base prefix, and the replay stops before the interval of
+a robot with no following one.  Each added interval multiplies the
+log-domain potential by mu*^e / (x^e (mu*-x)^k), which is at least the
+growth factor delta whenever the candidate ratio sits below the tight
+bound; the line-mode potential is simultaneously capped by mu^(k*s).  A
+valid cover therefore cannot extend forever: the engine either certifies
+the replay or reports the coverage hole the theorem predicts.
 
 Cost: a step changes three values (one robot's load, in orc mode that
 robot's next-left b, and one frontier, as A[0] leaves and the interval's
-right end enters), and the state keeps the log term of every value, so
-a step takes three logs for the incremental update and three for the
-terms it replaces.  The from-scratch oracle, `potential_value`, runs at
-every audited step and sums the stored terms; it never reads the
-incremental value.  Fresh logs of every value are still taken twice per
-audit, by `_log_potential`: for the initial potential, and once after
-the last step, where the audit checks the stored terms against them.
+right end enters).  The state keeps each value once, pre-scaled, with
+its log term beside it, and each stream interval carries its robot's
+next left end, so a step takes three logs for the incremental update and
+three for the terms it replaces.  The from-scratch oracle,
+`potential_value`, runs at every audited step and sums the stored terms;
+it never reads the incremental value.  Fresh logs of every value are
+still taken twice per audit, by `_log_potential`: for the initial
+potential, and once after the last step, where the audit checks the
+stored terms against them.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import cycle
 from typing import Literal, NamedTuple, Sequence
 
 from .cover import (
@@ -97,11 +103,15 @@ def covering_situation(intervals: Sequence[AssignedInterval], mult: int) -> list
 
 @dataclass
 class PrefixState:
-    """Covering situation, loads, and next-left endpoints of one prefix.
+    """Covering situation of one prefix, and the stream that extends it.
 
-    Beside the values it keeps their log terms, `log_A` and `terms`, which
-    `advance` replaces together with the values and `potential_value`
-    sums.  A robot's k*log(b) term is NaN while its b is undefined.
+    Everything is rescaled so that the base prefix's frontier a = A[0] is
+    1.  `values` holds per robot its load and, in orc mode, its next left
+    end b; `terms` holds coef*log(value) at the same indices (coef e for a
+    load, k for b) and `log_A` the log of each frontier.  `advance`
+    replaces a value and its term together; `potential_value` sums the
+    terms.  The stream is (robot, left, right, next_left) tuples, where
+    next_left is the robot's following left end, None after its last.
     """
 
     mode: Mode
@@ -110,43 +120,26 @@ class PrefixState:
     s_exp: int  # load exponent: s (line) or q - k (orc)
     A: list[float]  # ascending; A[0] is the full-coverage frontier a
     log_A: list[float]  # log of each entry of A, in A's order
-    loads: dict[int, float]
-    terms: list[float]  # per robot, in loads' order: e*log(load), then k*log(b) (orc)
-    slot: dict[int, int]  # robot -> index of its load term in `terms`
-    pending: dict[int, deque[AssignedInterval]]  # per robot, stream order
-    stream: deque[AssignedInterval]  # the intervals not yet replayed, in order
-    scale: float
-    log_potential: float | None  # None when some next-left is undefined (orc)
-
-    @property
-    def a(self) -> float:
-        return self.A[0]
-
-    def b(self, robot: int) -> float | None:
-        nxt = self.pending[robot]
-        return nxt[0].left / self.scale if nxt else None
+    values: list[float]  # per robot: load, then b (orc)
+    terms: list[float]  # coef*log of each entry of values, in its order
+    slot: dict[int, int]  # robot -> index of its load in `values`
+    stream: deque[tuple[int, float, float, float | None]]  # not yet replayed
+    log_potential: float
 
 
-def _log_potential(state: PrefixState) -> float | None:
+def _fresh_terms(state: PrefixState) -> list[float]:
+    coefs = (state.s_exp, state.k) if state.mode == "orc" else (state.s_exp,)
+    return [coef * math.log(v) for coef, v in zip(cycle(coefs), state.values)]
+
+
+def _log_potential(state: PrefixState) -> float:
     # fresh logs of every value, for the initial potential and the audit's
-    # closing check.  The summation order is part of the answer: per robot
-    # the load term, then the next-left term; the frontier terms last, as
-    # one sum.  `terms` and `log_A` are laid out in this order.
-    e, k, log = state.s_exp, state.k, math.log
+    # closing check.  The summation order is part of the answer: the terms
+    # in `values` order, one by one; the frontier terms last, as one sum.
     lp = 0.0
-    if state.mode == "orc":
-        pending, scale = state.pending, state.scale
-        for r, load in state.loads.items():
-            nxt = pending[r]
-            if not nxt:
-                return None
-            lp += e * log(load)
-            lp += k * log(nxt[0].left / scale)
-    else:
-        for load in state.loads.values():
-            lp += e * log(load)
-    lp -= k * sum(map(log, state.A))
-    return lp
+    for term in _fresh_terms(state):
+        lp += term
+    return lp - state.k * sum(map(math.log, state.A))
 
 
 def initial_state(
@@ -156,8 +149,11 @@ def initial_state(
 
     `assigned` is checked to be in `exact_q_assignment`'s order.  The base
     prefix is the shortest one with every boundary interval (right end at
-    most 1) and an interval of every robot; the rest is the state's stream,
-    split into each robot's pending queue as well.
+    most 1) and an interval of every robot; the rest is the state's
+    stream, each interval linked by one backward pass to its robot's next
+    left end.  The orc potential needs every robot's next left end, so a
+    robot with no interval past the base prefix is a ConfigurationError,
+    as a load exponent below 1 is: there is nothing to audit.
     """
     _check_stream(assigned)
     first_seen: dict[int, int] = {}
@@ -169,7 +165,6 @@ def initial_state(
     if not first_seen:
         raise ConfigurationError("no assigned intervals")
     p0 = max(max(first_seen.values()), last_boundary) + 1
-    prefix = assigned[:p0]
     robots = sorted(first_seen)
     mult = p.s if mode == "line" else p.q
     if mult < 1:
@@ -180,40 +175,41 @@ def initial_state(
         raise ConfigurationError(
             f"load exponent {s_exp} < 1 (k={k_eff} robots): potential degenerate"
         )
-    A = covering_situation(prefix, mult)
+    A = covering_situation(assigned[:p0], mult)
     scale = A[0]
+    width = 2 if mode == "orc" else 1
+    slot = {r: width * i for i, r in enumerate(robots)}
+    values = [0.0] * (width * k_eff)
+    for iv in assigned[:p0]:
+        values[slot[iv.robot]] += iv.right / scale
+    stream: deque[tuple[int, float, float, float | None]] = deque()
+    next_left: dict[int, float] = {}
+    for r, _, left, right, _ in reversed(assigned[p0:]):
+        left /= scale
+        stream.appendleft((r, left, right / scale, next_left.get(r)))
+        next_left[r] = left
+    if mode == "orc":
+        for r, j in slot.items():
+            if r not in next_left:
+                raise ConfigurationError(
+                    f"robot {r} has no interval past the base prefix: potential undefined"
+                )
+            values[j + 1] = next_left[r]
     A = [y / scale for y in A]
-    loads = {r: 0.0 for r in robots}
-    for iv in prefix:
-        loads[iv.robot] += iv.right / scale
-    stream = deque(assigned[p0:])
-    pending = {r: deque() for r in robots}
-    for iv in stream:
-        pending[iv.robot].append(iv)
-    log = math.log
-    terms: list[float] = []
-    slot: dict[int, int] = {}
-    for r, load in loads.items():
-        slot[r] = len(terms)
-        terms.append(s_exp * log(load))
-        if mode == "orc":
-            nxt = pending[r]
-            terms.append(k_eff * log(nxt[0].left / scale) if nxt else math.nan)
     state = PrefixState(
         mode=mode,
         mult=mult,
         k=k_eff,
         s_exp=s_exp,
         A=A,
-        log_A=[log(y) for y in A],
-        loads=loads,
-        terms=terms,
+        log_A=[math.log(y) for y in A],
+        values=values,
+        terms=[],
         slot=slot,
-        pending=pending,
         stream=stream,
-        scale=scale,
-        log_potential=None,
+        log_potential=0.0,
     )
+    state.terms = _fresh_terms(state)
     state.log_potential = _log_potential(state)
     return state
 
@@ -232,62 +228,50 @@ def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
     """Extend the prefix by the next interval of its stream, in place.
 
     None at the end of the stream, and in orc mode where the interval's
-    robot has no following one (next-left undefined).  The interval must
+    robot has no following one, so no next left end.  The interval must
     start at the current frontier a and respect the load bound (realized
     slack mu* at most mu); the log-potential is updated incrementally from
-    the step ratio, with three logs that read no stored term.  The three
-    values the step changes get their log terms anew: three more logs.
-    Every check runs before the state is touched, so a rejected step
-    leaves it, its stream and log terms included, as it was.
+    the step ratio, with three logs that read no stored term.  The values
+    the step changes get their log terms anew: three more logs.  Every
+    check runs before the state is touched, so a rejected step leaves it,
+    its stream and log terms included, as it was.
     """
     if not state.stream:
         return None
-    nxt = state.stream[0]
-    r = nxt.robot
-    queue = state.pending[r]
-    if state.mode == "orc" and len(queue) < 2:
+    r, left, right, next_left = state.stream[0]
+    orc = state.mode == "orc"
+    if orc and next_left is None:
         return None
-    left = nxt.left / state.scale
-    right = nxt.right / state.scale
-    a = state.a
+    a = state.A[0]
     if abs(left - a) > _REL_TOL * max(1.0, abs(a)):
         raise InvalidAssignmentError(
             f"interval starts at {left}, frontier is {a}: not a cover prefix"
         )
-    load_old = state.loads[r]
+    j = state.slot[r]
+    load_old = state.values[j]
     load_new = load_old + right
-    denom = queue[1].left / state.scale if state.mode == "orc" else a
+    denom = next_left if orc else a
     mu_star = load_new / denom
     if mu_star > c.mu * (1.0 + _REL_TOL):
         raise InvalidAssignmentError(
             f"load bound violated: realized mu*={mu_star} exceeds mu={c.mu}"
         )
     x = load_old / denom
-    e = state.s_exp
-    log_ratio = (
-        e * math.log(mu_star) - e * math.log(x) - state.k * math.log(mu_star - x)
-    )
+    e, k = state.s_exp, state.k
+    log_ratio = e * math.log(mu_star) - e * math.log(x) - k * math.log(mu_star - x)
     state.stream.popleft()
-    queue.popleft()
     A, log_A = state.A, state.log_A
     del A[0], log_A[0]
     i = bisect_right(A, right)
     A.insert(i, right)
     log_A.insert(i, math.log(right))
-    state.loads[r] = load_new
-    j = state.slot[r]
+    state.values[j] = load_new
     state.terms[j] = e * math.log(load_new)
-    if state.mode == "orc":
-        state.terms[j + 1] = state.k * math.log(denom)  # r's next left end
-    if state.log_potential is not None:
-        state.log_potential += log_ratio
-    return GrowthStep(
-        r,
-        mu_star,
-        x,
-        math.exp(log_ratio),
-        math.nan if state.log_potential is None else state.log_potential,
-    )
+    if orc:
+        state.values[j + 1] = next_left
+        state.terms[j + 1] = k * math.log(next_left)
+    state.log_potential += log_ratio
+    return GrowthStep(r, mu_star, x, math.exp(log_ratio), state.log_potential)
 
 
 def _stored_log_potential(state: PrefixState) -> float:
@@ -302,8 +286,6 @@ def potential_value(state: PrefixState, c: CoverParams) -> float:
     value.  In line mode also asserts the boundedness cap
     log f <= k*s*log(mu).
     """
-    if state.log_potential is None:
-        raise ConfigurationError("potential undefined: a robot has no next interval")
     lp = _stored_log_potential(state)
     if state.mode == "line":
         cap = state.k * state.s_exp * math.log(c.mu)
@@ -316,13 +298,11 @@ def potential_value(state: PrefixState, c: CoverParams) -> float:
 class GrowthTrace:
     """Audited replay: per-step slack, step ratios, and potential values."""
 
-    mode: Mode
     mult: int
     k: int
-    s_exp: int
     delta_bound: float | None  # growth factor delta when mu is subcritical
     line_cap_log: float | None
-    initial_log_potential: float | None
+    initial_log_potential: float
     steps: list[GrowthStep] = field(default_factory=list)
 
     @property
@@ -330,12 +310,8 @@ class GrowthTrace:
         return min((s.step_ratio for s in self.steps), default=None)
 
     @property
-    def max_log_potential(self) -> float | None:
-        best = self.initial_log_potential
-        for s in self.steps:
-            if best is None or s.log_potential_after > best:
-                best = s.log_potential_after
-        return best
+    def max_log_potential(self) -> float:
+        return max([self.initial_log_potential, *(s.log_potential_after for s in self.steps)])
 
 
 def audit_growth(
@@ -362,16 +338,12 @@ def audit_growth(
     delta_1 = growth_factor_delta(e, k, 1.0)
     cap = k * e * math.log(c.mu) if mode == "line" else None
     trace = GrowthTrace(
-        mode=mode,
         mult=state.mult,
-        k=state.k,
-        s_exp=state.s_exp,
+        k=k,
         delta_bound=delta if subcritical else None,
         line_cap_log=cap,
         initial_log_potential=state.log_potential,
     )
-    if state.log_potential is None:
-        return trace
     while (step := advance(state, c)) is not None:
         idx = len(trace.steps)
         scratch = potential_value(state, c)
@@ -535,8 +507,8 @@ def refute(
     try:
         trace = audit_growth(assigned, c, p, mode)
     except ConfigurationError:
-        # degenerate regime: load exponent q - k < 1 in orc mode (a robot
-        # with one interval only ends the replay: an empty trace, no raise)
+        # nothing to audit: in orc mode, a load exponent q - k < 1 or a
+        # robot with no interval past the base prefix (no next left end)
         return Verdict(kind="certificate", params=params, assignment=assigned)
     headroom = None
     if trace.delta_bound is not None and trace.steps and trace.line_cap_log is not None:

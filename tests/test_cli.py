@@ -14,6 +14,7 @@ import raysearch
 from raysearch import (
     CoverParams,
     InstanceParams,
+    dumps_strategies,
     growth_factor_delta,
     make_exponential_strategy,
     make_geometric_line_strategy,
@@ -246,6 +247,27 @@ class TestRefute:
         )
         assert code == 2
         assert json.loads(out)["kind"] == "coverage_failure"
+
+    def test_a_robot_without_a_next_interval_has_no_audit(self, capsys, tmp_path):
+        # robot 1's one interval ends the stream, so no robot has one past
+        # the base prefix: a certificate with nothing to audit, and a trace
+        # file with its header lines only
+        p = InstanceParams(3, 2, 0)
+        first = make_exponential_strategy(p, optimal_alpha(p), 1e3)[0]
+        strat, trace = tmp_path / "strategy.txt", tmp_path / "trace.csv"
+        strat.write_text(dumps_strategies([first]) + "1:5000.0 2:5000.0 3:5000.0\n")
+        code, out, _ = run(
+            capsys,
+            "refute", "-m", "3", "-k", "2", "-f", "0", "--lam", "40", "-N", "1e3",
+            "--strategy", str(strat), "--trace", str(trace),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "certificate" and "audit" not in doc
+        assert trace.read_text().splitlines() == [
+            "# raysearch trace v1",
+            "step,robot,mu_star,x,step_ratio,log_potential",
+        ]
 
     def test_assignment_csv(self, capsys, tmp_path):
         path = tmp_path / "assigned.csv"

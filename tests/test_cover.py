@@ -10,12 +10,20 @@ from raysearch import (
     CoverInterval,
     CoverParams,
     DeficientCoverError,
+    InstanceParams,
+    RoundPlan,
     Witness,
     all_cover_intervals,
     exact_q_assignment,
     make_exponential_strategy,
+    optimal_alpha,
     verify_multicover,
 )
+
+
+def _doubling_strategy(hi=1e3):
+    p = InstanceParams(2, 1, 0)
+    return make_exponential_strategy(p, optimal_alpha(p), hi)
 
 
 def civ(left, right, robot=0, idx=0):
@@ -84,10 +92,51 @@ class TestExactAssignment:
         for iv in assigned:
             assert iv.cover_left <= iv.left < iv.right
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_no_folds_assign_nothing(self, q):
+        # a boundary interval is kept only for the loads of an audit, and
+        # multiplicity 0 has none: not even it is assigned
+        ivs = [civ(0.25, 0.5), civ(0.5, 4.0, idx=1)]
+        assert exact_q_assignment(ivs, q, 4.0) == []
+
     def test_deficient_cover_is_rejected(self):
         ivs = [civ(0.5, 2.0)]
         with pytest.raises(DeficientCoverError):
             exact_q_assignment(ivs, 2, 2.0)
+
+
+class TestHorizon:
+    # the domain is (1, hi]: hi below 1 or NaN is no horizon, while hi = 1
+    # (checked just above 1 alone) and hi = inf are
+    @pytest.mark.parametrize("hi", [math.nan, 0.5, -math.inf])
+    @pytest.mark.parametrize("entry", [verify_multicover, exact_q_assignment])
+    def test_below_one_or_nan_is_rejected(self, entry, hi):
+        # unchecked, the doubling cover at lambda 9.5 reported a hole at 1
+        ivs = all_cover_intervals(_doubling_strategy(), CoverParams(9.5))
+        with pytest.raises(ValueError, match=rf"^horizon N must be >= 1, got {hi!r}$"):
+            entry(ivs, 2, hi)
+
+    @pytest.mark.parametrize("lam, hole", [(5.0, Witness(1.0, 1, 2)), (9.0, None)])
+    def test_a_cover_past_one_passes_at_one(self, lam, hole):
+        # (1, 1] is the limit of (1, 1 + eps]: an interval that starts at 1
+        # covers just above it, at hi = 1 as at any hi past 1
+        plan = RoundPlan(((1, 1.0), (2, 1.0), (1, 2.0), (2, 2.0), (1, 4.0), (2, 4.0)))
+        ivs = all_cover_intervals([plan], CoverParams(lam))
+        assert any(iv.left == 1.0 for iv in ivs)
+        for hi in (1.0, math.nextafter(1.0, 2.0), 1.5):
+            assert verify_multicover(ivs, 2, hi) == hole
+            if hole is None:
+                assert exact_q_assignment(ivs, 2, hi)
+            else:
+                with pytest.raises(DeficientCoverError):
+                    exact_q_assignment(ivs, 2, hi)
+
+    def test_inf_is_accepted(self):
+        # no end to the domain: the first hole above 1 is the answer
+        ivs = [civ(0.5, 2.0), civ(0.9, 3.0, idx=1)]
+        assert verify_multicover(ivs, 2, math.inf) == Witness(2.0, 1, 2)
+        with pytest.raises(DeficientCoverError, match=r"^coverage 0 < 1 at 3.0$"):
+            exact_q_assignment(ivs, 1, math.inf)
 
 
 class TestReversedInterval:
@@ -125,6 +174,12 @@ def test_assignment_preserves_exactness(spans):
         for i, (a, b) in enumerate(spans)
     ]
     hi = max(iv.right for iv in ivs)
+    if hi < 1.0:
+        # every span at or below 1: no horizon of the domain (1, hi]
+        for entry in (verify_multicover, exact_q_assignment):
+            with pytest.raises(ValueError, match=r"^horizon N must be >= 1, got "):
+                entry(ivs, 1, hi)
+        return
     probes = [1.0 + (hi - 1.0) * j / 37 for j in range(1, 37)]
     for q in range(1, 5):
         witness = verify_multicover(ivs, q, hi)
@@ -153,7 +208,7 @@ def _list_assignment(intervals, q, hi):
                 out.append(
                     AssignedInterval(iv.robot, iv.round_index, iv.left, iv.right, iv.left)
                 )
-        elif iv.left < hi:
+        else:
             pool.append(iv)
     pool.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
     mids = sorted({v for iv in pool for v in (iv.left, iv.right) if 1.0 < v < hi})
@@ -220,6 +275,10 @@ def test_heap_sweep_matches_the_list_sweep(spans, q, copies, hi):
     ]
     if hi is None:
         hi = max(iv.right for iv in ivs)
+    if hi < 1.0:
+        with pytest.raises(ValueError, match=r"^horizon N must be >= 1, got "):
+            exact_q_assignment(ivs, q, hi)
+        return
     got = _assignment_or_witness(exact_q_assignment, ivs, q, hi)
     assert got == _assignment_or_witness(_list_assignment, ivs, q, hi)
     if isinstance(got, list):
@@ -234,7 +293,7 @@ def _point_check_verify(intervals, q, hi):
     split (an AssignedInterval is half-open): the slow reference."""
     if q <= 0:
         return None
-    ivs = [iv for iv in intervals if iv.right > 1.0 and iv.left < hi]
+    ivs = [iv for iv in intervals if iv.right > 1.0]
     if not ivs:
         return Witness(1.0, 0, q)
     half_open = [isinstance(iv, AssignedInterval) for iv in ivs]
@@ -263,7 +322,7 @@ def _point_check_verify(intervals, q, hi):
         if m_seg < q:
             return Witness(u, m_seg, q)
         m_pt = point_mult(v)
-        if m_pt < q:
+        if v > 1.0 and m_pt < q:  # the floor 1 is no point of (1, hi]
             return Witness(v, m_pt, q)
     return None
 
@@ -284,8 +343,9 @@ _KIND = st.sampled_from(["closed", "half_open"])
     ),
 )
 def test_scan_matches_the_point_check(spans, copies, q, hi):
-    # zero-length spans, ends at or below 1, hi <= 1 and hi past every end
-    # (None: the largest right end) all occur
+    # zero-length spans, ends at or below 1, hi below 1, at 1 and past
+    # every end (None: the largest right end) all occur; a hi below 1 is
+    # no horizon of (1, hi]
     ivs = []
     for i, (a, b, kind) in enumerate(spans * copies):
         lo, up = min(a, b), max(a, b)
@@ -295,4 +355,8 @@ def test_scan_matches_the_point_check(spans, copies, q, hi):
             ivs.append(AssignedInterval(i % 3, i, lo, up, lo))
     if hi is None:
         hi = max((iv.right for iv in ivs), default=2.0)
+    if hi < 1.0:
+        with pytest.raises(ValueError, match=r"^horizon N must be >= 1, got "):
+            verify_multicover(ivs, q, hi)
+        return
     assert verify_multicover(ivs, q, hi) == _point_check_verify(ivs, q, hi)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from raysearch import (
     AssignedInterval,
     AuditError,
+    ConfigurationError,
     CoverParams,
     InstanceParams,
     InvalidAssignmentError,
@@ -32,6 +33,15 @@ from raysearch import (
 from raysearch import cover, potential
 
 
+def robot_without_a_next_interval():
+    """m=3, k=2, lambda 40: robot 1's one assigned interval comes last in
+    the stream, so the base prefix is the whole assignment and robot 0,
+    the first in robot order, has no interval past it."""
+    p = InstanceParams(3, 2, 0)
+    first = make_exponential_strategy(p, optimal_alpha(p), 1e3)[0]
+    return p, [first, RoundPlan(((1, 5000.0), (2, 5000.0), (3, 5000.0)))]
+
+
 def doubling_assigned(hi=1e3, lam=9.0):
     p = InstanceParams(2, 1, 0)
     strat = make_exponential_strategy(p, optimal_alpha(p), hi)
@@ -47,9 +57,8 @@ def _snapshot(state):
     return (
         list(state.A),
         list(state.log_A),
-        dict(state.loads),
+        list(state.values),
         list(state.terms),
-        {r: list(q) for r, q in state.pending.items()},
         list(state.stream),
         state.log_potential,
     )
@@ -114,9 +123,55 @@ class TestInitialState:
         state = initial_state(assigned, p, "orc")
         prefix = _base_prefix(assigned, state)
         assert [iv.right for iv in prefix] == [0.5, 1.0]
-        assert state.stream[0] is assigned[2]
-        assert state.stream[0].right == 2.0
-        assert list(state.pending[0]) == list(state.stream)
+        # the frontier is already 1: the stream keeps the raw ends, each
+        # linked to the next left end of its robot, the only one here
+        rest = assigned[2:]
+        lefts = [iv.left for iv in rest]
+        assert list(state.stream) == [
+            (0, iv.left, iv.right, nxt) for iv, nxt in zip(rest, lefts[1:] + [None])
+        ]
+        assert state.stream[0][2] == 2.0
+        assert state.values == [1.5, rest[0].left]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_ENDPOINT, st.integers(0, 2), st.floats(0.01, 20.0)),
+        min_size=1,
+        max_size=16,
+    ),
+    st.sampled_from(["line", "orc"]),
+)
+def test_next_left_links_match_a_per_robot_scan(rows, mode):
+    # each stream tuple carries its robot's following left end, found by
+    # one backward pass; here by a scan of the rest of the stream
+    rows.sort(key=lambda row: row[:2])
+    assigned = [
+        AssignedInterval(r, i, left, left + length, left)
+        for i, (left, r, length) in enumerate(rows)
+    ]
+    p = InstanceParams(2, 3, 1)  # q = 4 folds: s >= 1 in both modes
+    try:
+        state = initial_state(assigned, p, mode)
+    except ConfigurationError as exc:
+        # only the orc potential needs every robot's next left end
+        assert mode == "orc"
+        state = initial_state(assigned, p, "line")
+        r = int(str(exc).split()[1])
+        assert r in state.slot and all(t[0] != r for t in state.stream)
+        return
+    p0 = len(assigned) - len(state.stream)
+    scale = covering_situation(assigned[:p0], state.mult)[0]
+    rest = assigned[p0:]
+    expected = []
+    for i, iv in enumerate(rest):
+        later = [jv.left / scale for jv in rest[i + 1 :] if jv.robot == iv.robot]
+        expected.append((iv.robot, iv.left / scale, iv.right / scale, (later or [None])[0]))
+    assert list(state.stream) == expected
+    if mode == "orc":
+        for r, j in state.slot.items():
+            assert state.values[j + 1] == next(iv.left / scale for iv in rest if iv.robot == r)
 
 
 class TestAdvance:
@@ -173,10 +228,10 @@ class TestAdvance:
         left = a + tol
         assert left - a == tol
         state = initial_state(assigned, p, "orc")
-        assert state.scale == 1.0
         state.A[:] = [a, a]
         start = math.nextafter(left, 2.0) if past else left
-        state.stream[0] = state.stream[0]._replace(left=start)
+        r, _, right, next_left = state.stream[0]
+        state.stream[0] = (r, start, right, next_left)
         if past:
             with pytest.raises(InvalidAssignmentError, match="not a cover prefix"):
                 advance(state, CoverParams(9.0))
@@ -245,7 +300,7 @@ class TestStreamContract:
             steps += 1
         # the stream goes on, but its next robot has no next-left endpoint
         assert steps > 0 and state.stream
-        assert len(state.pending[state.stream[0].robot]) == 1
+        assert state.stream[0][3] is None
         before = _snapshot(state)
         assert advance(state, c) is None
         assert _snapshot(state) == before
@@ -263,8 +318,9 @@ class TestStreamContract:
             steps += 1
         assert steps == remaining > 0
         assert not state.stream
-        assert all(not q for q in state.pending.values())
+        before = _snapshot(state)
         assert advance(state, c) is None
+        assert _snapshot(state) == before
 
 
 class TestAuditGrowth:
@@ -318,17 +374,19 @@ class TestAuditGrowth:
             assert potential_value(state, c) == top
 
 
+def _next_left(state, r):
+    # robot r's next left end, read off the stream rather than `values`
+    return next(left for robot, left, _, _ in state.stream if robot == r)
+
+
 def _generator_log_potential(state):
     # the from-scratch potential as first written, generator and all: the
     # summation order any faster form must keep
     lp = 0.0
-    for r, load in state.loads.items():
-        lp += state.s_exp * math.log(load)
+    for r, j in state.slot.items():
+        lp += state.s_exp * math.log(state.values[j])
         if state.mode == "orc":
-            b = state.b(r)
-            if b is None:
-                return None
-            lp += state.k * math.log(b)
+            lp += state.k * math.log(_next_left(state, r))
     lp -= state.k * sum(math.log(y) for y in state.A)
     return lp
 
@@ -336,10 +394,10 @@ def _generator_log_potential(state):
 def _fresh_terms(state):
     # the state's stored terms, each from a fresh log of its value
     terms = []
-    for r, load in state.loads.items():
-        terms.append(state.s_exp * math.log(load))
+    for r, j in state.slot.items():
+        terms.append(state.s_exp * math.log(state.values[j]))
         if state.mode == "orc":
-            terms.append(state.k * math.log(state.b(r)))
+            terms.append(state.k * math.log(_next_left(state, r)))
     return terms, [math.log(y) for y in state.A]
 
 
@@ -587,6 +645,20 @@ class TestRefute:
         assert v.kind == "certificate"
         assert v.trace is None
         assert len(v.assignment) == 2
+
+    def test_a_robot_without_a_next_interval_certifies_without_audit(self):
+        # the orc potential is undefined without robot 0's next left end:
+        # nothing to audit, as for a load exponent below 1
+        p, strat = robot_without_a_next_interval()
+        v = refute(strat, 40.0, p, 1e3)
+        assert v.kind == "certificate"
+        assert v.trace is None and "audit" not in v.to_dict()
+        assert {iv.robot for iv in v.assignment} == {0, 1}
+        message = r"^robot 0 has no interval past the base prefix: potential undefined$"
+        with pytest.raises(ConfigurationError, match=message):
+            initial_state(v.assignment, p, "orc")
+        with pytest.raises(ConfigurationError, match=message):
+            audit_growth(v.assignment, CoverParams(40.0), p, "orc")
 
     def test_strategy_count_must_be_k(self, three_robot):
         strat = make_exponential_strategy(three_robot, optimal_alpha(three_robot), 1e4)
