@@ -8,10 +8,9 @@ count or kind does not match -k and --mode, --alpha together with
 small for a finite dense grid up to N, -N together with
 --auto-horizon, -C without --auto-horizon, --lam, -m, -k or -f together
 with --eta (a flag the command would ignore is an error), a
---gap-constant of at most 1 (whatever the verdict), an unknown
-RAYSEARCH_PRECISION and a cover.ConfigurationError (nothing the audit
-can run on); 2 coverage failure or uncovered witness, a
-cover.DeficientCoverError included; 3 a broken refuter invariant,
+--gap-constant of at most 1 (whatever the verdict), line strategies
+with -m other than 2 and an unknown RAYSEARCH_PRECISION; 2 coverage
+failure or uncovered witness; 3 a broken refuter invariant,
 potential.AuditError or potential.InvalidAssignmentError; 141 (128 +
 SIGPIPE, as a shell reports a tool that a closed pipe stops) when the
 reader of stdout has gone, with nothing written to stderr.  Each of the
@@ -34,7 +33,6 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .cover import ConfigurationError, DeficientCoverError
 from .formulas import (
     CoverParams,
     InfeasibleRegime,
@@ -309,8 +307,6 @@ _FAILURES = (
     (NoFiniteHorizon, "no finite horizon", 1),
     (ValueError, "error", 1),
     (OSError, "error", 1),
-    (ConfigurationError, "configuration error", 1),
-    (DeficientCoverError, "deficient cover", 2),
     (AuditError, "audit failed", 3),
     (InvalidAssignmentError, "invalid assignment", 3),
 )

@@ -81,7 +81,8 @@ class ConfigurationError(Exception):
     pass
 
 
-def _require_ordered(intervals: Sequence[CoverInterval]) -> None:
+def _require_domain(intervals: Sequence[CoverInterval], hi: float) -> None:
+    _require_horizon(hi, "hi")
     for iv in intervals:
         if iv.left > iv.right:
             raise ValueError(f"empty cover interval {iv.left} > {iv.right}")
@@ -129,8 +130,7 @@ def verify_multicover(
     """None if every point of (1, hi] has multiplicity >= q, else the
     leftmost deficient segment, reported at its left end: 1 or a right
     end below hi.  Half-open intervals are read the same way."""
-    _require_horizon(hi)
-    _require_ordered(intervals)
+    _require_domain(intervals, hi)
     if q <= 0:
         return None
     for u, m in _multiplicity_scan(intervals):
@@ -156,8 +156,7 @@ def exact_q_assignment(
     its top once the sweep passes their right endpoint: O(log q) per
     closing, with no pass over the opened set at each endpoint.
     """
-    _require_horizon(hi)
-    _require_ordered(intervals)
+    _require_domain(intervals, hi)
     if q <= 0:
         return []
     out: list[AssignedInterval] = []

@@ -140,11 +140,9 @@ class CoverParams:
 
 
 def ratio_lower_bound(p: InstanceParams) -> float:
-    """Tight competitive ratio 2*(q^q / ((q-k)^(q-k) k^k))^(1/k) + 1."""
+    """Tight ratio 2*(q^q / ((q-k)^(q-k) k^k))^(1/k) + 1: mu = mu_critical(q-k, k)."""
     p.require_searchable()
-    q, k = p.q, p.k
-    root = _exp_of([(q / k, q), (-(q - k) / k, q - k), (-1.0, k)])
-    return 2.0 * root + 1.0
+    return 2.0 * mu_critical(p.s, p.k) + 1.0
 
 
 def optimal_alpha(p: InstanceParams) -> float:

@@ -48,10 +48,9 @@ from .cover import (
 )
 from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical
 from .strategy import (
-    RoundPlan,
     Strategy,
-    TurnSequence,
     _require_horizon,
+    _require_strategy_set,
     all_cover_intervals,
 )
 
@@ -167,8 +166,6 @@ def initial_state(
     p0 = max(max(first_seen.values()), last_boundary) + 1
     robots = sorted(first_seen)
     mult = p.s if mode == "line" else p.q
-    if mult < 1:
-        raise ConfigurationError(f"multiplicity {mult} < 1: nothing to audit")
     k_eff = len(robots)
     s_exp = mult if mode == "line" else mult - k_eff
     if s_exp < 1:
@@ -470,24 +467,15 @@ def refute(
     headroom_steps estimates how many more growth steps (hence how much
     more horizon) a contradiction needs.
 
-    The strategies must be p.k of the mode's kind: TurnSequences in line
-    mode, RoundPlans in orc mode; anything else raises ValueError, and so
-    does N below 1 or NaN.
+    The strategies must be p.k of the mode's kind (`_require_strategy_set`):
+    TurnSequences in line mode, on m = 2 only, or RoundPlans in orc mode,
+    whose rays the relaxation folds together, so it reads none; anything
+    else raises ValueError, and so does N below 1 or NaN.
     """
     _require_horizon(N)
     c = CoverParams(lam)
+    _require_strategy_set(strategies, p, mode)
     mult = p.s if mode == "line" else p.q
-    if mode == "line" and p.m != 2:
-        raise ValueError(f"line mode needs m=2, got m={p.m}")
-    if len(strategies) != p.k:
-        raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
-    kind = TurnSequence if mode == "line" else RoundPlan
-    for r, strat in enumerate(strategies):
-        if not isinstance(strat, kind):
-            raise ValueError(
-                f"{mode} mode needs {kind.__name__} strategies, "
-                f"robot {r} is a {type(strat).__name__}"
-            )
     params = {
         "m": p.m,
         "k": p.k,
@@ -498,8 +486,6 @@ def refute(
         "multiplicity": max(mult, 0),
     }
     covers = all_cover_intervals(strategies, c)
-    if mult <= 0:
-        return Verdict(kind="certificate", params=params, assignment=[])
     try:
         assigned = exact_q_assignment(covers, mult, N)
     except DeficientCoverError as exc:
@@ -507,8 +493,9 @@ def refute(
     try:
         trace = audit_growth(assigned, c, p, mode)
     except ConfigurationError:
-        # nothing to audit: in orc mode, a load exponent q - k < 1 or a
-        # robot with no interval past the base prefix (no next left end)
+        # nothing to audit: no assigned interval (a multiplicity of 0 or
+        # below assigns none), or in orc mode a load exponent q - k < 1 or
+        # a robot with no interval past the base prefix (no next left end)
         return Verdict(kind="certificate", params=params, assignment=assigned)
     headroom = None
     if trace.delta_bound is not None and trace.steps and trace.line_cap_log is not None:

@@ -21,10 +21,11 @@ and one at each other turn that is a candidate.  After one sort of a
 ray's items the sweep answers its targets in increasing x, keeping the
 robots' offsets in a sorted list of at most k floats: each record turn
 passed costs one removal and one insertion, and each target one lookup.
-The sweep takes one kind of strategy: a set that mixes RoundPlans and
-TurnSequences raises ValueError, and so does a RoundPlan that visits a
-ray past m.  `first_visit_time` and `detection_time` walk the rounds
-from scratch; they are the reference path the sweep is tested against.
+The sweep admits the sets that `strategy._require_strategy_set` does (p.k
+of one kind, line ones on m = 2 only); a RoundPlan that visits a ray past
+m is a ValueError too, found in the walk.  `first_visit_time` and
+`detection_time` walk the rounds from scratch; they are the reference
+path the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .formulas import InstanceParams
-from .strategy import RoundPlan, Strategy, TurnSequence, _require_horizon
+from .strategy import RoundPlan, Strategy, TurnSequence, _require_horizon, _require_strategy_set
 
 __all__ = [
     "Target",
@@ -164,12 +165,7 @@ def _sweep(
     the targets as (ray, x, just_above) and, for each, its ratio (None
     if undetected) or, with `visitors` set, its DetectionReport.
     """
-    if len(strategies) != p.k:
-        raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
-    if any(isinstance(s, RoundPlan) for s in strategies) and any(
-        isinstance(s, TurnSequence) for s in strategies
-    ):
-        raise ValueError("strategies mix RoundPlan and TurnSequence: give one kind")
+    _require_strategy_set(strategies, p)
     # per ray, (key, i, r, new) items: once x passes key, robot r's
     # first-visit offset 2*elapsed becomes new (None: no visit), or none
     # moves if r = -1; target i >= 0 is answered after its last item.

@@ -90,10 +90,37 @@ class CoverInterval(NamedTuple):
     right: float
 
 
-def _require_horizon(N: float) -> None:
-    """The horizon check of the queries up to N: N = inf passes, NaN fails."""
+def _require_horizon(N: float, name: str = "N") -> None:
+    """The check of a horizon N, as its caller names it: N = inf passes, NaN fails."""
     if not N >= 1.0:
-        raise ValueError(f"horizon N must be >= 1, got {N!r}")
+        raise ValueError(f"horizon {name} must be >= 1, got {N!r}")
+
+
+def _require_two_rays(p: InstanceParams) -> None:
+    if p.m != 2:
+        raise ValueError(f"line strategies need m=2, got m={p.m}")
+
+
+def _require_strategy_set(
+    strategies: Sequence[Strategy], p: InstanceParams, mode: str | None = None
+) -> None:
+    """ValueError unless there are p.k strategies of one kind, the mode's kind
+    if given ("line": TurnSequence, "orc": RoundPlan), line ones only on m = 2."""
+    if len(strategies) != p.k:
+        raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
+    line = any(isinstance(s, TurnSequence) for s in strategies)
+    if mode is not None:
+        kind = TurnSequence if mode == "line" else RoundPlan
+        for r, strat in enumerate(strategies):
+            if not isinstance(strat, kind):
+                raise ValueError(
+                    f"{mode} mode needs {kind.__name__} strategies, "
+                    f"robot {r} is a {type(strat).__name__}"
+                )
+    elif line and any(isinstance(s, RoundPlan) for s in strategies):
+        raise ValueError("strategies mix RoundPlan and TurnSequence: give one kind")
+    if line:
+        _require_two_rays(p)
 
 
 def _require_base_and_horizon(alpha: float, horizon: float) -> None:
@@ -152,8 +179,7 @@ def make_geometric_line_strategy(
     optimal alpha the cover intervals of all k robots tile every point of
     [1, horizon] exactly s = 2(f+1)-k times.
     """
-    if p.m != 2:
-        raise ValueError(f"line strategies need m=2, got m={p.m}")
+    _require_two_rays(p)
     p.require_searchable()
     _require_base_and_horizon(alpha, horizon)
     k, s = p.k, p.s

@@ -26,7 +26,6 @@ from raysearch import (
 )
 from raysearch import cli
 from raysearch.cli import BROKEN_PIPE_EXIT, build_parser, main
-from raysearch.cover import ConfigurationError, DeficientCoverError, Witness
 from raysearch.potential import AuditError, InvalidAssignmentError
 
 
@@ -153,6 +152,24 @@ class TestSimulate:
         assert err == (
             "raysearch: error: strategies mix RoundPlan and TurnSequence: give one kind\n"
         )
+
+    @pytest.mark.parametrize("rows", [None, "breakpoints", "dense"])
+    def test_line_file_needs_two_rays(self, capsys, tmp_path, rows):
+        # a line set read on three rays printed a two-ray sup beside the
+        # three-ray lambda0, and exited 0
+        strat = tmp_path / "line.txt"
+        strat.write_text("1 -2 4 -8 16 -32 64 -128 256 -512 1024 -2048\n")
+        csv = tmp_path / "sweep.csv"
+        extra = {None: [], "breakpoints": ["--csv", str(csv)],
+                 "dense": ["--csv", str(csv), "--dense"]}[rows]
+        code, out, err = run(
+            capsys,
+            "simulate", "-m", "3", "-k", "1", "-f", "0", "-N", "100",
+            "--strategy", str(strat), *extra,
+        )
+        assert (code, out) == (1, "")
+        assert err == "raysearch: error: line strategies need m=2, got m=3\n"
+        assert not csv.exists()
 
     @pytest.mark.parametrize("rows", [None, "breakpoints", "dense"])
     def test_round_past_m_is_rejected(self, capsys, tmp_path, rows):
@@ -583,8 +600,6 @@ class TestInvariantErrors:
     @pytest.mark.parametrize(
         "error, code, prefix",
         [
-            (ConfigurationError("no assigned intervals"), 1, "configuration error"),
-            (DeficientCoverError(Witness(3.5, 1, 2)), 2, "deficient cover"),
             (AuditError("step ratio 1.0 below growth factor 1.5"), 3, "audit failed"),
             (InvalidAssignmentError("interval is not next"), 3, "invalid assignment"),
         ],

@@ -111,9 +111,10 @@ class TestHorizon:
     @pytest.mark.parametrize("hi", [math.nan, 0.5, -math.inf])
     @pytest.mark.parametrize("entry", [verify_multicover, exact_q_assignment])
     def test_below_one_or_nan_is_rejected(self, entry, hi):
-        # unchecked, the doubling cover at lambda 9.5 reported a hole at 1
+        # unchecked, the doubling cover at lambda 9.5 reported a hole at 1;
+        # the message names the parameter as these entries call it, hi
         ivs = all_cover_intervals(_doubling_strategy(), CoverParams(9.5))
-        with pytest.raises(ValueError, match=rf"^horizon N must be >= 1, got {hi!r}$"):
+        with pytest.raises(ValueError, match=rf"^horizon hi must be >= 1, got {hi!r}$"):
             entry(ivs, 2, hi)
 
     @pytest.mark.parametrize("lam, hole", [(5.0, Witness(1.0, 1, 2)), (9.0, None)])
@@ -177,7 +178,7 @@ def test_assignment_preserves_exactness(spans):
     if hi < 1.0:
         # every span at or below 1: no horizon of the domain (1, hi]
         for entry in (verify_multicover, exact_q_assignment):
-            with pytest.raises(ValueError, match=r"^horizon N must be >= 1, got "):
+            with pytest.raises(ValueError, match=r"^horizon hi must be >= 1, got "):
                 entry(ivs, 1, hi)
         return
     probes = [1.0 + (hi - 1.0) * j / 37 for j in range(1, 37)]
@@ -276,7 +277,7 @@ def test_heap_sweep_matches_the_list_sweep(spans, q, copies, hi):
     if hi is None:
         hi = max(iv.right for iv in ivs)
     if hi < 1.0:
-        with pytest.raises(ValueError, match=r"^horizon N must be >= 1, got "):
+        with pytest.raises(ValueError, match=r"^horizon hi must be >= 1, got "):
             exact_q_assignment(ivs, q, hi)
         return
     got = _assignment_or_witness(exact_q_assignment, ivs, q, hi)
@@ -356,7 +357,7 @@ def test_scan_matches_the_point_check(spans, copies, q, hi):
     if hi is None:
         hi = max((iv.right for iv in ivs), default=2.0)
     if hi < 1.0:
-        with pytest.raises(ValueError, match=r"^horizon N must be >= 1, got "):
+        with pytest.raises(ValueError, match=r"^horizon hi must be >= 1, got "):
             verify_multicover(ivs, q, hi)
         return
     assert verify_multicover(ivs, q, hi) == _point_check_verify(ivs, q, hi)

@@ -17,6 +17,7 @@ from raysearch import (
     poly_max_point,
     ratio_lower_bound,
 )
+from raysearch.formulas import _exp_of
 
 
 class TestInstanceParams:
@@ -92,6 +93,15 @@ class TestGrowthQuantities:
         assert g(x) >= g(x - eps) - 1e-12
         assert g(x) >= g(x + eps) - 1e-12
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_slack_must_be_positive(self, mu):
+        # mu = 0 is the boundary: delta divides by mu^k, and the maximizer
+        # of x^s (0 - x)^k on (0, 0) does not exist
+        with pytest.raises(ValueError, match=rf"^mu must be positive, got {mu}$"):
+            growth_factor_delta(1, 1, mu)
+        with pytest.raises(ValueError, match=rf"^mu_star must be positive, got {mu}$"):
+            poly_max_point(1, 1, mu)
+
     def test_delta_crosses_one_at_mu_critical(self):
         for s, k in [(1, 1), (1, 3), (3, 2)]:
             mc = mu_critical(s, k)
@@ -127,11 +137,40 @@ class TestHorizonEstimate:
         with pytest.raises(ValueError):
             horizon_estimate(doubling, 8.0, C=3.0)
 
+    @pytest.mark.parametrize("mkf", [(2, 1, 0), (3, 1, 0), (2, 3, 1)])
+    def test_the_tight_bound_itself_has_no_horizon(self, mkf):
+        p = InstanceParams(*mkf)
+        with pytest.raises(NoFiniteHorizon, match="tight bound"):
+            horizon_estimate(p, ratio_lower_bound(p), C=100.0)
+
+    def test_a_growth_factor_that_rounds_to_one_has_no_horizon(self):
+        # 14.5 is lambda0 of m = 3, k = 1 in exact arithmetic, one ulp below
+        # its binary64 value; delta rounds to 1 there, and the step count
+        # would divide by log(delta) = 0
+        with pytest.raises(NoFiniteHorizon):
+            horizon_estimate(InstanceParams(3, 1, 0), 14.5, C=100.0)
+
+    def test_gap_constant_equal_to_mu_is_rejected(self, doubling):
+        with pytest.raises(ValueError, match=r"^need C > mu, got C=3.5, mu=3.5$"):
+            horizon_estimate(doubling, 8.0, C=3.5)
+
+    def test_the_largest_finite_horizon_is_finite(self):
+        # 32 steps (mu = 1, delta = 4) of this C, just below 2^32, sum to
+        # log(N) = log of the largest float exactly: N is finite, not inf
+        N = horizon_estimate(InstanceParams(2, 1, 0), 3.0, 4294967295.9999895)
+        assert N == pytest.approx(sys.float_info.max, rel=1e-12)
+        assert math.isfinite(N)
+
     def test_overflow_reports_infinity(self, three_robot):
         lam0 = ratio_lower_bound(three_robot)
         C = optimal_alpha(three_robot) ** (2 * 2 * 3)
         N = horizon_estimate(three_robot, 0.999 * lam0, C)
         assert N == math.inf
+
+
+def test_the_log_of_the_largest_float_is_finite():
+    # the overflow cut sits above log(max float), not at it
+    assert _exp_of([(1.0, sys.float_info.max)]) == pytest.approx(sys.float_info.max, rel=1e-12)
 
 
 class TestCoverParams:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from raysearch import (
     FractionalInstance,
     InstanceParams,
+    Rationalization,
     fractional_ratio,
     rationalize_weights,
     ratio_lower_bound,
@@ -24,7 +25,7 @@ class TestFractionalRatio:
 
     def test_rejects_eta_at_most_one(self):
         for eta in (1.0, 0.5, 0.0):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=rf"^eta must exceed 1, got {eta}$"):
                 fractional_ratio(eta)
 
     @given(st.floats(1.01, 40.0))
@@ -37,6 +38,12 @@ class TestFractionalInstance:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             FractionalInstance((0.5, 0.4), 2.0, 0.1)
+
+    @pytest.mark.parametrize("weights", [(0.0, 1.0), (-0.5, 1.5)])
+    def test_weights_must_be_positive(self, weights):
+        # a zero weight sums to 1 with the rest, and is still no robot
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            FractionalInstance(weights, 2.0, 0.1)
 
     def test_eta_strictly_above_one(self):
         with pytest.raises(ValueError):
@@ -68,5 +75,18 @@ class TestRationalization:
 
     def test_impossible_bracket_reports_error(self):
         inst = FractionalInstance((1e-9, 1.0 - 1e-9), 1.5, 0.0)
-        with pytest.raises(ValueError):
+        # the message names the tightest bracket, the smallest weight's
+        with pytest.raises(ValueError, match=r"\(weight 1e-09, eta 1.5, delta 0.0\)$"):
             rationalize_weights(inst, cap=100)
+
+    def test_the_cap_is_the_last_denominator_tried(self):
+        inst = FractionalInstance((0.5, 0.5), 2.0, 0.0)
+        assert rationalize_weights(inst, cap=4).q == 4
+        with pytest.raises(ValueError, match="^no denominator up to 3 fits"):
+            rationalize_weights(inst, cap=3)
+
+    def test_a_count_at_the_top_of_its_bracket_fits(self):
+        # 1/3 is exactly low + delta + 1e-12 for low = 1/4 in binary64: the
+        # bracket holds its top, so q = 3 fits before q = 4
+        inst = FractionalInstance((0.5, 0.5), 2.0, 0.08333333333233332)
+        assert rationalize_weights(inst) == Rationalization(3, (1, 1))

@@ -12,6 +12,7 @@ from raysearch import (
     InstanceParams,
     InvalidAssignmentError,
     RoundPlan,
+    TurnSequence,
     advance,
     all_cover_intervals,
     audit_growth,
@@ -132,6 +133,19 @@ class TestInitialState:
         ]
         assert state.stream[0][2] == 2.0
         assert state.values == [1.5, rest[0].left]
+
+    def test_values_follow_the_robot_index(self):
+        # robot 1 is seen first, but each robot's slot follows its index:
+        # the fresh potential sums the terms in `values` order
+        assigned = [
+            AssignedInterval(1, 0, 0.5, 1.0, 0.5),
+            AssignedInterval(0, 0, 0.6, 2.0, 0.6),
+            AssignedInterval(1, 1, 1.0, 3.0, 1.0),
+            AssignedInterval(0, 1, 2.0, 4.0, 2.0),
+        ]
+        state = initial_state(assigned, InstanceParams(2, 3, 1), "line")
+        assert state.slot == {0: 0, 1: 1}
+        assert state.values == [1.0, 0.5]
 
 
 @settings(max_examples=300, deadline=None)
@@ -609,8 +623,6 @@ class TestRefute:
 
     def test_trivial_multiplicity_certifies(self):
         # k = q robots cover everything straight out: s = 0 in line mode.
-        from raysearch import TurnSequence
-
         p = InstanceParams(2, 2, 0)
         strat = [
             TurnSequence((100.0,)),
@@ -618,12 +630,13 @@ class TestRefute:
         ]
         v = refute(strat, 3.0, p, 1e2, mode="line")
         assert v.kind == "certificate"
-        assert v.trace is None
+        assert v.trace is None and v.assignment == []
 
     def test_line_mode_needs_two_rays(self):
+        # line strategies on three rays: the simulator's rule and message
         p = InstanceParams(3, 2, 0)
-        strat = make_exponential_strategy(p, optimal_alpha(p), 1e2)
-        with pytest.raises(ValueError):
+        strat = [TurnSequence((1.0, 2.0, 4.0)), TurnSequence((2.0, 4.0, 8.0))]
+        with pytest.raises(ValueError, match=r"^line strategies need m=2, got m=3$"):
             refute(strat, 20.0, p, 1e2, mode="line")
 
     def test_headroom_reported_below_bound(self):

@@ -15,6 +15,7 @@ from raysearch import (
     detection_time,
     first_visit_time,
     make_exponential_strategy,
+    make_geometric_line_strategy,
     optimal_alpha,
     sweep_rows,
     worst_ratio,
@@ -333,6 +334,17 @@ class TestIndexMatchesReference:
         p = InstanceParams(3, 2, 0)
         strategies = [RoundPlan(((3, 2.0),)), TurnSequence((4.0, 4.0))]
         _assert_mixed_set_rejected(strategies, p, 10.0)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_line_set_needs_two_rays(self, m):
+        # a line set on m = 3 used to be swept on two rays, and the CLI
+        # printed the 3-ray bound beside that sup
+        p = InstanceParams(m, 1, 0)
+        strategies = [TurnSequence(tuple(2.0**i for i in range(12)))]
+        message = f"line strategies need m=2, got m={m}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_geometric_line_strategy(p, 2.0, 100.0)
+        _assert_rejected(strategies, p, 100.0, message)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_instances("orc"), _instances("line")))

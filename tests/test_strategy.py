@@ -16,7 +16,9 @@ from raysearch import (
     make_exponential_strategy,
     make_geometric_line_strategy,
     optimal_alpha,
+    ratio_lower_bound,
     save_strategies,
+    worst_ratio,
 )
 
 
@@ -43,6 +45,14 @@ class TestExponentialGenerator:
                 for lo, hi in zip(turns, turns[1:]):
                     assert hi / lo == pytest.approx(alpha**6, rel=1e-12)
 
+    @pytest.mark.parametrize("N, exponents", [(7.9, range(-1, 7)), (8.0, range(-1, 9))])
+    def test_stops_after_a_cycle_whose_windows_start_past_the_horizon(self, doubling, N, exponents):
+        # a window starts at alpha^(exponent - q); at N = 8 = 2^3 the cycle
+        # with exponents 5, 6 has a window starting at N itself, so it is
+        # not yet past N and one more cycle follows
+        (plan,) = make_exponential_strategy(doubling, 2.0, N)
+        assert [round(math.log2(turn)) for _, turn in plan.rounds] == list(exponents)
+
     def test_reaches_horizon_on_every_ray(self, three_robot):
         N = 1e3
         plans = make_exponential_strategy(three_robot, optimal_alpha(three_robot), N)
@@ -52,6 +62,20 @@ class TestExponentialGenerator:
                 best[ray] = max(best.get(ray, 0.0), turn)
         assert set(best) == {1, 2}
         assert all(v >= N for v in best.values())
+
+
+@pytest.mark.parametrize(
+    "make", [make_exponential_strategy, make_geometric_line_strategy]
+)
+def test_generators_take_a_horizon_of_one_and_no_less(make):
+    # [1, 1] is a horizon: every robot gets turns, and the set sweeps at 1
+    p = InstanceParams(2, 3, 1)
+    strategies = make(p, optimal_alpha(p), 1.0)
+    assert len(strategies) == 3
+    assert worst_ratio(strategies, p, 1.0)[0] < ratio_lower_bound(p)
+    for horizon in (math.nextafter(1.0, 0.0), math.inf, math.nan):
+        with pytest.raises(ValueError, match="^horizon must be finite and >= 1, got "):
+            make(p, optimal_alpha(p), horizon)
 
 
 @pytest.mark.parametrize(
@@ -75,9 +99,17 @@ class TestLineGenerator:
             for lo, hi in zip(t.turns, t.turns[1:]):
                 assert hi / lo == pytest.approx(alpha**3, rel=1e-12)
 
+    @pytest.mark.parametrize("mkf", [(2, 1, 0), (2, 3, 1), (2, 4, 2)])
+    @pytest.mark.parametrize("N", [1.0, 10.0, 1e4])
+    def test_every_robot_reaches_the_horizon_on_both_sides(self, mkf, N):
+        p = InstanceParams(*mkf)
+        for t in make_geometric_line_strategy(p, optimal_alpha(p) ** 0.9, N):
+            for side in (1, -1):
+                assert max(x for i, x in enumerate(t.turns) if t.side(i) == side) >= N
+
     def test_requires_two_rays(self):
         p = InstanceParams(3, 2, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^line strategies need m=2, got m=3$"):
             make_geometric_line_strategy(p, optimal_alpha(p), 100.0)
 
 
@@ -138,6 +170,12 @@ class TestCoverIntervals:
             (2.0, 4.0),
             (4.0, 8.0),
         ]
+
+    def test_a_turn_that_covers_only_itself_gives_a_point(self):
+        # at mu = 1, a turn whose prefix sum equals it covers [t, t] alone
+        plan = RoundPlan(((1, 2.0), (2, 2.0)))
+        assert cover_intervals(plan, CoverParams(3.0)) == [(0, 0, 0.0, 2.0), (0, 1, 2.0, 2.0)]
+        assert cover_intervals(TurnSequence((2.0,)), CoverParams(3.0)) == [(0, 0, 2.0, 2.0)]
 
     def test_interval_is_a_plain_tuple(self):
         (iv,) = cover_intervals(RoundPlan(((2, 4.0),)), CoverParams(5.0), robot=3)
