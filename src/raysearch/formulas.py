@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
     "InstanceParams",
@@ -58,10 +59,14 @@ def _extended() -> bool:
     return value == "extended"
 
 
-def _exp_of(log_terms: list[tuple[float, float]]) -> float:
-    """exp(sum of coeff*log(base)) with optional extended precision.
+def _exp_of(
+    log_terms: Iterable[tuple[float, float]], log1p_terms: Iterable[tuple[float, float]] = ()
+) -> float:
+    """exp(sum of coeff*log(base) + sum of coeff*log1p(x)) with optional
+    extended precision; inf where it overflows.
 
-    log_terms: list of (coeff, base) pairs, base > 0.
+    log_terms: list of (coeff, base) pairs, base > 0; log1p_terms: list
+    of (coeff, x) pairs, x > -1.
     """
     if _extended():
         try:
@@ -73,10 +78,14 @@ def _exp_of(log_terms: list[tuple[float, float]]) -> float:
             acc = mpmath.mpf(0)
             for coeff, base in log_terms:
                 acc += mpmath.mpf(coeff) * mpmath.log(mpmath.mpf(base))
+            for coeff, x in log1p_terms:
+                acc += mpmath.mpf(coeff) * mpmath.log1p(mpmath.mpf(x))
             return float(mpmath.e**acc)
     acc = 0.0
     for coeff, base in log_terms:
         acc += coeff * math.log(base)
+    for coeff, x in log1p_terms:
+        acc += coeff * math.log1p(x)
     if acc > _LOG_FLOAT_MAX:
         return math.inf
     return math.exp(acc)

@@ -5,6 +5,11 @@ cover every point with robots of total weight eta > 1, counting repeat
 coverings only after returns to the origin.  Its tight ratio has the same
 shape as the integer bound; the bridge between the two is a
 rationalization of the weights to k_i/q brackets.
+
+`rationalize_weights` finds the smallest such q by trying only the q in
+the windows [k/top, k/low], k = 1, 2, ..., of the bracket with the
+smallest low end: about low*Q windows for an answer Q, in place of
+every q up to Q.
 """
 
 from __future__ import annotations
@@ -33,15 +38,13 @@ class FractionalInstance:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("need at least one weight")
-        if any(w <= 0.0 for w in self.weights):
+        if any(not w > 0.0 for w in self.weights):  # NaN fails it too
             raise ValueError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
-        if not self.eta > 1.0:
-            raise ValueError(
-                f"eta must exceed 1 (a single full-weight robot already "
-                f"achieves ratio 1 at eta = 1), got {self.eta}"
-            )
+        _require_eta(
+            self.eta, " (a single full-weight robot already achieves ratio 1 at eta = 1)"
+        )
         if not self.delta_rat >= 0.0:
             raise ValueError(f"rationalization slack must be >= 0, got {self.delta_rat}")
 
@@ -56,11 +59,28 @@ class Rationalization:
         return sum(self.counts)
 
 
-def fractional_ratio(eta: float) -> float:
-    """Tight fractional ratio 2*eta^eta/(eta-1)^(eta-1) + 1, eta > 1."""
+def _require_eta(eta: float, why: str = "") -> None:
     if not eta > 1.0:
-        raise ValueError(f"eta must exceed 1, got {eta}")
-    return 2.0 * _exp_of([(eta, eta), (-(eta - 1.0), eta - 1.0)]) + 1.0
+        raise ValueError(f"eta must exceed 1{why}, got {eta}")
+    if eta == math.inf:
+        raise ValueError(f"eta must be finite, got {eta}")
+
+
+def fractional_ratio(eta: float) -> float:
+    """Tight fractional ratio 2*eta^eta/(eta-1)^(eta-1) + 1 for finite
+    eta > 1; inf where it overflows binary64 (eta above about 3.3e307).
+
+    Taken as 2*eta*exp((eta-1)*log1p(1/(eta-1))) + 1: the difference
+    eta*log(eta) - (eta-1)*log(eta-1) cancels as eta grows, and the
+    exponent stays below 1, so exp adds no error of its own.
+    """
+    _require_eta(eta)
+    return 2.0 * eta * _exp_of([], [(eta - 1.0, 1.0 / (eta - 1.0))]) + 1.0
+
+
+# Relative widening of each window of q, past the rounding of the
+# bracket test's float products and quotients (a few 1e-16).
+_WIDEN = 1e-9
 
 
 def rationalize_weights(
@@ -68,22 +88,47 @@ def rationalize_weights(
 ) -> Rationalization:
     """Smallest denominator q with integers k_i/q inside every weight bracket.
 
-    Bracket i is [w_i/eta, w_i/eta + delta].  The search is exhaustive up
-    to `cap`; on failure the error reports the tightest bracket.
+    Bracket i is [w_i/eta, w_i/eta + delta], and q fits it when
+    k_i = ceil(low_i*q - 1e-12) is at least 1 and k_i/q <= low_i + delta
+    + 1e-12.  For k = 1, 2, ... the bracket with the smallest low end
+    holds k/q only for q in [k/top, k/low], each end widened by `_WIDEN`;
+    the q of those windows are tried in increasing order, each once, on
+    every bracket.  The search is exhaustive up to `cap`; on failure the
+    error reports the tightest bracket.
     """
+    delta = inst.delta_rat
     lows = [w / inst.eta for w in inst.weights]
-    for q in range(1, cap + 1):
-        counts: list[int] = []
-        for low in lows:
-            k_i = math.ceil(low * q - 1e-12)
-            if k_i < 1 or k_i / q > low + inst.delta_rat + 1e-12:
+    brackets = [(low_i, low_i + delta + 1e-12) for low_i in lows]
+    low = min(lows)
+    # a low end that underflows to 0 has no k_i >= 1: no q fits
+    if low > 0.0:
+        # window k is [ceil(k*first_of), floor(k*last_of)], clamped to cap
+        first_of = (1.0 - _WIDEN) / (low + delta + 1e-12)
+        last_of = (1.0 + _WIDEN) / low
+        untried, k = 1, 0  # every q below `untried` failed or lies in no window
+        while True:
+            k += 1
+            first = math.ceil(k * first_of)
+            if first < untried:
+                first = untried
+            if first > cap:
                 break
-            counts.append(k_i)
-        else:
-            return Rationalization(q, tuple(counts))
-    tightest = min(range(len(lows)), key=lambda i: lows[i])
+            end = k * last_of
+            last = cap if end >= cap else math.floor(end)
+            for q in range(first, last + 1):
+                counts: list[int] = []
+                for low_i, top_i in brackets:
+                    k_i = math.ceil(low_i * q - 1e-12)
+                    if k_i < 1 or k_i / q > top_i:
+                        break
+                    counts.append(k_i)
+                else:
+                    return Rationalization(q, tuple(counts))
+            if last >= untried:
+                untried = last + 1
+    tightest = lows.index(low)
     raise ValueError(
         f"no denominator up to {cap} fits bracket "
-        f"[{lows[tightest]}, {lows[tightest] + inst.delta_rat}] "
-        f"(weight {inst.weights[tightest]}, eta {inst.eta}, delta {inst.delta_rat})"
+        f"[{low}, {low + delta}] "
+        f"(weight {inst.weights[tightest]}, eta {inst.eta}, delta {delta})"
     )

@@ -469,8 +469,8 @@ def refute(
 
     The strategies must be p.k of the mode's kind (`_require_strategy_set`):
     TurnSequences in line mode, on m = 2 only, or RoundPlans in orc mode,
-    whose rays the relaxation folds together, so it reads none; anything
-    else raises ValueError, and so does N below 1 or NaN.
+    on rays 1..m, which the relaxation then folds together; anything else
+    raises ValueError, and so does N below 1 or NaN.
     """
     _require_horizon(N)
     c = CoverParams(lam)

@@ -38,7 +38,14 @@ from operator import itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .formulas import InstanceParams
-from .strategy import RoundPlan, Strategy, TurnSequence, _require_horizon, _require_strategy_set
+from .strategy import (
+    RoundPlan,
+    Strategy,
+    TurnSequence,
+    _ray_past_m,
+    _require_horizon,
+    _require_strategy_set,
+)
 
 __all__ = [
     "Target",
@@ -187,7 +194,7 @@ def _sweep(
             try:
                 evs = items[ray]
             except KeyError:
-                raise ValueError(f"robot {r} visits ray {ray}, past m = {p.m}") from None
+                raise _ray_past_m(r, ray, p) from None
             i = index.setdefault(leg, n + len(index)) if 1.0 <= turn < N else -1
             top, j = last.get(ray, (0.0, -1))
             if turn > top:

@@ -101,11 +101,17 @@ def _require_two_rays(p: InstanceParams) -> None:
         raise ValueError(f"line strategies need m=2, got m={p.m}")
 
 
+def _ray_past_m(r: int, ray: int, p: InstanceParams) -> ValueError:
+    return ValueError(f"robot {r} visits ray {ray}, past m = {p.m}")
+
+
 def _require_strategy_set(
     strategies: Sequence[Strategy], p: InstanceParams, mode: str | None = None
 ) -> None:
     """ValueError unless there are p.k strategies of one kind, the mode's kind
-    if given ("line": TurnSequence, "orc": RoundPlan), line ones only on m = 2."""
+    if given ("line": TurnSequence, "orc": RoundPlan), line ones only on m = 2,
+    and in orc mode no round on a ray past m (the sweep finds those in its
+    walk)."""
     if len(strategies) != p.k:
         raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
     line = any(isinstance(s, TurnSequence) for s in strategies)
@@ -117,6 +123,12 @@ def _require_strategy_set(
                     f"{mode} mode needs {kind.__name__} strategies, "
                     f"robot {r} is a {type(strat).__name__}"
                 )
+        if mode == "orc":
+            for r, strat in enumerate(strategies):
+                # one max in C per robot; the walk only finds the ray to name
+                if strat.rounds and max(strat.rounds)[0] > p.m:
+                    ray = next(ray for ray, _ in strat.rounds if ray > p.m)
+                    raise _ray_past_m(r, ray, p)
     elif line and any(isinstance(s, RoundPlan) for s in strategies):
         raise ValueError("strategies mix RoundPlan and TurnSequence: give one kind")
     if line:

@@ -246,6 +246,21 @@ class TestRefute:
         steps = [int(line.split(",")[0]) for line in lines[2:]]
         assert steps == list(range(doc["audit"]["steps"]))
 
+    def test_round_past_m_is_rejected(self, capsys, tmp_path):
+        # refute certified this plan, whose sixth round is on ray 5 of two,
+        # while simulate rejected it
+        strat = tmp_path / "past.txt"
+        strat.write_text("1:1 2:2 1:4 2:8 1:16 5:32 1:64 2:128 1:256 2:512 1:1024 2:2048\n")
+        outs = {flag: tmp_path / f"{flag}.out" for flag in ("--trace", "--assignment", "--json")}
+        for cmd in ("simulate", "refute"):
+            argv = [cmd, "-m", "2", "-k", "1", "-f", "0", "-N", "1e3", "--strategy", str(strat)]
+            if cmd == "refute":
+                argv += ["--lam", "9.5"] + [str(a) for item in outs.items() for a in item]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == "raysearch: error: robot 0 visits ray 5, past m = 2\n"
+        assert not any(path.exists() for path in outs.values())
+
     def test_failure_exits_two(self, capsys):
         code, out, _ = run(
             capsys,

@@ -639,6 +639,20 @@ class TestRefute:
         with pytest.raises(ValueError, match=r"^line strategies need m=2, got m=3$"):
             refute(strat, 20.0, p, 1e2, mode="line")
 
+    def test_orc_mode_checks_rays(self):
+        # the relaxation folds the rays, but a plan on rays past m is no
+        # strategy on m rays: the simulator's rule and message, robot by
+        # robot and round by round
+        p = InstanceParams(2, 2, 0)
+        good = RoundPlan(tuple((1 + i % 2, 2.0**i) for i in range(12)))
+        bad = RoundPlan(good.rounds[:5] + ((4, 32.0), (3, 64.0)) + good.rounds[7:])
+        with pytest.raises(ValueError, match=r"^robot 1 visits ray 4, past m = 2$"):
+            refute([good, bad], 9.5, p, 1e3)
+        with pytest.raises(ValueError, match=r"^robot 1 visits ray 4, past m = 2$"):
+            worst_ratio([good, bad], p, 1e3)
+        # ray m itself is on the line
+        assert refute([good, good], 9.5, InstanceParams(2, 2, 0), 1e3).kind == "certificate"
+
     def test_headroom_reported_below_bound(self):
         # A subcritical line-mode certificate is provisional: the verdict
         # says how many more growth steps would burst the potential cap.
