@@ -85,6 +85,11 @@ def _finite(text: str) -> float:
     return value
 
 
+def _json_value(value):
+    """value, or None for a non-finite float: JSON has no inf or NaN."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _instance(args) -> InstanceParams:
     # -m, -k and -f default to None, so that `bound --eta` can tell them given
     return InstanceParams(
@@ -102,7 +107,7 @@ def cmd_bound(args) -> int:
             raise ValueError("--eta and -m/-k/-f are exclusive: C(eta) depends on eta alone")
         value = fractional_ratio(args.eta)
         if args.json:
-            print(json.dumps({"eta": args.eta, "ratio": value}, sort_keys=True))
+            print(json.dumps({"eta": args.eta, "ratio": _json_value(value)}, sort_keys=True))
         else:
             print(f"C(eta={args.eta}) = {value:.10g}")
         return 0
@@ -122,7 +127,7 @@ def cmd_bound(args) -> int:
     if args.lam is not None:
         row["delta"] = growth_factor_delta(p.s, p.k, CoverParams(args.lam).mu)
     if args.json:
-        print(json.dumps(row, sort_keys=True))
+        print(json.dumps({k: _json_value(v) for k, v in row.items()}, sort_keys=True))
     else:
         print(f"m={p.m} k={p.k} f={p.f}  q={p.q} s={p.s} rho={p.rho:.6g}")
         print(f"lambda0 = {lam0:.10g}")
@@ -190,7 +195,7 @@ def cmd_simulate(args) -> int:
     except (TrivialRegime, InfeasibleRegime):
         lam0 = None
     summary = {
-        "sup_ratio": sup if math.isfinite(sup) else None,
+        "sup_ratio": _json_value(sup),
         "covered": math.isfinite(sup),
         "witness": {"ray": witness.ray, "x": witness.x},
         "lambda0": lam0,

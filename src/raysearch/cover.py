@@ -15,9 +15,9 @@ half-open assigned intervals (t', t], t'' <= t' < t, so that every point
 of (1, hi] is covered *exactly* q times.  Truncation keeps waiting the
 intervals with the largest right endpoints (they keep contributing
 farther right); skipped intervals disappear entirely.  The waiting and
-the opened intervals live in two heaps keyed by right endpoint; an
-opened interval closes from the top of its heap once the sweep passes
-its right endpoint, so no endpoint rescans the opened set.
+the opened intervals live in two heaps keyed by right endpoint; the
+sweep stops at 1 and at each closing, the top of the opened heap, since
+coverage can fall nowhere else.
 
 Intervals whose right endpoint sits at or below the floor 1 are kept
 untruncated: they carry their turning distance into the robot loads
@@ -35,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .strategy import CoverInterval, _require_horizon
@@ -146,15 +147,15 @@ def exact_q_assignment(
 ) -> list[AssignedInterval]:
     """Truncate a >= q-fold cover of (1, hi] to exact multiplicity q.
 
-    The sweep is also the cover check.  On each segment (u, v) between
-    consecutive endpoints, the opened intervals plus the unexpired
-    available ones are exactly those with left <= u and right >= v, so
-    their count is the segment multiplicity `verify_multicover` reports.
-    When it falls short of q, DeficientCoverError carries the same
-    leftmost witness.
-    The opened intervals live in a heap by right endpoint and close from
-    its top once the sweep passes their right endpoint: O(log q) per
-    closing, with no pass over the opened set at each endpoint.
+    The sweep is also the cover check.  It stops at u = 1 and then only
+    where an opened interval closes, below hi: coverage falls nowhere
+    else.  At a stop, the opened and the unexpired available intervals
+    are those with left <= u < right, so their count is the multiplicity
+    `verify_multicover` reports just above u, and a shortfall raises
+    DeficientCoverError with the same leftmost witness.  Otherwise the
+    available intervals with the smallest right ends open, at t' = u.
+    Equal (left, robot, round_index) keys, which need a repeated
+    (robot, round_index), come in no specified order.
     """
     _require_domain(intervals, hi)
     if q <= 0:
@@ -166,40 +167,34 @@ def exact_q_assignment(
     for iv in intervals:
         if iv.right <= 1.0:
             if iv.left < iv.right:
-                out.append(
-                    AssignedInterval(iv.robot, iv.round_index, iv.left, iv.right, iv.left)
-                )
+                out.append(AssignedInterval(*iv, iv.left))  # kept whole: t' = t''
         elif iv.left <= 1.0 or iv.left < hi:  # opens at a u that is 1 or below hi
             pool.append(iv)
-    pool.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
+    pool.sort(key=itemgetter(2, 0, 1))  # (left, robot, round_index)
 
-    mids = sorted({v for iv in pool for v in (iv.left, iv.right) if 1.0 < v < hi})
-    points = [1.0] + mids + [hi]
     nxt = 0  # next pool interval to become available
     # available but not yet opened, as a heap of (right, robot, round, pool
-    # index); expired entries (right < v) are dropped when they reach the top
+    # index); expired entries (right <= u) are dropped when they reach the top
     avail: list[tuple[float, int, int, int]] = []
-    # opened, as a heap of (right, robot, round, pool index, t'); an interval
-    # closes when it reaches the top with right < v; t' is where it opened
-    opened: list[tuple[float, int, int, int, float]] = []
-    for u, v in zip(points, points[1:]):
+    opened: list[float] = []  # heap of the opened intervals' right ends
+    u = 1.0
+    while True:
         while nxt < len(pool) and pool[nxt].left <= u:
             iv = pool[nxt]
             heappush(avail, (iv.right, iv.robot, iv.round_index, nxt))
             nxt += 1
-        while opened and opened[0][0] < v:
-            right, robot, rnd, i, t_prime = heappop(opened)
-            out.append(AssignedInterval(robot, rnd, t_prime, right, pool[i].left))
+        while opened and opened[0] <= u:  # the others that close at u
+            heappop(opened)
+        while avail and avail[0][0] <= u:
+            heappop(avail)
         need = q - len(opened)
-        if need > 0:
-            while avail and avail[0][0] < v:
-                heappop(avail)
-            if len(avail) < need:
-                raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
-            for _ in range(need):
-                heappush(opened, (*heappop(avail), u))
-    for right, robot, rnd, i, t_prime in opened:
-        out.append(AssignedInterval(robot, rnd, t_prime, right, pool[i].left))
-    out.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
-    return out
-
+        if len(avail) < need:
+            raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
+        for _ in range(need):
+            right, robot, rnd, i = heappop(avail)
+            heappush(opened, right)
+            out.append(AssignedInterval(robot, rnd, u, right, pool[i].left))
+        u = heappop(opened)  # the next closing
+        if u >= hi:
+            out.sort(key=itemgetter(2, 0, 1))
+            return out

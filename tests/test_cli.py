@@ -35,6 +35,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """json.loads that rejects Infinity, -Infinity and NaN, which are not JSON."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def call(*argv):
     """main(argv) with stdout and stderr of its own: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -88,6 +97,28 @@ class TestBound:
         assert code == 0
         assert json.loads(out)["ratio"] == pytest.approx(9.0)
 
+    # C(1e308) and delta at lambda just above 1 overflow to inf
+    _NON_FINITE = [
+        (("--eta", "1e308"), "ratio", "C(eta=1e+308) = inf"),
+        (
+            ("-m", "2", "-k", "200", "-f", "150", "--lam", "1.0000001"),
+            "delta",
+            "delta(1.0000001) = inf",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, key, _", _NON_FINITE, ids=["eta", "delta"])
+    def test_non_finite_json_is_null(self, capsys, argv, key, _):
+        code, out, _ = run(capsys, "bound", *argv, "--json")
+        assert code == 0
+        assert strict_json(out)[key] is None
+
+    @pytest.mark.parametrize("argv, _, line", _NON_FINITE, ids=["eta", "delta"])
+    def test_non_finite_text_is_inf(self, capsys, argv, _, line):
+        code, out, _ = run(capsys, "bound", *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == line
+
     def test_infeasible_exits_one(self, capsys):
         code, _, err = run(capsys, "bound", "-m", "2", "-k", "1", "-f", "1")
         assert code == 1
@@ -134,7 +165,8 @@ class TestSimulate:
             "--strategy", str(strat),
         )
         assert code == 2
-        assert json.loads(out)["covered"] is False
+        doc = strict_json(out)
+        assert doc["covered"] is False and doc["sup_ratio"] is None
 
     @pytest.mark.parametrize("csv", [False, True])
     def test_mixed_strategy_file_is_rejected(self, capsys, tmp_path, csv):

@@ -197,8 +197,9 @@ def test_assignment_preserves_exactness(spans):
 
 
 def _list_assignment(intervals, q, hi):
-    """exact_q_assignment with its opened intervals in a list that is
-    rebuilt at every endpoint: the slow reference for the heap."""
+    """exact_q_assignment as it was before it stopped only at closings: it
+    walks every endpoint in (1, hi), and rebuilds its opened intervals in
+    a list at each one.  The slow reference for the closing sweep."""
     if q <= 0:
         return []
     out = []
@@ -287,6 +288,108 @@ def test_heap_sweep_matches_the_list_sweep(spans, q, copies, hi):
         keys = [(iv.left, iv.robot, iv.round_index) for iv in got]
         assert keys == sorted(keys)
         assert all(iv.cover_left <= iv.left < iv.right for iv in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_GRID_ENDPOINT, _GRID_ENDPOINT), min_size=1, max_size=16),
+    st.integers(1, 4),
+    st.one_of(st.none(), st.sampled_from([1.0, 2.0, 5.0, math.inf])),
+)
+def test_repeated_keys_give_the_same_multiset(spans, q, hi):
+    # two robots, two rounds each: most keys repeat, and intervals with
+    # one key may open at one point, where their order is not specified;
+    # the witness is the same, or the same multiset in stream order
+    ivs = [
+        civ(min(a, b), max(a, b), robot=i % 2, idx=i // 2 % 2)
+        for i, (a, b) in enumerate(spans * 2)
+    ]
+    if hi is None:
+        hi = max(1.0, max(iv.right for iv in ivs))
+    got = _assignment_or_witness(exact_q_assignment, ivs, q, hi)
+    want = _assignment_or_witness(_list_assignment, ivs, q, hi)
+    if isinstance(want, list):
+        keys = [(iv.left, iv.robot, iv.round_index) for iv in got]
+        assert sorted(got) == sorted(want) and keys == sorted(keys)
+    else:
+        assert got == want
+
+
+class TestClosingStops:
+    # the sweep stops at 1 and at each closing below hi; these inputs put a
+    # stop where a left end, several closings, a dead interval or hi meet it
+    @staticmethod
+    def _both(ivs, q, hi):
+        got = _assignment_or_witness(exact_q_assignment, ivs, q, hi)
+        assert got == _assignment_or_witness(_list_assignment, ivs, q, hi)
+        if isinstance(got, Witness):
+            assert verify_multicover(ivs, q, hi) == got
+        else:
+            assert verify_multicover(ivs, q, hi) is None
+        return got
+
+    def test_deficiency_at_a_closing_that_is_also_a_left_end(self):
+        # three folds close at 2, where the only fresh interval starts:
+        # the multiplicity just above 2 is 1, and it counts that interval
+        ivs = [civ(1.0, 2.0, robot=r) for r in range(3)] + [civ(2.0, 5.0, robot=3)]
+        assert self._both(ivs, 3, 5.0) == Witness(2.0, 1, 3)
+        # three fresh intervals starting at 2 take over the three folds
+        ivs += [civ(2.0, 6.0, robot=4), civ(2.0, 7.0, robot=5)]
+        assigned = self._both(ivs, 3, 5.0)
+        assert [(iv.robot, iv.left, iv.right) for iv in assigned] == [
+            (0, 1.0, 2.0), (1, 1.0, 2.0), (2, 1.0, 2.0),
+            (3, 2.0, 5.0), (4, 2.0, 6.0), (5, 2.0, 7.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "extra, want",
+        [
+            ([], Witness(3.0, 1, 3)),
+            ([civ(2.0, 6.0, robot=5), civ(2.5, 7.0, robot=6)], None),
+        ],
+    )
+    def test_several_close_at_one_point(self, extra, want):
+        # three opened folds close together at 3; one interval that also
+        # ends at 3 is available there but dead, and only [2, 5] is fresh
+        ivs = [civ(1.0, 3.0, robot=r) for r in range(3)]
+        ivs += [civ(1.5, 3.0, robot=3), civ(2.0, 5.0, robot=4), *extra]
+        got = self._both(ivs, 3, 5.0)
+        if want is not None:
+            assert got == want
+            return
+        # the three fresh intervals open at 3, none of them at its own left
+        assert [(iv.robot, iv.left, iv.cover_left) for iv in got[3:]] == [
+            (4, 3.0, 2.0), (5, 3.0, 2.0), (6, 3.0, 2.5),
+        ]
+
+    def test_hi_at_a_closing_right_end(self):
+        # both folds close at 2: at hi = 2 that is the end of the domain,
+        # past it the whole multiplicity is gone at once
+        ivs = [civ(0.5, 2.0, robot=0), civ(0.9, 2.0, robot=1)]
+        assert self._both(ivs, 2, 2.0) == [
+            AssignedInterval(0, 0, 1.0, 2.0, 0.5),
+            AssignedInterval(1, 0, 1.0, 2.0, 0.9),
+        ]
+        assert self._both(ivs, 2, 3.0) == Witness(2.0, 0, 2)
+
+    @pytest.mark.parametrize(
+        "hi, want",
+        [
+            (
+                1.0,
+                [
+                    AssignedInterval(2, 0, 0.25, 0.5, 0.25),
+                    AssignedInterval(0, 0, 1.0, 2.0, 0.5),
+                    AssignedInterval(1, 0, 1.0, 2.0, 0.9),
+                ],
+            ),
+            (math.inf, Witness(2.0, 0, 2)),
+        ],
+    )
+    def test_the_ends_of_the_horizon(self, hi, want):
+        # hi = 1 stops at 1 alone; hi = inf runs until the folds run out
+        ivs = [civ(0.5, 2.0, robot=0), civ(0.9, 2.0, robot=1), civ(0.25, 0.5, robot=2)]
+        assert self._both(ivs, 2, hi) == want
 
 
 def _point_check_verify(intervals, q, hi):
