@@ -59,7 +59,6 @@ from raysearch import make_geometric_line_strategy
 
 line = make_geometric_line_strategy(p, alpha, N)
 verdict = refute(line, generous, p, N, mode="line")
-cap = p.k * p.s * math.log(CoverParams(generous).mu)
 print(f"  verdict: {verdict.kind}")
 print(f"  max log-potential {verdict.trace.max_log_potential:.4f} "
-      f"vs cap k*s*ln(mu) = {cap:.4f}")
+      f"vs cap k*s*ln(mu) = {verdict.trace.line_cap_log:.4f}")

@@ -228,20 +228,20 @@ def cmd_refute(args) -> int:
     strategies = _build_strategies(args, p, N, mode=args.mode)
     verdict = refute(strategies, args.lam, p, N, mode=args.mode)
     doc = verdict.to_dict()
-    # only a certificate carries an assignment; it is empty only when the
-    # multiplicity is 0, where there is no stream to scan for gaps
-    if args.gap_constant is not None and verdict.assignment is None:
-        doc["gap"] = None  # a coverage failure has no stream to scan
-    elif args.gap_constant is not None and verdict.assignment:
-        gap = detect_gap(verdict.assignment, args.gap_constant, CoverParams(args.lam))
-        doc["gap"] = {
-            "case": gap.case,
-            "robot": gap.robot,
-            "round": gap.round_index,
-            "ratio": gap.ratio,
-            "sub_lo": gap.sub_lo,
-            "sub_hi": gap.sub_hi,
-        }
+    # a coverage failure has no assignment, and a multiplicity of 0 an
+    # empty one: either way there is no stream to scan, and the gap is null
+    if args.gap_constant is not None:
+        doc["gap"] = None
+        if verdict.assignment:
+            gap = detect_gap(verdict.assignment, args.gap_constant, CoverParams(args.lam))
+            doc["gap"] = {
+                "case": gap.case,
+                "robot": gap.robot,
+                "round": gap.round_index,
+                "ratio": gap.ratio,
+                "sub_lo": gap.sub_lo,
+                "sub_hi": gap.sub_hi,
+            }
     # a coverage failure has no audit: --trace writes the header lines
     # only, while --assignment writes no file.  Both files list the fields
     # of a GrowthStep or an AssignedInterval, in their order.

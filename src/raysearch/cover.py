@@ -44,7 +44,6 @@ __all__ = [
     "AssignedInterval",
     "Witness",
     "DeficientCoverError",
-    "ConfigurationError",
     "verify_multicover",
     "exact_q_assignment",
 ]
@@ -76,10 +75,6 @@ class DeficientCoverError(Exception):
             f"coverage {witness.multiplicity_found} < {witness.multiplicity_required}"
             f" at {witness.point}"
         )
-
-
-class ConfigurationError(Exception):
-    pass
 
 
 def _require_domain(intervals: Sequence[CoverInterval], hi: float) -> None:

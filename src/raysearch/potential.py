@@ -15,17 +15,22 @@ bound; the line-mode potential is simultaneously capped by mu^(k*s).  A
 valid cover therefore cannot extend forever: the engine either certifies
 the replay or reports the coverage hole the theorem predicts.
 
+The mode is checked once, by `_multiplicity`, which `refute` and
+`initial_state` (so `audit_growth`) call first; any mode but "line" and
+"orc" is a ValueError, and later branches read the checked state.mode.
+
 Cost: a step changes three values (one robot's load, in orc mode that
 robot's next-left b, and one frontier, as A[0] leaves and the interval's
 right end enters).  The state keeps each value once, pre-scaled, with
 its log term beside it, and each stream interval carries its robot's
 next left end, so a step takes three logs for the incremental update and
 three for the terms it replaces.  The from-scratch oracle,
-`potential_value`, runs at every audited step and sums the stored terms;
-it never reads the incremental value.  Fresh logs of every value are
-still taken twice per audit, by `_log_potential`: for the initial
-potential, and once after the last step, where the audit checks the
-stored terms against them.
+`potential_value`, only sums the stored terms; it runs at every audited
+step and never reads the incremental value.  The audit checks that sum
+against the incremental value and, in line mode, against the cap.  The
+initial potential sums the terms and frontier logs that `initial_state`
+has just taken; fresh logs of every value are taken once more, after the
+last step, where the audit checks the stored terms against them.
 """
 
 from __future__ import annotations
@@ -35,11 +40,10 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import cycle
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .cover import (
     AssignedInterval,
-    ConfigurationError,
     DeficientCoverError,
     Witness,
     _check_stream,
@@ -63,6 +67,7 @@ __all__ = [
     "Verdict",
     "InvalidAssignmentError",
     "AuditError",
+    "ConfigurationError",
     "covering_situation",
     "initial_state",
     "advance",
@@ -83,6 +88,21 @@ class InvalidAssignmentError(Exception):
 
 class AuditError(Exception):
     """A replay invariant failed: drift, cap overflow, or a slow step."""
+
+
+class ConfigurationError(Exception):
+    """Nothing to audit: no assigned interval, a load exponent below 1, or
+    in orc mode a robot with no interval past the base prefix."""
+
+
+def _multiplicity(p: InstanceParams, mode: str) -> int:
+    """The folds the mode's relaxation needs: s = q - k line covers on the
+    line, q = m(f+1) one-ray covers on m rays; else ValueError."""
+    if mode == "line":
+        return p.s
+    if mode == "orc":
+        return p.q
+    raise ValueError(f"mode must be 'line' or 'orc', got {mode!r}")
 
 
 def covering_situation(intervals: Sequence[AssignedInterval], mult: int) -> list[float]:
@@ -131,14 +151,13 @@ def _fresh_terms(state: PrefixState) -> list[float]:
     return [coef * math.log(v) for coef, v in zip(cycle(coefs), state.values)]
 
 
-def _log_potential(state: PrefixState) -> float:
-    # fresh logs of every value, for the initial potential and the audit's
-    # closing check.  The summation order is part of the answer: the terms
-    # in `values` order, one by one; the frontier terms last, as one sum.
+def _log_potential(terms: Iterable[float], log_A: Iterable[float], k: int) -> float:
+    # the summation order is part of the answer: the terms in `values`
+    # order, one by one; the frontier terms last, as one sum
     lp = 0.0
-    for term in _fresh_terms(state):
+    for term in terms:
         lp += term
-    return lp - state.k * sum(map(math.log, state.A))
+    return lp - k * sum(log_A)
 
 
 def initial_state(
@@ -154,6 +173,7 @@ def initial_state(
     robot with no interval past the base prefix is a ConfigurationError,
     as a load exponent below 1 is: there is nothing to audit.
     """
+    mult = _multiplicity(p, mode)
     _check_stream(assigned)
     first_seen: dict[int, int] = {}
     last_boundary = -1
@@ -165,16 +185,16 @@ def initial_state(
         raise ConfigurationError("no assigned intervals")
     p0 = max(max(first_seen.values()), last_boundary) + 1
     robots = sorted(first_seen)
-    mult = p.s if mode == "line" else p.q
+    orc = mode == "orc"
     k_eff = len(robots)
-    s_exp = mult if mode == "line" else mult - k_eff
+    s_exp = mult - k_eff if orc else mult
     if s_exp < 1:
         raise ConfigurationError(
             f"load exponent {s_exp} < 1 (k={k_eff} robots): potential degenerate"
         )
     A = covering_situation(assigned[:p0], mult)
     scale = A[0]
-    width = 2 if mode == "orc" else 1
+    width = 2 if orc else 1
     slot = {r: width * i for i, r in enumerate(robots)}
     values = [0.0] * (width * k_eff)
     for iv in assigned[:p0]:
@@ -185,7 +205,7 @@ def initial_state(
         left /= scale
         stream.appendleft((r, left, right / scale, next_left.get(r)))
         next_left[r] = left
-    if mode == "orc":
+    if orc:
         for r, j in slot.items():
             if r not in next_left:
                 raise ConfigurationError(
@@ -207,7 +227,7 @@ def initial_state(
         log_potential=0.0,
     )
     state.terms = _fresh_terms(state)
-    state.log_potential = _log_potential(state)
+    state.log_potential = _log_potential(state.terms, state.log_A, k_eff)
     return state
 
 
@@ -271,24 +291,15 @@ def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
     return GrowthStep(r, mu_star, x, math.exp(log_ratio), state.log_potential)
 
 
-def _stored_log_potential(state: PrefixState) -> float:
-    return sum(state.terms) - state.k * sum(state.log_A)
-
-
-def potential_value(state: PrefixState, c: CoverParams) -> float:
+def potential_value(state: PrefixState) -> float:
     """From-scratch log-domain potential of the state.
 
     The sum of the state's stored log terms, laid out in `_log_potential`'s
     order, without taking a log: it shares no arithmetic with the incremental
-    value.  In line mode also asserts the boundedness cap
-    log f <= k*s*log(mu).
+    value.  The audit checks it against the incremental value and, in line
+    mode, against the cap k*s*log(mu).
     """
-    lp = _stored_log_potential(state)
-    if state.mode == "line":
-        cap = state.k * state.s_exp * math.log(c.mu)
-        if lp > cap + _REL_TOL * max(1.0, abs(cap)):
-            raise AuditError(f"line potential {lp} exceeds cap {cap}")
-    return lp
+    return sum(state.terms) - state.k * sum(state.log_A)
 
 
 @dataclass
@@ -333,7 +344,7 @@ def audit_growth(
     # the polynomial floor of a step ratio at slack mu* is
     # growth_factor_delta(e, k, mu*) = delta_1 * mu*^(-k)
     delta_1 = growth_factor_delta(e, k, 1.0)
-    cap = k * e * math.log(c.mu) if mode == "line" else None
+    cap = k * e * math.log(c.mu) if state.mode == "line" else None
     trace = GrowthTrace(
         mult=state.mult,
         k=k,
@@ -343,7 +354,9 @@ def audit_growth(
     )
     while (step := advance(state, c)) is not None:
         idx = len(trace.steps)
-        scratch = potential_value(state, c)
+        scratch = potential_value(state)
+        if cap is not None and scratch > cap + _REL_TOL * max(1.0, abs(cap)):
+            raise AuditError(f"line potential {scratch} exceeds cap {cap} at step {idx}")
         if abs(state.log_potential - scratch) > _REL_TOL * max(1.0, abs(scratch)):
             raise AuditError(
                 f"incremental potential {state.log_potential} drifted from "
@@ -361,8 +374,9 @@ def audit_growth(
                 f" at step {idx}"
             )
         trace.steps.append(step)
-    # one pass of fresh logs: a stored term gone stale fails the run too
-    stored, fresh = _stored_log_potential(state), _log_potential(state)
+    # the one pass of fresh logs: a stored term gone stale fails the run too
+    stored = potential_value(state)
+    fresh = _log_potential(_fresh_terms(state), map(math.log, state.A), k)
     if abs(stored - fresh) > _REL_TOL * max(1.0, abs(fresh)):
         raise AuditError(
             f"stored log terms sum to {stored}, fresh logs to {fresh},"
@@ -470,12 +484,12 @@ def refute(
     The strategies must be p.k of the mode's kind (`_require_strategy_set`):
     TurnSequences in line mode, on m = 2 only, or RoundPlans in orc mode,
     on rays 1..m, which the relaxation then folds together; anything else
-    raises ValueError, and so does N below 1 or NaN.
+    raises ValueError, and so do N below 1 or NaN and a mode but those two.
     """
     _require_horizon(N)
     c = CoverParams(lam)
+    mult = _multiplicity(p, mode)
     _require_strategy_set(strategies, p, mode)
-    mult = p.s if mode == "line" else p.q
     params = {
         "m": p.m,
         "k": p.k,

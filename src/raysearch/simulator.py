@@ -24,8 +24,9 @@ passed costs one removal and one insertion, and each target one lookup.
 The sweep admits the sets that `strategy._require_strategy_set` does (p.k
 of one kind, line ones on m = 2 only); a RoundPlan that visits a ray past
 m is a ValueError too, found in the walk.  `first_visit_time` and
-`detection_time` walk the rounds from scratch; they are the reference
-path the sweep is tested against.
+`detection_time` walk the legs from scratch for each target; they are
+the reference path the sweep is tested against, and share with it only
+the labeling of the legs by `strategy._legs`, where the side rule lives.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import cycle
 from operator import itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .formulas import InstanceParams
 from .strategy import (
-    RoundPlan,
     Strategy,
     TurnSequence,
+    _legs,
     _ray_past_m,
     _require_horizon,
     _require_strategy_set,
@@ -91,25 +91,15 @@ def first_visit_time(
     strictly exceeds x: the right-limit semantics used for computing
     suprema at half-open breakpoint boundaries.
     """
+    if isinstance(strategy, TurnSequence) and target.ray not in (1, -1):
+        raise ValueError("line targets use ray=+1 or ray=-1")
     x = target.x
     elapsed = 0.0
-    if isinstance(strategy, RoundPlan):
-        for ray, turn in strategy.rounds:
-            if ray == target.ray and (turn > x if just_above else turn >= x):
-                return 2.0 * elapsed + x
-            elapsed += turn
-        return None
-    if isinstance(strategy, TurnSequence):
-        if target.ray not in (1, -1):
-            raise ValueError("line targets use ray=+1 or ray=-1")
-        for i, turn in enumerate(strategy.turns):
-            if strategy.side(i) == target.ray and (
-                turn > x if just_above else turn >= x
-            ):
-                return 2.0 * elapsed + x
-            elapsed += turn
-        return None
-    raise TypeError(f"unsupported strategy type {type(strategy)!r}")
+    for ray, turn in _legs(strategy):
+        if ray == target.ray and (turn > x if just_above else turn >= x):
+            return 2.0 * elapsed + x
+        elapsed += turn
+    return None
 
 
 def detection_time(
@@ -132,16 +122,6 @@ def detection_time(
         return DetectionReport(None, visitors, None)
     tau = arrivals[p.f][0]
     return DetectionReport(tau, visitors, tau / target.x)
-
-
-def _legs(strategy: Strategy) -> Iterable[tuple[int, float]]:
-    """(ray, turn) of each round or turn, in the order the robot walks them."""
-    if isinstance(strategy, RoundPlan):
-        return strategy.rounds
-    if isinstance(strategy, TurnSequence):
-        sides = (1, -1) if strategy.first_positive else (-1, 1)
-        return zip(cycle(sides), strategy.turns)
-    raise TypeError(f"unsupported strategy type {type(strategy)!r}")
 
 
 def _rays(strategies: Sequence[Strategy], p: InstanceParams) -> list[int]:
@@ -318,8 +298,5 @@ def dense_grid_ratio(
 ) -> float:
     """Sup of tau(x)/x on a geometric grid, through worst_ratio's sweep: a
     cross-check of its breakpoint enumeration, not of the sweep itself."""
-    best = -math.inf
-    for _, _, report in sweep_rows(strategies, p, N, dense=True, rel_step=rel_step):
-        if report.ratio is not None and report.ratio > best:
-            best = report.ratio
-    return best
+    rows = sweep_rows(strategies, p, N, dense=True, rel_step=rel_step)
+    return max((r.ratio for _, _, r in rows if r.ratio is not None), default=-math.inf)

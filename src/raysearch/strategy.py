@@ -11,13 +11,15 @@ Two settings are supported, mirroring the two covering relaxations:
 The cyclic exponential strategy of the tight upper bound is generated
 here, together with extraction of the lambda-cover intervals that feed
 the covering machinery; a strategy is read as given, unfruitful turns
-included.
+included.  `_legs` walks either kind as (ray, turn) legs, and it holds
+the one statement of the line side rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .formulas import CoverParams, InstanceParams
@@ -58,11 +60,6 @@ class TurnSequence:
         if any(map(_not_positive, self.turns)):
             raise ValueError("turning distances must be positive")
 
-    def side(self, i: int) -> int:
-        """+1 or -1: the side the i-th turn (0-based) lies on."""
-        positive = (i % 2 == 0) == self.first_positive
-        return 1 if positive else -1
-
 
 @dataclass(frozen=True)
 class RoundPlan:
@@ -79,6 +76,17 @@ class RoundPlan:
 
 
 Strategy = Union[TurnSequence, RoundPlan]
+
+
+def _legs(strategy: Strategy) -> Iterable[tuple[int, float]]:
+    """(ray, turn) of each round or turn, in walking order.  The side rule:
+    line turn i (0-based) lies on ray +1 iff (i even) == first_positive."""
+    if isinstance(strategy, RoundPlan):
+        return strategy.rounds
+    if isinstance(strategy, TurnSequence):
+        sides = (1, -1) if strategy.first_positive else (-1, 1)
+        return zip(cycle(sides), strategy.turns)
+    raise TypeError(f"unsupported strategy type {type(strategy)!r}")
 
 
 class CoverInterval(NamedTuple):
@@ -261,10 +269,7 @@ def all_cover_intervals(
 def _dump_one(strategy: Strategy) -> str:
     if isinstance(strategy, RoundPlan):
         return " ".join(f"{ray}:{turn!r}" for ray, turn in strategy.rounds)
-    parts = []
-    for i, turn in enumerate(strategy.turns):
-        parts.append(repr(turn) if strategy.side(i) > 0 else f"-{turn!r}")
-    return " ".join(parts)
+    return " ".join(repr(turn) if side > 0 else f"-{turn!r}" for side, turn in _legs(strategy))
 
 
 def dumps_strategies(strategies: Iterable[Strategy]) -> str:

@@ -151,7 +151,7 @@ def test_criterion_5_oracle_equivalences():
     steps = 0
     while advance(state, c) is not None:
         steps += 1
-        scratch = potential_value(state, c)
+        scratch = potential_value(state)
         assert abs(state.log_potential - scratch) <= 1e-9 * max(1.0, abs(scratch))
     assert steps >= 1000
 

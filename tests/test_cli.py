@@ -168,6 +168,21 @@ class TestSimulate:
         doc = strict_json(out)
         assert doc["covered"] is False and doc["sup_ratio"] is None
 
+    def test_trivial_regime_has_no_lambda0(self, capsys, tmp_path):
+        # k = q = 2 robots, one per ray: the sweep answers, but the closed
+        # form has no lambda0, so the summary's lambda0 and gap are null
+        strat = tmp_path / "straight.txt"
+        strat.write_text("1:1e4\n2:1e4\n")
+        code, out, _ = run(
+            capsys,
+            "simulate", "-m", "2", "-k", "2", "-f", "0", "-N", "1e3",
+            "--strategy", str(strat),
+        )
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["sup_ratio"] == 1.0 and doc["covered"] is True
+        assert doc["lambda0"] is None and doc["gap"] is None
+
     @pytest.mark.parametrize("csv", [False, True])
     def test_mixed_strategy_file_is_rejected(self, capsys, tmp_path, csv):
         # one round plan and one line robot: no ratio is meaningful
@@ -364,6 +379,32 @@ class TestRefute:
         doc = json.loads(out)
         assert doc["kind"] == "coverage_failure" and doc["gap"] is None
 
+    def test_gap_is_null_at_multiplicity_zero(self, capsys, tmp_path):
+        # k = 2(f+1) in line mode: s = 0 folds, a certificate with an empty
+        # assignment and so, as on a coverage failure, no stream to scan
+        strat = tmp_path / "line.txt"
+        strat.write_text("100.0\n-100.0\n")
+        code, out, _ = run(
+            capsys,
+            "refute", "--mode", "line", "-m", "2", "-k", "2", "-f", "0",
+            "--strategy", str(strat), "--lam", "5", "-N", "10", "--gap-constant", "4",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "certificate" and doc["params"]["multiplicity"] == 0
+        assert doc["gap"] is None
+
+    @pytest.mark.parametrize("lam", ["8.0", "9.5"])  # a failure and a certificate
+    def test_json_file_is_what_stdout_prints(self, capsys, tmp_path, lam):
+        path = tmp_path / "verdict.json"
+        code, out, _ = run(
+            capsys,
+            "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", lam,
+            "-N", "1e3", "--json", str(path),
+        )
+        assert code == (2 if lam == "8.0" else 0)
+        assert path.read_text() == out
+
     @pytest.mark.parametrize("lam", ["8.0", "9.5"])  # a failure and a certificate
     @pytest.mark.parametrize("gap_c", ["0.5", "1.0"])
     def test_gap_constant_at_most_one_exits_one(self, capsys, lam, gap_c):
@@ -427,6 +468,20 @@ class TestRefute:
         assert code == 1
         assert out == ""
         assert err.startswith("raysearch: error: ") and message in err
+
+    def test_line_mode_generates_line_strategies(self, capsys):
+        # without --strategy, --mode line audits the geometric line strategy
+        p = InstanceParams(2, 3, 1)
+        lam = ratio_lower_bound(p) * 1.01
+        strat = make_geometric_line_strategy(p, optimal_alpha(p), 1e4)
+        expected = refute(strat, lam, p, 1e4, mode="line").to_dict()
+        code, out, err = run(
+            capsys, "refute", "--mode", "line", "-m", "2", "-k", "3", "-f", "1",
+            "--lam", repr(lam), "-N", "1e4",
+        )
+        assert (code, err) == (0, "")
+        assert expected["kind"] == "certificate" and expected["audit"]["line_cap_log"] is not None
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     def test_strategy_file_must_hold_k_robots(self, capsys, tmp_path):
         p = InstanceParams(2, 2, 1)

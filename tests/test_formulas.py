@@ -102,6 +102,16 @@ class TestGrowthQuantities:
         with pytest.raises(ValueError, match=rf"^mu_star must be positive, got {mu}$"):
             poly_max_point(1, 1, mu)
 
+    @pytest.mark.parametrize("s, k", [(0, 1), (1, 0), (-1, 2)])
+    def test_exponents_below_one_are_rejected(self, s, k):
+        message = rf"^s and k must be >= 1, got s={s}, k={k}$"
+        with pytest.raises(ValueError, match=message):
+            poly_max_point(s, k, 4.0)
+        with pytest.raises(ValueError, match=message):
+            growth_factor_delta(s, k, 4.0)
+        with pytest.raises(ValueError, match=message):
+            mu_critical(s, k)
+
     def test_delta_crosses_one_at_mu_critical(self):
         for s, k in [(1, 1), (1, 3), (3, 2)]:
             mc = mu_critical(s, k)

@@ -107,6 +107,10 @@ class TestFractionalRatio:
 
 
 class TestFractionalInstance:
+    def test_no_weights_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one weight$"):
+            FractionalInstance((), 2.0, 0.1)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             FractionalInstance((0.5, 0.4), 2.0, 0.1)

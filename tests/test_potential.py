@@ -258,7 +258,7 @@ class TestAdvance:
         state = initial_state(assigned, p, "orc")
         while advance(state, c) is not None:
             assert state.log_potential == pytest.approx(
-                potential_value(state, c), abs=1e-9
+                potential_value(state), abs=1e-9
             )
 
 
@@ -369,23 +369,43 @@ class TestAuditGrowth:
         assert trace.line_cap_log == pytest.approx(cap)
 
     @pytest.mark.parametrize("past", [False, True])
-    def test_line_cap_is_checked_on_the_stored_terms(self, past):
-        # stored terms that sum to the cap plus its tolerance pass; one
-        # float more fails
+    def test_line_cap_is_checked_on_the_stored_terms(self, monkeypatch, past):
+        # the audit checks the cap on the stored-term sum: terms that sum
+        # to the cap plus its tolerance pass; one float more fails
         p = InstanceParams(2, 3, 1)
         c = CoverParams(ratio_lower_bound(p) + 0.1)
         strat = make_geometric_line_strategy(p, optimal_alpha(p), 1e4)
         assigned = exact_q_assignment(all_cover_intervals(strat, c), p.s, 1e4)
-        state = initial_state(assigned, p, "line")
-        cap = state.k * state.s_exp * math.log(c.mu)
+        cap = p.k * p.s * math.log(c.mu)
         top = cap + 1e-9 * max(1.0, abs(cap))
-        state.terms[:] = [math.nextafter(top, math.inf) if past else top] + [0.0] * (p.k - 1)
-        state.log_A[:] = [0.0] * len(state.A)
+        value = math.nextafter(top, math.inf) if past else top
+        advance_exact, fresh = potential.advance, potential._log_potential
+
+        def advance_at_the_cap(state, c):
+            # the stored terms, and so the incremental value, sum to `value`
+            step = advance_exact(state, c)
+            if step is not None:
+                state.terms[:] = [value] + [0.0] * (len(state.terms) - 1)
+                state.log_A[:] = [0.0] * len(state.log_A)
+                state.log_potential = value
+                assert potential_value(state) == value
+            return step
+
+        calls = []
+
+        def fresh_at_the_cap(*args):
+            # the closing check's fresh logs agree with the stored terms
+            calls.append(args)
+            return fresh(*args) if len(calls) == 1 else value
+
+        monkeypatch.setattr(potential, "advance", advance_at_the_cap)
+        monkeypatch.setattr(potential, "_log_potential", fresh_at_the_cap)
         if past:
-            with pytest.raises(AuditError, match="exceeds cap"):
-                potential_value(state, c)
+            with pytest.raises(AuditError, match=r"^line potential .* exceeds cap .* at step 0$"):
+                audit_growth(assigned, c, p, "line")
         else:
-            assert potential_value(state, c) == top
+            trace = audit_growth(assigned, c, p, "line")
+            assert trace.line_cap_log == cap and len(trace.steps) > 3
 
 
 def _next_left(state, r):
@@ -415,15 +435,15 @@ def _fresh_terms(state):
     return terms, [math.log(y) for y in state.A]
 
 
-def _assert_oracles_agree(state, c):
+def _assert_oracles_agree(state):
     fresh = _generator_log_potential(state)
-    assert potential._log_potential(state) == fresh
     terms, log_A = _fresh_terms(state)
+    assert potential._log_potential(terms, log_A, state.k) == fresh
     assert (state.terms, state.log_A) == (terms, log_A)
     # sum() of floats is compensated from Python 3.12 on: the stored-term
     # sum may leave the sequential order by a few ulp of its magnitude
     magnitude = math.fsum(map(abs, terms)) + state.k * math.fsum(log_A)
-    assert abs(potential_value(state, c) - fresh) <= 4 * math.ulp(magnitude)
+    assert abs(potential_value(state) - fresh) <= 4 * math.ulp(magnitude)
 
 
 class TestOracle:
@@ -455,9 +475,9 @@ class TestOracle:
         assigned = exact_q_assignment(covers, p.s if mode == "line" else p.q, 1e8)
         state = initial_state(assigned, p, mode)
         steps = 0
-        _assert_oracles_agree(state, c)
+        _assert_oracles_agree(state)
         while advance(state, c) is not None:
-            _assert_oracles_agree(state, c)
+            _assert_oracles_agree(state)
             steps += 1
         assert steps > 20
 
@@ -485,9 +505,9 @@ class TestOracle:
         fresh = potential._log_potential
         calls = []
 
-        def fresh_after_the_first_call(state):
-            calls.append(state)
-            return fresh(state) + (1e-6 if len(calls) > 1 else 0.0)
+        def fresh_after_the_first_call(*args):
+            calls.append(args)
+            return fresh(*args) + (1e-6 if len(calls) > 1 else 0.0)
 
         monkeypatch.setattr(potential, "_log_potential", fresh_after_the_first_call)
         message = rf"^stored log terms sum to .*, fresh logs to .*, after {steps} steps$"
@@ -499,44 +519,67 @@ class TestOracle:
     def test_a_tie_with_the_tolerance_passes(self, monkeypatch, check):
         # each check fails strictly past its tolerance: steps made to meet
         # it exactly pass, the closing fresh-log check's included
-        lam = 8.99 if check == "delta" else 9.0
-        c = CoverParams(lam)
-        if check == "delta":  # subcritical: mu < mu_critical(1, 1) = 4
-            p = InstanceParams(2, 1, 0)
-            strat = make_exponential_strategy(p, 2.0, 20.0)
-            assigned = exact_q_assignment(all_cover_intervals(strat, c), 2, 20.0)
-        else:
-            p, assigned = doubling_assigned()
-        advance_exact, fresh = potential.advance, potential._log_potential
-        delta_1, delta = growth_factor_delta(1, 1, 1.0), growth_factor_delta(1, 1, c.mu)
-
-        def advance_on_the_tolerance(state, c):
-            step = advance_exact(state, c)
-            if step is None:
-                return None
-            if check == "drift":
-                # stored terms sum to 0, the incremental value is 1e-9 off
-                state.terms[:] = [0.0] * len(state.terms)
-                state.log_A[:] = [0.0] * len(state.log_A)
-                state.log_potential = 1e-9
-            elif check == "floor":
-                step = step._replace(step_ratio=delta_1 * step.mu_star**-1 * (1.0 - 1e-12))
-            else:  # a slack far above mu puts the floor far below delta
-                step = step._replace(mu_star=2.0 * c.mu, step_ratio=delta * (1.0 - 1e-9))
-            return step
-
-        calls = []
-
-        def fresh_on_the_tolerance(state):
-            # the closing check's fresh logs read 1e-9 off the zeroed terms
-            calls.append(state)
-            return fresh(state) if len(calls) == 1 else 1e-9
-
-        monkeypatch.setattr(potential, "advance", advance_on_the_tolerance)
-        if check == "drift":
-            monkeypatch.setattr(potential, "_log_potential", fresh_on_the_tolerance)
-        trace = audit_growth(assigned, c, p, "orc")
+        trace = _audit_on_the_tolerance(monkeypatch, check, past=False)
         assert len(trace.steps) > 3
+
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            ("drift", "incremental potential .* drifted from from-scratch value 0.0"),
+            ("floor", "step ratio .* below polynomial floor"),
+            ("delta", "step ratio .* below growth factor"),
+        ],
+    )
+    def test_one_float_past_the_tolerance_fails(self, monkeypatch, check, message):
+        with pytest.raises(AuditError, match=rf"^{message} .*at step 0$"):
+            _audit_on_the_tolerance(monkeypatch, check, past=True)
+
+
+def _audit_on_the_tolerance(monkeypatch, check, past):
+    """audit_growth with each step made to meet one check's tolerance
+    exactly or, with `past`, to miss it by one float."""
+
+    def nudge(value, toward):
+        return math.nextafter(value, toward) if past else value
+
+    lam = 8.99 if check == "delta" else 9.0
+    c = CoverParams(lam)
+    if check == "delta":  # subcritical: mu < mu_critical(1, 1) = 4
+        p = InstanceParams(2, 1, 0)
+        strat = make_exponential_strategy(p, 2.0, 20.0)
+        assigned = exact_q_assignment(all_cover_intervals(strat, c), 2, 20.0)
+    else:
+        p, assigned = doubling_assigned()
+    advance_exact, fresh = potential.advance, potential._log_potential
+    delta_1, delta = growth_factor_delta(1, 1, 1.0), growth_factor_delta(1, 1, c.mu)
+
+    def advance_on_the_tolerance(state, c):
+        step = advance_exact(state, c)
+        if step is None:
+            return None
+        if check == "drift":
+            # stored terms sum to 0, the incremental value is 1e-9 off
+            state.terms[:] = [0.0] * len(state.terms)
+            state.log_A[:] = [0.0] * len(state.log_A)
+            state.log_potential = nudge(1e-9, 1.0)
+        elif check == "floor":
+            floor = delta_1 * step.mu_star**-1 * (1.0 - 1e-12)
+            step = step._replace(step_ratio=nudge(floor, 0.0))
+        else:  # a slack far above mu puts the floor far below delta
+            step = step._replace(mu_star=2.0 * c.mu, step_ratio=nudge(delta * (1.0 - 1e-9), 0.0))
+        return step
+
+    calls = []
+
+    def fresh_on_the_tolerance(*args):
+        # the closing check's fresh logs read 1e-9 off the zeroed terms
+        calls.append(args)
+        return fresh(*args) if len(calls) == 1 else 1e-9
+
+    monkeypatch.setattr(potential, "advance", advance_on_the_tolerance)
+    if check == "drift":
+        monkeypatch.setattr(potential, "_log_potential", fresh_on_the_tolerance)
+    return audit_growth(assigned, c, p, "orc")
 
 
 class TestDetectGap:
@@ -615,6 +658,23 @@ class TestRefute:
         strat = make(doubling, 2.0, 1e3)
         with pytest.raises(ValueError, match=rf"^horizon N must be >= 1, got {N!r}$"):
             refute(strat, 9.5, doubling, N, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["ORC", "lines", None, ""])
+    def test_an_unknown_mode_is_rejected(self, mode):
+        # unchecked, "ORC" audited with the orc multiplicity but the line
+        # potential, and failed with a false load-bound violation
+        p = InstanceParams(2, 3, 1)
+        lam = 1.01 * ratio_lower_bound(p)
+        c = CoverParams(lam)
+        strat = make_exponential_strategy(p, optimal_alpha(p), 1e6)
+        assigned = exact_q_assignment(all_cover_intervals(strat, c), p.q, 1e6)
+        message = rf"^mode must be 'line' or 'orc', got {mode!r}$"
+        with pytest.raises(ValueError, match=message):
+            refute(strat, lam, p, 1e6, mode=mode)
+        with pytest.raises(ValueError, match=message):
+            initial_state(assigned, p, mode)
+        with pytest.raises(ValueError, match=message):
+            audit_growth(assigned, c, p, mode)
 
     def test_failure_below_bound(self, doubling, doubling_strategy):
         v = refute(doubling_strategy, 8.0, doubling, 1e4)

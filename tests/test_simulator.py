@@ -43,6 +43,25 @@ class TestFirstVisit:
         # Negative side is explored on the second leg.
         assert first_visit_time(t, Target(-1, 1.0)) == pytest.approx(2 * 1.0 + 1.0)
         assert first_visit_time(t, Target(1, 1.0)) == pytest.approx(1.0)
+        # mirrored, the robot goes negative first and positive second
+        mirrored = TurnSequence((1.0, 2.0, 4.0), first_positive=False)
+        assert first_visit_time(mirrored, Target(-1, 1.0)) == 1.0
+        assert first_visit_time(mirrored, Target(1, 1.0)) == 3.0
+        assert first_visit_time(mirrored, Target(1, 2.0), just_above=True) is None
+        assert first_visit_time(mirrored, Target(-1, 2.0)) == 8.0
+
+    def test_a_non_strategy_is_a_type_error(self):
+        # a bare list of (ray, turn) pairs passes the set rule, as no
+        # TurnSequence is among them, and fails in the walk
+        with pytest.raises(TypeError, match=r"^unsupported strategy type <class 'list'>$"):
+            worst_ratio([[(1, 2.0)]], InstanceParams(2, 1, 0), 10.0)
+        with pytest.raises(TypeError, match=r"^unsupported strategy type <class 'list'>$"):
+            first_visit_time([(1, 2.0)], Target(1, 1.0))
+
+    @pytest.mark.parametrize("ray", [2, 0])
+    def test_line_target_needs_a_sign(self, ray):
+        with pytest.raises(ValueError, match=r"^line targets use ray=\+1 or ray=-1$"):
+            first_visit_time(TurnSequence((1.0, 2.0)), Target(ray, 1.0))
 
     def test_unreached_target_has_no_time(self):
         t = TurnSequence((1.0, 2.0))
@@ -215,7 +234,9 @@ def _oracle_candidates(strategies, p, N):
         if isinstance(s, RoundPlan):
             legs = list(s.rounds)
         else:
-            legs = [(s.side(i), t) for i, t in enumerate(s.turns)]
+            # the side rule, restated: turn i is on +1 iff (i even) == first_positive
+            sides = [1 if (i % 2 == 0) == s.first_positive else -1 for i in range(len(s.turns))]
+            legs = list(zip(sides, s.turns))
         for key in legs:
             if 1.0 <= key[1] < N and key not in seen:
                 seen.add(key)

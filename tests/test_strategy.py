@@ -104,8 +104,9 @@ class TestLineGenerator:
     def test_every_robot_reaches_the_horizon_on_both_sides(self, mkf, N):
         p = InstanceParams(*mkf)
         for t in make_geometric_line_strategy(p, optimal_alpha(p) ** 0.9, N):
+            assert t.first_positive  # so turn i is on +1 iff i is even
             for side in (1, -1):
-                assert max(x for i, x in enumerate(t.turns) if t.side(i) == side) >= N
+                assert max(t.turns[side < 0 :: 2]) >= N
 
     def test_requires_two_rays(self):
         p = InstanceParams(3, 2, 0)
@@ -176,6 +177,11 @@ class TestCoverIntervals:
         plan = RoundPlan(((1, 2.0), (2, 2.0)))
         assert cover_intervals(plan, CoverParams(3.0)) == [(0, 0, 0.0, 2.0), (0, 1, 2.0, 2.0)]
         assert cover_intervals(TurnSequence((2.0,)), CoverParams(3.0)) == [(0, 0, 2.0, 2.0)]
+
+    def test_a_non_strategy_is_a_type_error(self):
+        # a bare list of (ray, turn) pairs is neither kind
+        with pytest.raises(TypeError, match=r"^unsupported strategy type <class 'list'>$"):
+            cover_intervals([(1, 2.0)], CoverParams(5.0))
 
     def test_interval_is_a_plain_tuple(self):
         (iv,) = cover_intervals(RoundPlan(((2, 4.0),)), CoverParams(5.0), robot=3)
