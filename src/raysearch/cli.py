@@ -1,17 +1,18 @@
 """Command-line front end: bounds, ratio sweeps, and the refuter.
 
 Exit status: 0 success or certificate; 1 usage or parameter-regime
-errors, among them a strategy file that is malformed, whose robot
-count or kind does not match -k and --mode or that visits a ray past
--m, --alpha together with --strategy, a numeric flag that is NaN or
-infinite, -N below 1, --dense or
---rel-step without --csv, --rel-step without --dense, a --rel-step too
-small for a finite dense grid up to N, -N together with
---auto-horizon, -C without --auto-horizon, --lam, -m, -k or -f together
-with --eta (a flag the command would ignore is an error), a
---gap-constant of at most 1 (whatever the verdict), line strategies
-with -m other than 2 and an unknown RAYSEARCH_PRECISION; 2 coverage
-failure or uncovered witness; 3 a broken refuter invariant,
+errors, among them a strategy file that is malformed, whose robot count
+or kind does not match -k and --mode or that visits a ray past -m,
+--alpha together with --strategy, a numeric flag that is NaN or
+infinite, -N below 1, an instance whose first turn underflows to 0,
+--dense or --rel-step without --csv, --rel-step without --dense, a
+--rel-step too small for a finite dense grid up to N, -N together with
+--auto-horizon, -C without --auto-horizon, --auto-horizon whose default
+C overflows or whose N is inf without --strategy, --lam, -m, -k or -f
+together with --eta (a flag the command would ignore is an error), a
+--gap-constant of at most 1 (whatever the verdict), line strategies with
+-m other than 2 and an unknown RAYSEARCH_PRECISION; 2 coverage failure
+or uncovered witness; 3 a broken refuter invariant,
 potential.AuditError or potential.InvalidAssignmentError; 141 (128 +
 SIGPIPE, as a shell reports a tool that a closed pipe stops) when the
 reader of stdout has gone, with nothing written to stderr.  Each of the
@@ -48,7 +49,7 @@ from .formulas import (
 )
 from .fractional import fractional_ratio
 from .potential import AuditError, InvalidAssignmentError, detect_gap, refute
-from .simulator import supremum, sweep_rows, worst_ratio
+from .simulator import _REL_STEP, supremum, sweep_rows, worst_ratio
 from .strategy import (
     load_strategies,
     make_exponential_strategy,
@@ -179,7 +180,7 @@ def cmd_simulate(args) -> int:
     else:
         sup, witness = worst_ratio(strategies, p, args.N)
         if args.csv:
-            step = 1e-3 if args.rel_step is None else args.rel_step
+            step = _REL_STEP if args.rel_step is None else args.rel_step
             rows = sweep_rows(strategies, p, args.N, dense=True, rel_step=step)
     if args.csv:
         lines = (
@@ -217,8 +218,13 @@ def cmd_refute(args) -> int:
     if args.auto_horizon:
         if args.N is not None:
             raise ValueError("-N and --auto-horizon are exclusive: --auto-horizon sets N")
-        C = args.C if args.C is not None else optimal_alpha(p) ** (2 * p.m * p.k)
+        try:
+            C = args.C if args.C is not None else optimal_alpha(p) ** (2 * p.m * p.k)
+        except OverflowError:
+            raise ValueError("--auto-horizon: C = alpha^(2mk) overflows; give -C") from None
         N = horizon_estimate(p, args.lam, C)
+        if N == math.inf and not args.strategy:
+            raise ValueError("--auto-horizon estimates N = inf: no strategy is generated that far")
     else:
         if args.C is not None:
             raise ValueError("-C is the constant of --auto-horizon: give --auto-horizon")
@@ -286,7 +292,7 @@ def build_parser() -> _Parser:
     s.add_argument("--csv", help="write per-breakpoint rows here")
     s.add_argument("--summary", help="write the summary JSON here")
     s.add_argument("--dense", action="store_true", help="dense-grid rows instead of breakpoints")
-    s.add_argument("--rel-step", type=_finite, default=None, help="dense grid step (default 1e-3)")
+    s.add_argument("--rel-step", type=_finite, help=f"dense grid step (default {_REL_STEP:g})")
     s.set_defaults(func=cmd_simulate)
 
     r = subs.add_parser("refute", help="verify/refute a multicover, audit the potential")

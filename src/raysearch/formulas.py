@@ -195,7 +195,7 @@ def horizon_estimate(p: InstanceParams, lam: float, C: float) -> float:
     growth factor, with the initial potential normalized to 1.
 
     Returns inf when C^n overflows a 64-bit float; the bound still holds,
-    only its decimal expansion is out of range.
+    only its decimal expansion is out of range.  C itself must be finite.
     """
     lam0 = ratio_lower_bound(p)
     if lam >= lam0:
@@ -205,6 +205,8 @@ def horizon_estimate(p: InstanceParams, lam: float, C: float) -> float:
     mu = CoverParams(lam).mu
     if not C > mu:
         raise ValueError(f"need C > mu, got C={C}, mu={mu}")
+    if C == math.inf:
+        raise ValueError("need a finite C, got inf")
     delta = growth_factor_delta(p.s, p.k, mu)
     if delta <= 1.0:
         raise NoFiniteHorizon(

@@ -21,12 +21,12 @@ and one at each other turn that is a candidate.  After one sort of a
 ray's items the sweep answers its targets in increasing x, keeping the
 robots' offsets in a sorted list of at most k floats: each record turn
 passed costs one removal and one insertion, and each target one lookup.
-The sweep admits the sets that `strategy._require_strategy_set` does (p.k
-of one kind, line ones on m = 2 only); a RoundPlan that visits a ray past
-m is a ValueError too, found in the walk.  `first_visit_time` and
-`detection_time` walk the legs from scratch for each target; they are
-the reference path the sweep is tested against, and share with it only
-the labeling of the legs by `strategy._legs`, where the side rule lives.
+One gate, `strategy._require_strategy_set`, admits the sets of the sweep
+and of its reference path alike and names their rays: a target on another
+ray is a ValueError in `detection_time`, as a RoundPlan visiting a ray
+past m is in the sweep's walk.  `first_visit_time` and `detection_time`
+walk the legs from scratch for each target: the reference path the sweep
+is tested against, sharing with it only that gate and `strategy._legs`.
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ __all__ = [
 ]
 
 K = TypeVar("K")
+_REL_STEP = 1e-3  # the dense grid's default step in log(x)
 
 
 @dataclass(frozen=True)
 class Target:
-    """A hidden target: ray in 1..m for round plans, +1/-1 for line strategies."""
+    """A hidden target on ray 1..m (round plans) or +1/-1 (line); else detection_time raises."""
 
     ray: int
     x: float
@@ -109,8 +110,9 @@ def detection_time(
     just_above: bool = False,
 ) -> DetectionReport:
     """(f+1)-st distinct first-visit time: the first f visitors stay silent."""
-    if len(strategies) != p.k:
-        raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
+    rays = _require_strategy_set(strategies, p)
+    if target.ray not in rays:
+        raise ValueError(f"target on ray {target.ray}, but the set searches rays {rays}")
     arrivals = []
     for r, strat in enumerate(strategies):
         t = first_visit_time(strat, target, just_above)
@@ -124,16 +126,6 @@ def detection_time(
     return DetectionReport(tau, visitors, tau / target.x)
 
 
-def _rays(strategies: Sequence[Strategy], p: InstanceParams) -> list[int]:
-    if any(isinstance(s, TurnSequence) for s in strategies):
-        return [1, -1]
-    return list(range(1, p.m + 1))
-
-
-def _at_one(strategies: Sequence[Strategy], p: InstanceParams) -> list[tuple[int, float]]:
-    return [(ray, 1.0) for ray in _rays(strategies, p)]
-
-
 # ends each ray's items: it carries no target, so the last one is answered
 _END = (math.inf, -1, -1, None)
 
@@ -141,30 +133,29 @@ _END = (math.inf, -1, -1, None)
 def _sweep(
     strategies: Sequence[Strategy],
     p: InstanceParams,
-    probes: Sequence[tuple[int, float]],
+    xs: Sequence[float],
     N: float = 1.0,
     visitors: bool = False,
 ) -> tuple[list[tuple[int, float, bool]], list]:
     """Answer each target from one walk of each robot and one sweep per ray.
 
-    The targets are the probes (ray, x), answered at x itself, then just
-    past each turn t with 1 <= t < N, at its first appearance.  Returns
-    the targets as (ray, x, just_above) and, for each, its ratio (None
-    if undetected) or, with `visitors` set, its DetectionReport.
+    The targets are the probes, each x of xs at x itself on each ray of the
+    set, then just past each turn t with 1 <= t < N, at its first
+    appearance.  Returns them as (ray, x, just_above) and, for each, its
+    ratio (None if undetected) or, with `visitors` set, its DetectionReport.
     """
-    _require_strategy_set(strategies, p)
+    rays = _require_strategy_set(strategies, p)
+    targets = [(ray, x, False) for ray in rays for x in xs]
     # per ray, (key, i, r, new) items: once x passes key, robot r's
     # first-visit offset 2*elapsed becomes new (None: no visit), or none
     # moves if r = -1; target i >= 0 is answered after its last item.
     # A probe sorts before the turns at its own x: the sort is stable.
-    items: dict[int, list[tuple[float, int, int, float | None]]] = {
-        ray: [] for ray in _rays(strategies, p)
-    }
-    for i, (ray, x) in enumerate(probes):
+    items: dict[int, list[tuple[float, int, int, float | None]]] = {ray: [] for ray in rays}
+    for i, (ray, x, _) in enumerate(targets):
         items[ray].append((x, i, -1, None))
     # (ray, turn) -> its target, in order of first appearance
     index: dict[tuple[int, float], int] = {}
-    n = len(probes)
+    n = len(targets)
     for r, strat in enumerate(strategies):
         # ray -> (top, i): the robot's record turn there and its target
         last: dict[int, tuple[float, int]] = {}
@@ -186,7 +177,6 @@ def _sweep(
             elapsed += turn
         for ray, (top, j) in last.items():
             items[ray].append((top, j, r, None))
-    targets = [(ray, x, False) for ray, x in probes]
     targets += [(ray, x, True) for ray, x in index]
     f = p.f
     answers: list = [None] * len(targets)
@@ -251,7 +241,7 @@ def worst_ratio(
     target is never detected.  N below 1, or NaN, is a ValueError.
     """
     _require_horizon(N)
-    targets, ratios = _sweep(strategies, p, _at_one(strategies, p), N)
+    targets, ratios = _sweep(strategies, p, (1.0,), N)
     ratio, i = supremum(enumerate(ratios))
     ray, x, _ = targets[i]
     return ratio, Target(ray, x)
@@ -262,7 +252,7 @@ def sweep_rows(
     p: InstanceParams,
     N: float,
     dense: bool = False,
-    rel_step: float = 1e-3,
+    rel_step: float = _REL_STEP,
 ) -> list[tuple[Target, bool, DetectionReport]]:
     """Per-target rows backing the sweep CSV: breakpoints or a dense grid.
 
@@ -279,14 +269,10 @@ def sweep_rows(
                 "the dense grid's point count log(N)/rel_step is not finite"
             )
         n_pts = max(2, int(span) + 1)
-        grid = [
-            (ray, math.exp(math.log(N) * i / (n_pts - 1)))
-            for ray in _rays(strategies, p)
-            for i in range(n_pts)
-        ]
+        grid = [math.exp(math.log(N) * i / (n_pts - 1)) for i in range(n_pts)]
         targets, reports = _sweep(strategies, p, grid, visitors=True)
     else:
-        targets, reports = _sweep(strategies, p, _at_one(strategies, p), N, visitors=True)
+        targets, reports = _sweep(strategies, p, (1.0,), N, visitors=True)
     return [(Target(ray, x), ja, rep) for (ray, x, ja), rep in zip(targets, reports)]
 
 
@@ -294,7 +280,7 @@ def dense_grid_ratio(
     strategies: Sequence[Strategy],
     p: InstanceParams,
     N: float,
-    rel_step: float = 1e-3,
+    rel_step: float = _REL_STEP,
 ) -> float:
     """Sup of tau(x)/x on a geometric grid, through worst_ratio's sweep: a
     cross-check of its breakpoint enumeration, not of the sweep itself."""

@@ -12,7 +12,8 @@ The cyclic exponential strategy of the tight upper bound is generated
 here, together with extraction of the lambda-cover intervals that feed
 the covering machinery; a strategy is read as given, unfruitful turns
 included.  `_legs` walks either kind as (ray, turn) legs, and it holds
-the one statement of the line side rule.
+the one statement of the line side rule.  `_require_strategy_set` gates
+both simulator paths alike: a target off a set's rays is a ValueError.
 """
 
 from __future__ import annotations
@@ -115,11 +116,11 @@ def _ray_past_m(r: int, ray: int, p: InstanceParams) -> ValueError:
 
 def _require_strategy_set(
     strategies: Sequence[Strategy], p: InstanceParams, mode: str | None = None
-) -> None:
+) -> tuple[int, ...]:
     """ValueError unless there are p.k strategies of one kind, the mode's kind
     if given ("line": TurnSequence, "orc": RoundPlan), line ones only on m = 2,
     and in orc mode no round on a ray past m (the sweep finds those in its
-    walk)."""
+    walk).  Returns the rays searched: (1, -1) for TurnSequences, else 1..m."""
     if len(strategies) != p.k:
         raise ValueError(f"expected {p.k} strategies, got {len(strategies)}")
     line = any(isinstance(s, TurnSequence) for s in strategies)
@@ -141,6 +142,7 @@ def _require_strategy_set(
         raise ValueError("strategies mix RoundPlan and TurnSequence: give one kind")
     if line:
         _require_two_rays(p)
+    return (1, -1) if line else tuple(range(1, p.m + 1))
 
 
 def _require_base_and_horizon(alpha: float, horizon: float) -> None:
@@ -170,6 +172,9 @@ def make_exponential_strategy(
     _require_base_and_horizon(alpha, horizon)
     m, k, q = p.m, p.k, p.q
     log_alpha = math.log(alpha)
+    low = k * (1 - 2 * m) + m  # the exponent of robot 1's first turn, the smallest
+    if math.exp(low * log_alpha) == 0.0:
+        raise ValueError(f"{p}, alpha={alpha!r}: the first turn alpha^{low} underflows to 0")
     log_h = math.log(horizon)
     plans = []
     for r in range(1, k + 1):

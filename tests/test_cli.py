@@ -261,6 +261,15 @@ class TestSimulate:
         assert doc["sup_ratio"] == sup < ratio_lower_bound(p)
         assert doc["witness"] == {"ray": witness.ray, "x": witness.x}
 
+    def test_an_underflowing_first_turn_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "simulate", "-m", "80", "-k", "159", "-f", "1", "-N", "1")
+        assert (code, out) == (1, "")
+        alpha = optimal_alpha(InstanceParams(80, 159, 1))
+        assert err == (
+            f"raysearch: error: InstanceParams(m=80, k=159, f=1), alpha={alpha!r}: "
+            "the first turn alpha^-25201 underflows to 0\n"
+        )
+
     @pytest.mark.parametrize("command", ["simulate", "refute"])
     def test_overflowing_horizon_is_usage_error(self, capsys, command):
         extra = ["--lam", "5.3"] if command == "refute" else []
@@ -324,6 +333,43 @@ class TestRefute:
             "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "8.0",
             "--auto-horizon", "-C", "16",
         )
+        assert code == 2
+        assert json.loads(out)["kind"] == "coverage_failure"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the default C, alpha^(2mk), overflows: it was an OverflowError traceback
+            (
+                ("-m", "100", "-k", "199", "-f", "1", "--lam", "1.5"),
+                "--auto-horizon: C = alpha^(2mk) overflows; give -C",
+            ),
+            # the estimated N is inf, with the default C or a given one: the
+            # generator's message named neither flag
+            *[
+                (
+                    ("-m", "2", "-k", "3", "-f", "1", "--lam", "5.0", *C),
+                    "--auto-horizon estimates N = inf: no strategy is generated that far",
+                )
+                for C in ((), ("-C", "1e300"))
+            ],
+        ],
+        ids=["default-C", "N-inf", "N-inf-given-C"],
+    )
+    def test_auto_horizon_past_binary64_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "refute", *argv, "--auto-horizon")
+        assert (code, out) == (1, "")
+        assert err == f"raysearch: error: {message}\n"
+
+    def test_auto_horizon_of_inf_reads_a_strategy_file(self, capsys, tmp_path):
+        p = InstanceParams(2, 3, 1)
+        path = tmp_path / "strategy.txt"
+        save_strategies(make_exponential_strategy(p, optimal_alpha(p), 1e4), str(path))
+        code, out, _ = run(
+            capsys, "refute", "-m", "2", "-k", "3", "-f", "1", "--lam", "5.0",
+            "--auto-horizon", "--strategy", str(path),
+        )
+        # a finite strategy cannot cover [1, inf)
         assert code == 2
         assert json.loads(out)["kind"] == "coverage_failure"
 

@@ -164,6 +164,11 @@ class TestHorizonEstimate:
         with pytest.raises(ValueError, match=r"^need C > mu, got C=3.5, mu=3.5$"):
             horizon_estimate(doubling, 8.0, C=3.5)
 
+    def test_an_infinite_gap_constant_is_rejected(self, three_robot):
+        # math.ceil of an infinite step count used to raise OverflowError
+        with pytest.raises(ValueError, match=r"^need a finite C, got inf$"):
+            horizon_estimate(three_robot, 4.7, math.inf)
+
     def test_the_largest_finite_horizon_is_finite(self):
         # 32 steps (mu = 1, delta = 4) of this C, just below 2^32, sum to
         # log(N) = log of the largest float exactly: N is finite, not inf

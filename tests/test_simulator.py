@@ -17,6 +17,7 @@ from raysearch import (
     make_exponential_strategy,
     make_geometric_line_strategy,
     optimal_alpha,
+    refute,
     sweep_rows,
     worst_ratio,
 )
@@ -85,6 +86,22 @@ class TestDetection:
         p = InstanceParams(2, 2, 1)
         rep = detection_time([straight, straight], p, Target(-1, 2.0))
         assert rep.tau is None and rep.ratio is None
+
+    @pytest.mark.parametrize("ray", [0, -1, 3])
+    def test_a_target_off_the_round_plans_rays_is_rejected(
+        self, doubling, doubling_strategy, ray
+    ):
+        # it used to be reported undetected, as if the robots had missed it
+        message = rf"^target on ray {ray}, but the set searches rays \(1, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            detection_time(doubling_strategy, doubling, Target(ray, 2.0))
+
+    @pytest.mark.parametrize("ray", [0, 2])
+    def test_a_target_off_the_line_is_rejected(self, ray):
+        line = [TurnSequence((1.0, 2.0, 4.0))]
+        message = rf"^target on ray {ray}, but the set searches rays \(1, -1\)$"
+        with pytest.raises(ValueError, match=message):
+            detection_time(line, InstanceParams(2, 1, 0), Target(ray, 2.0))
 
 
 class TestWorstRatio:
@@ -322,9 +339,11 @@ def _assert_rejected(strategies, p, N, message):
 
 
 def _assert_mixed_set_rejected(strategies, p, N):
-    _assert_rejected(
-        strategies, p, N, "strategies mix RoundPlan and TurnSequence: give one kind"
-    )
+    message = "strategies mix RoundPlan and TurnSequence: give one kind"
+    _assert_rejected(strategies, p, N, message)
+    # the reference path goes through the same gate
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        detection_time(strategies, p, Target(1, 2.0))
 
 
 class TestIndexMatchesReference:
@@ -365,25 +384,26 @@ class TestIndexMatchesReference:
         message = f"line strategies need m=2, got m={m}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_geometric_line_strategy(p, 2.0, 100.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            detection_time(strategies, p, Target(1, 2.0))
         _assert_rejected(strategies, p, 100.0, message)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_instances("orc"), _instances("line")))
     def test_sweep_at_every_turn(self, inst):
         # worst_ratio and sweep_rows probe turns only just above them; the
-        # sweep answers any target, exactly at a turn included
+        # sweep answers any target, exactly at a turn included, on every ray
         strategies, p, _ = inst
         cands, rays = _oracle_candidates(strategies, p, math.inf)
         past = _ray_past_m(strategies, p)
         if past is not None:
-            probes = [(ray, 1.0) for ray in rays]
             with pytest.raises(ValueError, match=re.escape(past)):
-                _sweep(strategies, p, probes, math.inf, visitors=True)
+                _sweep(strategies, p, (1.0,), math.inf, visitors=True)
             return
-        probes = [(t.ray, t.x) for t, _ in cands]
-        targets, reports = _sweep(strategies, p, probes, math.inf, visitors=True)
-        # every probe exactly at its x, then just past each turn from 1 on
-        assert targets == [(ray, x, False) for ray, x in probes] + [
+        xs = list(dict.fromkeys(t.x for t, _ in cands))
+        targets, reports = _sweep(strategies, p, xs, math.inf, visitors=True)
+        # every distance exactly at x on each ray, then just past each turn from 1 on
+        assert targets == [(ray, x, False) for ray in rays for x in xs] + [
             (t.ray, t.x, True) for t, _ in cands[len(rays):]
         ]
         assert reports == [
@@ -484,6 +504,40 @@ class TestExactReference:
         assert len(off) >= 290  # most sets stay covered
         # 300 sets read 180 within half an ulp, 101 within one, 18 within two
         assert max(off) <= 4
+
+
+def _perturbed_line_sets(count):
+    # geometric line strategies at a base within 3 % of the optimal
+    # exponent, turns jittered by up to 5 %, up to a horizon in [1e1, 1e8]
+    rng = random.Random(20172)
+    shapes = [(2, 1, 0), (2, 2, 1), (2, 3, 1), (2, 3, 2), (2, 4, 2), (2, 5, 3)]
+    for n in range(count):
+        p = InstanceParams(*shapes[n % len(shapes)])
+        N = 10.0 ** rng.uniform(1.0, 8.0)
+        alpha = optimal_alpha(p) ** rng.uniform(0.97, 1.03)
+        strategies = [
+            TurnSequence(tuple(turn * rng.uniform(0.95, 1.05) for turn in s.turns))
+            for s in make_geometric_line_strategy(p, alpha, N)
+        ]
+        yield strategies, p, N
+
+
+class TestCertificateAboveTheSup:
+    # the converse of the refuter's soundness: a set whose sup is below
+    # lambda is a lambda-cover of (1, N], so the refuter cannot refute it
+    @pytest.mark.parametrize(
+        "mode, sets", [("orc", _perturbed_sets), ("line", _perturbed_line_sets)]
+    )
+    @pytest.mark.parametrize("rel", [1e-9, 1e-12])
+    def test_lambda_above_the_sup_is_certified(self, mode, sets, rel):
+        covered = 0
+        for strategies, p, N in sets(300):
+            sup, _ = worst_ratio(strategies, p, N)
+            if math.isfinite(sup):
+                covered += 1
+                verdict = refute(strategies, sup * (1.0 + rel), p, N, mode=mode)
+                assert verdict.kind == "certificate", (p, N, sup)
+        assert covered >= 290
 
 
 class TestOneWalk:

@@ -63,6 +63,18 @@ class TestExponentialGenerator:
         assert set(best) == {1, 2}
         assert all(v >= N for v in best.values())
 
+    def test_a_first_turn_that_underflows_is_named(self):
+        # alpha^(k(1-2m)+m) rounds to 0.0 here: that used to be reported as
+        # a turn that is not positive, one the caller never gave
+        p = InstanceParams(80, 159, 1)
+        alpha = optimal_alpha(p)
+        message = (
+            rf"^InstanceParams\(m=80, k=159, f=1\), alpha={alpha!r}: "
+            r"the first turn alpha\^-25201 underflows to 0$"
+        )
+        with pytest.raises(ValueError, match=message):
+            make_exponential_strategy(p, alpha, 1.0)
+
 
 @pytest.mark.parametrize(
     "make", [make_exponential_strategy, make_geometric_line_strategy]

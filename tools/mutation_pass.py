@@ -3,7 +3,8 @@
 Each mutant makes one small change to the module, found with `tokenize`,
 so strings and comments are left alone:
 
-* a comparison flips: `<` and `<=`, or `>` and `>=`;
+* a comparison flips: `<` and `<=`, `>` and `>=`, `==` and `!=`, `in`
+  and `not in` (the `in` of a `for` clause stays), `is` and `is not`;
 * an integer offset moves by one: the literal after a binary `+` or `-`
   (`j + 1` becomes `j + 2` and `j + 0`);
 * a subscript index moves by one: `arrivals[p.f]` becomes
@@ -41,7 +42,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-FLIP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+FLIP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 TIMEOUT = 600.0  # seconds per test run; a mutant that hangs counts as killed
 # subscripted names that only build types, as in `list[float]` or `Sequence[T]`
 TYPE_NAMES = {"list", "dict", "tuple", "set", "frozenset", "type", "deque"}
@@ -87,6 +88,37 @@ def _subscripts(toks: list[tokenize.TokenInfo]) -> list[Mutant]:
     return out
 
 
+def _keyword_flips(toks: list[tokenize.TokenInfo]) -> list[Mutant]:
+    """`in` <-> `not in` and `is` <-> `is not`; a `for` clause's `in` is kept.
+
+    Each `for` waits for the first `in` at its own bracket depth.
+    """
+    out = []
+    depth = 0
+    fors: list[int] = []  # the depth of each `for` whose `in` is still to come
+    for i, tok in enumerate(toks):
+        if tok.type == tokenize.OP:
+            depth += (tok.string in "([{") - (tok.string in ")]}")
+        if tok.type != tokenize.NAME:
+            continue
+        prev, nxt = toks[i - 1], toks[i + 1]
+        if tok.string == "for":
+            fors.append(depth)
+        elif tok.string == "in" and fors and fors[-1] == depth:
+            fors.pop()
+        elif tok.string == "in" and prev.string == "not":
+            if prev.start[0] == tok.start[0]:  # drop `not` and the space after it
+                out.append(Mutant(*prev.start, prev.line[prev.start[1] : tok.start[1]], ""))
+        elif tok.string == "in":
+            out.append(Mutant(*tok.start, "in", "not in"))
+        elif tok.string == "is" and nxt.string == "not":
+            if nxt.start[0] == tok.start[0]:  # drop the space and `not`
+                out.append(Mutant(*tok.end, tok.line[tok.end[1] : nxt.end[1]], ""))
+        elif tok.string == "is":
+            out.append(Mutant(*tok.start, "is", "is not"))
+    return out
+
+
 def mutants(source: str) -> list[Mutant]:
     """Every mutant of the module, in source order."""
     toks = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -102,7 +134,7 @@ def mutants(source: str) -> list[Mutant]:
             out.append(Mutant(*tok.start, "sort", NO_SORT))
         elif tok.string == "sorted" and sign.string != "." and toks[i + 1].string == "(":
             out.append(Mutant(*tok.start, "sorted", NO_SORTED))
-    out += _subscripts(toks)
+    out += _subscripts(toks) + _keyword_flips(toks)
     return sorted(out)
 
 
