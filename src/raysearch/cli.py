@@ -10,12 +10,12 @@ infinite, -N below 1, an instance whose first turn underflows to 0,
 --auto-horizon, -C without --auto-horizon, --auto-horizon whose default
 C overflows or whose N is inf without --strategy, --lam, -m, -k or -f
 together with --eta (a flag the command would ignore is an error), a
---gap-constant of at most 1 (whatever the verdict), line strategies with
--m other than 2 and an unknown RAYSEARCH_PRECISION; 2 coverage failure
-or uncovered witness; 3 a broken refuter invariant,
-potential.AuditError or potential.InvalidAssignmentError; 141 (128 +
-SIGPIPE, as a shell reports a tool that a closed pipe stops) when the
-reader of stdout has gone, with nothing written to stderr.  Each of the
+--gap-constant of at most 1 (whatever the verdict) and line strategies
+with -m other than 2; 2 coverage failure or uncovered witness; 3 a
+broken refuter invariant, potential.AuditError or
+potential.InvalidAssignmentError; 141 (128 + SIGPIPE, as a shell reports
+a tool that a closed pipe stops) when the reader of stdout has gone,
+with nothing written to stderr.  Each of the
 other errors is written to stderr as one line `raysearch: ...` that
 keeps its own text.  All emitted CSV/JSON is deterministic for a
 given configuration (no timestamps in data files).
@@ -41,7 +41,6 @@ from .formulas import (
     InstanceParams,
     NoFiniteHorizon,
     TrivialRegime,
-    _extended,
     growth_factor_delta,
     horizon_estimate,
     optimal_alpha,
@@ -234,6 +233,7 @@ def cmd_refute(args) -> int:
     strategies = _build_strategies(args, p, N, mode=args.mode)
     verdict = refute(strategies, args.lam, p, N, mode=args.mode)
     doc = verdict.to_dict()
+    doc["params"] = {key: _json_value(v) for key, v in doc["params"].items()}
     # a coverage failure has no assignment, and a multiplicity of 0 an
     # empty one: either way there is no stream to scan, and the gap is null
     if args.gap_constant is not None:
@@ -335,7 +335,6 @@ def _parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        _extended()  # an unknown RAYSEARCH_PRECISION fails every command alike
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

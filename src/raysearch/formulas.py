@@ -5,19 +5,18 @@ the tight competitive-ratio bound, the optimal base of the cyclic
 exponential strategy, the maximizer of x^s (mu*-x)^k, the per-step
 growth factor of the potential audit, and the refutation horizon.
 
-All products of large powers are computed in the log domain and only
-exponentiated at the API boundary (q^q overflows 64-bit floats near
-q ~ 170).  Setting RAYSEARCH_PRECISION=extended switches the internal
-log arithmetic to 50-digit mpmath; unset or 64 keeps binary64, and any
-other value raises ValueError.
+The tight bound has one form, `_critical_slack(x)` with x = rho - 1 =
+s/k: (1+x) exp(x log1p(1/x)), whose exponent lies in (0, 1).  The
+critical slack `mu_critical`, the bound `ratio_lower_bound`, the growth
+factor `growth_factor_delta` and `fractional.fractional_ratio` all read
+it, so none takes the difference of large logs (q^q overflows 64-bit
+floats near q ~ 170) and each is within a few ulps of exact.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = [
     "InstanceParams",
@@ -50,45 +49,13 @@ class NoFiniteHorizon(Exception):
     """No finite horizon yields a contradiction (lambda at or above the bound)."""
 
 
-def _extended() -> bool:
-    value = os.environ.get("RAYSEARCH_PRECISION", "64")
-    if value not in ("64", "extended"):
-        raise ValueError(
-            f"RAYSEARCH_PRECISION must be unset, '64' or 'extended', got {value!r}"
-        )
-    return value == "extended"
+def _critical_slack(x: float) -> float:
+    """(1+x)^(1+x) / x^x for x > 0, as (1+x) exp(x log1p(1/x)).
 
-
-def _exp_of(
-    log_terms: Iterable[tuple[float, float]], log1p_terms: Iterable[tuple[float, float]] = ()
-) -> float:
-    """exp(sum of coeff*log(base) + sum of coeff*log1p(x)) with optional
-    extended precision; inf where it overflows.
-
-    log_terms: list of (coeff, base) pairs, base > 0; log1p_terms: list
-    of (coeff, x) pairs, x > -1.
+    The exponent lies in (0, 1), so exp adds no error of its own and
+    nothing cancels: a few ulps from exact at the x it is given.
     """
-    if _extended():
-        try:
-            import mpmath
-        except ImportError:
-            raise ValueError("RAYSEARCH_PRECISION=extended needs mpmath installed") from None
-
-        with mpmath.workdps(50):
-            acc = mpmath.mpf(0)
-            for coeff, base in log_terms:
-                acc += mpmath.mpf(coeff) * mpmath.log(mpmath.mpf(base))
-            for coeff, x in log1p_terms:
-                acc += mpmath.mpf(coeff) * mpmath.log1p(mpmath.mpf(x))
-            return float(mpmath.e**acc)
-    acc = 0.0
-    for coeff, base in log_terms:
-        acc += coeff * math.log(base)
-    for coeff, x in log1p_terms:
-        acc += coeff * math.log1p(x)
-    if acc > _LOG_FLOAT_MAX:
-        return math.inf
-    return math.exp(acc)
+    return (1.0 + x) * math.exp(x * math.log1p(1.0 / x))
 
 
 @dataclass(frozen=True)
@@ -158,7 +125,7 @@ def optimal_alpha(p: InstanceParams) -> float:
     """Base of the optimal cyclic exponential strategy: (q/(q-k))^(1/k)."""
     p.require_searchable()
     q, k = p.q, p.k
-    return _exp_of([(1.0 / k, q), (-1.0 / k, q - k)])
+    return math.exp((1.0 / k) * math.log(q) - (1.0 / k) * math.log(q - k))
 
 
 def poly_max_point(s: int, k: int, mu_star: float) -> float:
@@ -171,19 +138,25 @@ def poly_max_point(s: int, k: int, mu_star: float) -> float:
 
 
 def growth_factor_delta(s: int, k: int, mu: float) -> float:
-    """(k+s)^(k+s) / (s^s k^k mu^k); exceeds 1 iff mu is below mu_critical."""
+    """(k+s)^(k+s) / (s^s k^k mu^k) = (mu_critical/mu)^k; inf where it overflows.
+
+    Exceeds 1 iff mu is below mu_critical, and is exactly 1.0 there.
+    """
     if s < 1 or k < 1:
         raise ValueError(f"s and k must be >= 1, got s={s}, k={k}")
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    return _exp_of([(k + s, k + s), (-s, s), (-k, k), (-k, mu)])
+    log_delta = k * math.log(_critical_slack(s / k) / mu)
+    if log_delta > _LOG_FLOAT_MAX:
+        return math.inf
+    return math.exp(log_delta)
 
 
 def mu_critical(s: int, k: int) -> float:
     """The critical slack ((k+s)^(k+s) / (s^s k^k))^(1/k); delta(mu) = 1 here."""
     if s < 1 or k < 1:
         raise ValueError(f"s and k must be >= 1, got s={s}, k={k}")
-    return _exp_of([((k + s) / k, k + s), (-s / k, s), (-1.0, k)])
+    return _critical_slack(s / k)
 
 
 def horizon_estimate(p: InstanceParams, lam: float, C: float) -> float:

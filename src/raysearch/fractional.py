@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .formulas import _exp_of
+from .formulas import _critical_slack
 
 __all__ = [
     "FractionalInstance",
@@ -70,12 +70,12 @@ def fractional_ratio(eta: float) -> float:
     """Tight fractional ratio 2*eta^eta/(eta-1)^(eta-1) + 1 for finite
     eta > 1; inf where it overflows binary64 (eta above about 3.3e307).
 
-    Taken as 2*eta*exp((eta-1)*log1p(1/(eta-1))) + 1: the difference
-    eta*log(eta) - (eta-1)*log(eta-1) cancels as eta grows, and the
-    exponent stays below 1, so exp adds no error of its own.
+    Taken as 2*mu + 1 with mu = `formulas._critical_slack(eta - 1)`, the
+    integer bound's one form: the difference eta*log(eta) -
+    (eta-1)*log(eta-1) would cancel as eta grows.
     """
     _require_eta(eta)
-    return 2.0 * eta * _exp_of([], [(eta - 1.0, 1.0 / (eta - 1.0))]) + 1.0
+    return 2.0 * _critical_slack(eta - 1.0) + 1.0
 
 
 # Relative widening of each window of q, past the rounding of the

@@ -373,6 +373,19 @@ class TestRefute:
         assert code == 2
         assert json.loads(out)["kind"] == "coverage_failure"
 
+    def test_an_infinite_horizon_is_null_in_the_verdict(self, capsys, tmp_path):
+        # JSON has no inf: the estimated N = inf is null, printed and in --json
+        p = InstanceParams(2, 3, 1)
+        strat, verdict = tmp_path / "strategy.txt", tmp_path / "verdict.json"
+        save_strategies(make_exponential_strategy(p, optimal_alpha(p), 1e4), str(strat))
+        code, out, _ = run(
+            capsys, "refute", "-m", "2", "-k", "3", "-f", "1", "--lam", "5.0",
+            "--auto-horizon", "--strategy", str(strat), "--json", str(verdict),
+        )
+        assert code == 2
+        assert out == verdict.read_text()
+        assert strict_json(out)["params"]["N"] is None
+
     def test_a_robot_without_a_next_interval_has_no_audit(self, capsys, tmp_path):
         # robot 1's one interval ends the stream, so no robot has one past
         # the base prefix: a certificate with nothing to audit, and a trace
@@ -557,16 +570,6 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--no-such-flag"])
         assert exc.value.code == 1
-
-    def test_unknown_precision_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAYSEARCH_PRECISION", "extnded")
-        code, out, err = run(capsys, "bound", "-m", "2", "-k", "3", "-f", "1")
-        assert code == 1
-        assert out == ""
-        assert err == (
-            "raysearch: error: RAYSEARCH_PRECISION must be unset, '64' or "
-            "'extended', got 'extnded'\n"
-        )
 
 
 class TestInputChecks:

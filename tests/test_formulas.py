@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -17,7 +18,8 @@ from raysearch import (
     poly_max_point,
     ratio_lower_bound,
 )
-from raysearch.formulas import _exp_of
+from raysearch import formulas
+from raysearch.formulas import _LOG_FLOAT_MAX
 
 
 class TestInstanceParams:
@@ -153,12 +155,14 @@ class TestHorizonEstimate:
         with pytest.raises(NoFiniteHorizon, match="tight bound"):
             horizon_estimate(p, ratio_lower_bound(p), C=100.0)
 
-    def test_a_growth_factor_that_rounds_to_one_has_no_horizon(self):
-        # 14.5 is lambda0 of m = 3, k = 1 in exact arithmetic, one ulp below
-        # its binary64 value; delta rounds to 1 there, and the step count
-        # would divide by log(delta) = 0
-        with pytest.raises(NoFiniteHorizon):
-            horizon_estimate(InstanceParams(3, 1, 0), 14.5, C=100.0)
+    def test_a_growth_factor_that_rounds_to_one_has_no_horizon(self, monkeypatch):
+        # no lambda reaches this guard: lambda < lambda0 makes mu < mu_critical
+        # in binary64, so mu_critical/mu >= 1 + 2^-52 and delta > 1.  It stays,
+        # since the step count would divide by log(delta) = 0; a delta of 1
+        # is put in by hand to reach it
+        monkeypatch.setattr(formulas, "growth_factor_delta", lambda s, k, mu: 1.0)
+        with pytest.raises(NoFiniteHorizon, match=r"^growth factor 1.0 <= 1 at mu=6.5"):
+            horizon_estimate(InstanceParams(3, 1, 0), 14.0, C=100.0)
 
     def test_gap_constant_equal_to_mu_is_rejected(self, doubling):
         with pytest.raises(ValueError, match=r"^need C > mu, got C=3.5, mu=3.5$"):
@@ -184,8 +188,13 @@ class TestHorizonEstimate:
 
 
 def test_the_log_of_the_largest_float_is_finite():
-    # the overflow cut sits above log(max float), not at it
-    assert _exp_of([(1.0, sys.float_info.max)]) == pytest.approx(sys.float_info.max, rel=1e-12)
+    # delta(2, 2, mu) = exp(2 log(4/mu)), and this mu puts the exponent on
+    # log(max float) exactly: the overflow cut sits above it, not at it.
+    # A hair smaller mu is past the cut: inf, not an OverflowError of exp
+    mu = 4.0 * math.exp(-_LOG_FLOAT_MAX / 2.0)
+    assert mu_critical(2, 2) == 4.0 and 2.0 * math.log(4.0 / mu) == _LOG_FLOAT_MAX
+    assert growth_factor_delta(2, 2, mu) == math.exp(_LOG_FLOAT_MAX)
+    assert growth_factor_delta(2, 2, mu * (1.0 - 1e-12)) == math.inf
 
 
 class TestCoverParams:
@@ -197,26 +206,75 @@ class TestCoverParams:
             CoverParams(1.0)
 
 
-class TestPrecision:
-    @pytest.mark.parametrize("value", ["extnded", "", "128", "EXTENDED"])
-    def test_unknown_value_is_rejected(self, monkeypatch, three_robot, value):
-        monkeypatch.setenv("RAYSEARCH_PRECISION", value)
-        with pytest.raises(ValueError, match="unset, '64' or 'extended'"):
-            ratio_lower_bound(three_robot)
+def _shapes(count: int) -> list[InstanceParams]:
+    """(40, 30, 29), where logs that cancel lose the most at m, f <= 40,
+    and `count` - 1 more searchable shapes with m, f <= 40, seeded."""
+    rng = random.Random(21)
+    shapes = [InstanceParams(40, 30, 29)]
+    while len(shapes) < count:
+        m, f = rng.randint(2, 40), rng.randint(0, 40)
+        shapes.append(InstanceParams(m, rng.randint(f + 1, m * (f + 1) - 1), f))
+    return shapes
 
-    def test_unset_and_64_agree(self, monkeypatch, three_robot):
-        monkeypatch.delenv("RAYSEARCH_PRECISION", raising=False)
-        unset = ratio_lower_bound(three_robot)
-        monkeypatch.setenv("RAYSEARCH_PRECISION", "64")
-        assert ratio_lower_bound(three_robot) == unset
 
-    def test_extended_without_mpmath_is_rejected(self, monkeypatch, three_robot):
-        monkeypatch.setenv("RAYSEARCH_PRECISION", "extended")
-        monkeypatch.setitem(sys.modules, "mpmath", None)
-        with pytest.raises(ValueError, match="needs mpmath"):
-            ratio_lower_bound(three_robot)
+def _log_mu_critical(mpmath, s: int, k: int):
+    """log of ((k+s)^(k+s) / (s^s k^k))^(1/k), from the integers, in mpmath."""
+    return ((k + s) * mpmath.log(k + s) - s * mpmath.log(s) - k * mpmath.log(k)) / k
 
-    def test_extended_is_accepted(self, monkeypatch):
-        pytest.importorskip("mpmath")
-        monkeypatch.setenv("RAYSEARCH_PRECISION", "extended")
-        assert ratio_lower_bound(InstanceParams(3, 1, 0)) == 14.5
+
+def _ulps(mpmath, value: float, ref) -> float:
+    return float(abs(mpmath.mpf(value) - ref)) / math.ulp(float(ref))
+
+
+class TestAccuracy:
+    """The closed forms against 50-digit mpmath on integer inputs."""
+
+    @pytest.fixture
+    def mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            yield mpmath
+
+    def test_ratio_lower_bound_within_four_ulps(self, mpmath):
+        errors = {}
+        for p in _shapes(400):
+            ref = 2 * mpmath.exp(_log_mu_critical(mpmath, p.s, p.k)) + 1
+            errors[(p.m, p.k, p.f)] = _ulps(mpmath, ratio_lower_bound(p), ref)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 4.0, (worst, errors[worst])
+
+    def test_mu_critical_within_four_ulps(self, mpmath):
+        errors = {}
+        for p in _shapes(400):
+            ref = mpmath.exp(_log_mu_critical(mpmath, p.s, p.k))
+            errors[(p.s, p.k)] = _ulps(mpmath, mu_critical(p.s, p.k), ref)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 4.0, (worst, errors[worst])
+
+    def test_growth_factor_delta_within_twelve_k_ulps(self, mpmath):
+        # delta = (mu_critical/mu)^k carries k times the error of the
+        # quotient: below 9.2 k ulps in 23 000 probes with mu/mu_critical
+        # in [1e-3, 3]
+        rng = random.Random(21)
+        errors = {}
+        for p in _shapes(400):
+            s, k = p.s, p.k
+            # a log(mu/mu_critical) that keeps delta inside binary64
+            reach = min(700.0 / k, math.log(1e3))
+            mu = mu_critical(s, k) * math.exp(rng.uniform(-reach, min(reach, math.log(3.0))))
+            ref = mpmath.exp(k * (_log_mu_critical(mpmath, s, k) - mpmath.log(mu)))
+            errors[(s, k, mu)] = _ulps(mpmath, growth_factor_delta(s, k, mu), ref) / k
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 12.0, (worst, errors[worst])
+
+    def test_delta_is_one_at_mu_critical(self):
+        # so mu < mu_critical, the audit's subcritical test, and delta > 1 agree
+        for p in _shapes(2000):
+            assert growth_factor_delta(p.s, p.k, mu_critical(p.s, p.k)) == 1.0, p
+
+    @pytest.mark.parametrize(
+        "mkf, lam0", [((2, 1, 0), 9.0), ((3, 1, 0), 14.5), ((3, 2, 0), 6.196152422706632)]
+    )
+    def test_small_bounds_are_exact(self, mkf, lam0):
+        # 9 and 14.5 = 2 * 27/4 + 1 exactly, and the rounding of 3 sqrt(3) + 1
+        assert ratio_lower_bound(InstanceParams(*mkf)) == lam0

@@ -62,6 +62,15 @@ class TestFractionalRatio:
             ratio_lower_bound(p), abs=1e-12
         )
 
+    def test_rational_eta_is_within_ulps_of_the_integer_bound(self):
+        # both read one form, but x = q/k - 1 carries the rounding of q/k,
+        # coarser relative to x than the one rounding of s/k: 58 of these
+        # 66 agree bit for bit, the rest within a few ulps
+        for q in range(2, 13):
+            for k in range(1, q):
+                lam0 = ratio_lower_bound(InstanceParams(q, k, 0))
+                assert abs(fractional_ratio(q / k) - lam0) <= 4 * math.ulp(lam0), (q, k)
+
     def test_rejects_eta_at_most_one(self):
         for eta in (1.0, 0.5, 0.0):
             with pytest.raises(ValueError, match=rf"^eta must exceed 1, got {eta}$"):
