@@ -4,7 +4,8 @@ Exit status: 0 success or certificate; 1 usage or parameter-regime
 errors, among them a strategy file that is malformed, whose robot count
 or kind does not match -k and --mode or that visits a ray past -m,
 --alpha together with --strategy, a numeric flag that is NaN or
-infinite, -N below 1, an instance whose first turn underflows to 0,
+infinite, -N below 1, an instance whose first turn underflows to 0 or
+whose generated set would exceed strategy.MAX_ROUNDS rounds,
 --dense or --rel-step without --csv, --rel-step without --dense, a
 --rel-step too small for a finite dense grid up to N, -N together with
 --auto-horizon, -C without --auto-horizon, --auto-horizon whose default

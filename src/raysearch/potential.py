@@ -24,13 +24,16 @@ robot's next-left b, and one frontier, as A[0] leaves and the interval's
 right end enters).  The state keeps each value once, pre-scaled, with
 its log term beside it, and each stream interval carries its robot's
 next left end, so a step takes three logs for the incremental update and
-three for the terms it replaces.  The from-scratch oracle,
-`potential_value`, only sums the stored terms; it runs at every audited
-step and never reads the incremental value.  The audit checks that sum
-against the incremental value and, in line mode, against the cap.  The
-initial potential sums the terms and frontier logs that `initial_state`
-has just taken; fresh logs of every value are taken once more, after the
-last step, where the audit checks the stored terms against them.
+three for the terms it replaces.  One generator, `_replay`, states a
+step: it binds the state's lists and constants once and yields each
+step; `audit_growth` iterates it and `advance` takes its first step.
+The from-scratch oracle, the sum of the stored terms (`potential_value`),
+runs at every audited step and never reads the incremental value.  The
+audit checks that sum against the incremental value and, in line mode,
+against the cap.  The initial potential sums the terms and frontier logs
+that `initial_state` has just taken; fresh logs of every value are taken
+once more, after the last step, where the audit checks the stored terms
+against them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import cycle
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .cover import (
     AssignedInterval,
@@ -127,7 +130,7 @@ class PrefixState:
     Everything is rescaled so that the base prefix's frontier a = A[0] is
     1.  `values` holds per robot its load and, in orc mode, its next left
     end b; `terms` holds coef*log(value) at the same indices (coef e for a
-    load, k for b) and `log_A` the log of each frontier.  `advance`
+    load, k for b) and `log_A` the log of each frontier.  A step
     replaces a value and its term together; `potential_value` sums the
     terms.  The stream is (robot, left, right, next_left) tuples, where
     next_left is the robot's following left end, None after its last.
@@ -160,27 +163,39 @@ def _log_potential(terms: Iterable[float], log_A: Iterable[float], k: int) -> fl
     return lp - k * sum(log_A)
 
 
+def _more_robots_than_k(robots: Collection[int], p: InstanceParams) -> ValueError:
+    return ValueError(f"assigned intervals of {len(robots)} robots, more than k = {p.k}")
+
+
 def initial_state(
     assigned: Sequence[AssignedInterval], p: InstanceParams, mode: Mode
 ) -> PrefixState:
     """State of the base prefix, rescaled so that its frontier a is 1.
 
-    `assigned` is checked to be in `exact_q_assignment`'s order.  The base
+    `assigned` is checked to be in `exact_q_assignment`'s order, and to
+    hold intervals of at most p.k robots (else ValueError).  The base
     prefix is the shortest one with every boundary interval (right end at
-    most 1) and an interval of every robot; the rest is the state's
-    stream, each interval linked by one backward pass to its robot's next
-    left end.  The orc potential needs every robot's next left end, so a
-    robot with no interval past the base prefix is a ConfigurationError,
-    as a load exponent below 1 is: there is nothing to audit.
+    most 1) and an interval of every robot; its scan stops at the first
+    left end >= 1 once p.k robots are seen, since no boundary interval
+    follows.  The rest is the state's stream, each interval linked by one
+    backward pass to its robot's next left end.  The orc potential needs
+    every robot's next left end, so a robot with no interval past the base
+    prefix is a ConfigurationError, as a load exponent below 1 is: there
+    is nothing to audit.
     """
     mult = _multiplicity(p, mode)
     _check_stream(assigned)
     first_seen: dict[int, int] = {}
     last_boundary = -1
-    for idx, iv in enumerate(assigned):
-        first_seen.setdefault(iv.robot, idx)
-        if iv.right <= 1.0:
+    for idx, (r, _, left, right, _) in enumerate(assigned):
+        if left >= 1.0 and len(first_seen) == p.k:
+            # sorted by left, with left < right: no right end <= 1 follows
+            break
+        first_seen.setdefault(r, idx)
+        if right <= 1.0:
             last_boundary = idx
+    if len(first_seen) > p.k:
+        raise _more_robots_than_k(first_seen, p)
     if not first_seen:
         raise ConfigurationError("no assigned intervals")
     p0 = max(max(first_seen.values()), last_boundary) + 1
@@ -205,6 +220,8 @@ def initial_state(
         left /= scale
         stream.appendleft((r, left, right / scale, next_left.get(r)))
         next_left[r] = left
+    if not next_left.keys() <= first_seen.keys():
+        raise _more_robots_than_k(first_seen.keys() | next_left.keys(), p)
     if orc:
         for r, j in slot.items():
             if r not in next_left:
@@ -241,54 +258,67 @@ class GrowthStep(NamedTuple):
     log_potential_after: float
 
 
-def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
-    """Extend the prefix by the next interval of its stream, in place.
+def _replay(state: PrefixState, c: CoverParams) -> Iterator[GrowthStep]:
+    """Extend the prefix by each interval of its stream in turn, in place,
+    yielding one GrowthStep per interval: the one statement of a step.
 
-    None at the end of the stream, and in orc mode where the interval's
-    robot has no following one, so no next left end.  The interval must
-    start at the current frontier a and respect the load bound (realized
-    slack mu* at most mu); the log-potential is updated incrementally from
-    the step ratio, with three logs that read no stored term.  The values
-    the step changes get their log terms anew: three more logs.  Every
-    check runs before the state is touched, so a rejected step leaves it,
-    its stream and log terms included, as it was.
+    It stops at the end of the stream, and in orc mode before an interval
+    whose robot has no following one, so no next left end.  The interval
+    must start at the current frontier a and respect the load bound
+    (realized slack mu* at most mu); the log-potential is updated
+    incrementally from the step ratio, with three logs that read no stored
+    term.  The values the step changes get their log terms anew: three
+    more logs.  Both checks run before the state is touched, so a rejected
+    step leaves it, its stream and log terms included, as it was.  The
+    state's lists and the constants are bound once, not once per step.
     """
-    if not state.stream:
-        return None
-    r, left, right, next_left = state.stream[0]
-    orc = state.mode == "orc"
-    if orc and next_left is None:
-        return None
-    a = state.A[0]
-    if abs(left - a) > _REL_TOL * max(1.0, abs(a)):
-        raise InvalidAssignmentError(
-            f"interval starts at {left}, frontier is {a}: not a cover prefix"
-        )
-    j = state.slot[r]
-    load_old = state.values[j]
-    load_new = load_old + right
-    denom = next_left if orc else a
-    mu_star = load_new / denom
-    if mu_star > c.mu * (1.0 + _REL_TOL):
-        raise InvalidAssignmentError(
-            f"load bound violated: realized mu*={mu_star} exceeds mu={c.mu}"
-        )
-    x = load_old / denom
+    stream, A, log_A = state.stream, state.A, state.log_A
+    values, terms, slot = state.values, state.terms, state.slot
     e, k = state.s_exp, state.k
-    log_ratio = e * math.log(mu_star) - e * math.log(x) - k * math.log(mu_star - x)
-    state.stream.popleft()
-    A, log_A = state.A, state.log_A
-    del A[0], log_A[0]
-    i = bisect_right(A, right)
-    A.insert(i, right)
-    log_A.insert(i, math.log(right))
-    state.values[j] = load_new
-    state.terms[j] = e * math.log(load_new)
-    if orc:
-        state.values[j + 1] = next_left
-        state.terms[j + 1] = k * math.log(next_left)
-    state.log_potential += log_ratio
-    return GrowthStep(r, mu_star, x, math.exp(log_ratio), state.log_potential)
+    orc = state.mode == "orc"
+    mu_top, tol = c.mu * (1.0 + _REL_TOL), _REL_TOL
+    log, exp, make = math.log, math.exp, GrowthStep._make
+    popleft, insert_A, insert_log = stream.popleft, A.insert, log_A.insert
+    while stream:
+        r, left, right, next_left = stream[0]
+        if orc and next_left is None:
+            return
+        a = A[0]
+        if abs(left - a) > tol * max(1.0, abs(a)):
+            raise InvalidAssignmentError(
+                f"interval starts at {left}, frontier is {a}: not a cover prefix"
+            )
+        j = slot[r]
+        load_old = values[j]
+        load_new = load_old + right
+        denom = next_left if orc else a
+        mu_star = load_new / denom
+        if mu_star > mu_top:
+            raise InvalidAssignmentError(
+                f"load bound violated: realized mu*={mu_star} exceeds mu={c.mu}"
+            )
+        x = load_old / denom
+        log_ratio = e * log(mu_star) - e * log(x) - k * log(mu_star - x)
+        popleft()
+        del A[0], log_A[0]
+        i = bisect_right(A, right)
+        insert_A(i, right)
+        insert_log(i, log(right))
+        values[j] = load_new
+        terms[j] = e * log(load_new)
+        if orc:
+            values[j + 1] = next_left
+            terms[j + 1] = k * log(next_left)
+        lp = state.log_potential + log_ratio
+        state.log_potential = lp
+        yield make((r, mu_star, x, exp(log_ratio), lp))
+
+
+def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
+    """Extend the prefix by the next interval of its stream, in place: the
+    first step of `_replay`, or None where it stops.  A rejected step
+    raises InvalidAssignmentError and leaves the state as it was."""
+    return next(_replay(state, c), None)
 
 
 def potential_value(state: PrefixState) -> float:
@@ -334,8 +364,8 @@ def audit_growth(
     the realized slack, and against the growth factor delta whenever mu is
     strictly below critical; incremental and from-scratch potentials must
     agree to 1e-9 relative, and so must the stored log terms and fresh
-    logs after the last step.  The replay stops where `advance` does; it
-    never skips a step, so a step's index is its position in `steps`.
+    logs after the last step.  The steps are `_replay`'s, every one of
+    them, so a step's index is its position in `steps`.
     """
     state = initial_state(assigned, p, mode)
     e, k = state.s_exp, state.k
@@ -352,25 +382,27 @@ def audit_growth(
         line_cap_log=cap,
         initial_log_potential=state.log_potential,
     )
-    while (step := advance(state, c)) is not None:
-        idx = len(trace.steps)
+    cap_top = None if cap is None else cap + _REL_TOL * max(1.0, abs(cap))
+    delta_top = delta * (1.0 - _REL_TOL)
+    for idx, step in enumerate(_replay(state, c)):
+        _, mu_star, _, step_ratio, _ = step
         scratch = potential_value(state)
-        if cap is not None and scratch > cap + _REL_TOL * max(1.0, abs(cap)):
+        if cap_top is not None and scratch > cap_top:
             raise AuditError(f"line potential {scratch} exceeds cap {cap} at step {idx}")
         if abs(state.log_potential - scratch) > _REL_TOL * max(1.0, abs(scratch)):
             raise AuditError(
                 f"incremental potential {state.log_potential} drifted from "
                 f"from-scratch value {scratch} at step {idx}"
             )
-        floor = delta_1 * step.mu_star**-k
-        if step.step_ratio < floor * (1.0 - 1e-12):
+        floor = delta_1 * mu_star**-k
+        if step_ratio < floor * (1.0 - 1e-12):
             raise AuditError(
-                f"step ratio {step.step_ratio} below polynomial floor {floor}"
+                f"step ratio {step_ratio} below polynomial floor {floor}"
                 f" at step {idx}"
             )
-        if subcritical and step.step_ratio < delta * (1.0 - _REL_TOL):
+        if subcritical and step_ratio < delta_top:
             raise AuditError(
-                f"step ratio {step.step_ratio} below growth factor {delta}"
+                f"step ratio {step_ratio} below growth factor {delta}"
                 f" at step {idx}"
             )
         trace.steps.append(step)

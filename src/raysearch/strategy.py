@@ -145,6 +145,22 @@ def _require_strategy_set(
     return (1, -1) if line else tuple(range(1, p.m + 1))
 
 
+# The most rounds (turns, for line strategies) one generator call may
+# return.  Each generator counts its rounds before it makes the first, and
+# a larger count is a ValueError: a round takes about 90 bytes in its plan
+# and 140 more as a cover interval, so a set at the limit stays near
+# 230 MB.  The benchmark's largest sets have 4 464 rounds.
+MAX_ROUNDS = 1_000_000
+
+
+def _require_round_count(count: int, p: InstanceParams, alpha: float, horizon: float) -> None:
+    if count > MAX_ROUNDS:
+        raise ValueError(
+            f"{p}, alpha={alpha!r}, N={horizon!r}: {count} rounds exceed"
+            f" the limit of {MAX_ROUNDS}"
+        )
+
+
 def _require_base_and_horizon(alpha: float, horizon: float) -> None:
     if not alpha > 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
@@ -166,7 +182,8 @@ def make_exponential_strategy(
     windows of exactly f+1 distinct robots.
 
     Generation stops after the first full cycle whose assignment windows
-    lie entirely beyond the horizon.
+    lie entirely beyond the horizon.  That cycle is known before the first
+    round, so a set of more than MAX_ROUNDS rounds is a ValueError.
     """
     p.require_searchable()
     _require_base_and_horizon(alpha, horizon)
@@ -176,23 +193,30 @@ def make_exponential_strategy(
     if math.exp(low * log_alpha) == 0.0:
         raise ValueError(f"{p}, alpha={alpha!r}: the first turn alpha^{low} underflows to 0")
     log_h = math.log(horizon)
-    plans = []
+
+    def beyond(r: int, j: int) -> bool:
+        # the window of a turn alpha^e starts at alpha^(e - q); the cycle's
+        # smallest e is ray 1's, and the float test is monotone in e
+        return (k * (1 + m * j) + m * r - q) * log_alpha > log_h
+
+    last = []  # per robot, its first cycle j >= -2 beyond the horizon
     for r in range(1, k + 1):
-        rounds: list[tuple[int, float]] = []
-        j = -2
-        while True:
-            cycle_beyond = True
-            for i in range(1, m + 1):
-                exponent = k * (i + m * j) + m * r
-                rounds.append((i, math.exp(exponent * log_alpha)))
-                # assignment window for this turn starts at alpha^(exponent-q)
-                if (exponent - q) * log_alpha <= log_h:
-                    cycle_beyond = False
-            if cycle_beyond:
-                break
+        # the closed form's guess, settled by the float test itself
+        j = max(-2, math.floor((log_h / log_alpha - k - m * r + q) / (k * m)) + 1)
+        while j > -2 and beyond(r, j - 1):
+            j -= 1
+        while not beyond(r, j):
             j += 1
-        plans.append(RoundPlan(tuple(rounds)))
-    return plans
+        last.append(j)
+    _require_round_count(m * sum(j + 3 for j in last), p, alpha, horizon)
+    return [
+        RoundPlan(tuple(
+            (i, math.exp((k * (i + m * j) + m * r) * log_alpha))
+            for j in range(-2, j_last + 1)
+            for i in range(1, m + 1)
+        ))
+        for r, j_last in enumerate(last, start=1)
+    ]
 
 
 def make_geometric_line_strategy(
@@ -202,7 +226,8 @@ def make_geometric_line_strategy(
 
     Robot r (0-based) turns at alpha^(j*k + r), alternating sides.  At the
     optimal alpha the cover intervals of all k robots tile every point of
-    [1, horizon] exactly s = 2(f+1)-k times.
+    [1, horizon] exactly s = 2(f+1)-k times.  Each robot's range of j is
+    known first, so a set of more than MAX_ROUNDS turns is a ValueError.
     """
     _require_two_rays(p)
     p.require_searchable()
@@ -210,15 +235,14 @@ def make_geometric_line_strategy(
     k, s = p.k, p.s
     log_alpha = math.log(alpha)
     e_hi = math.log(horizon) / log_alpha + s + k
-    out = []
-    for r in range(k):
-        j_lo = math.floor((-s - k - r) / k)
-        j_hi = math.ceil((e_hi - r) / k)
-        turns = tuple(
-            math.exp((j * k + r) * log_alpha) for j in range(j_lo, j_hi + 1)
-        )
-        out.append(TurnSequence(turns))
-    return out
+    ranges = [
+        range(math.floor((-s - k - r) / k), math.ceil((e_hi - r) / k) + 1) for r in range(k)
+    ]
+    _require_round_count(sum(map(len, ranges)), p, alpha, horizon)
+    return [
+        TurnSequence(tuple(math.exp((j * k + r) * log_alpha) for j in js))
+        for r, js in enumerate(ranges)
+    ]
 
 
 def cover_intervals(

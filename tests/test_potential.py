@@ -1,14 +1,18 @@
 import math
 from bisect import bisect_right
+from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from raysearch import (
     AssignedInterval,
     AuditError,
     ConfigurationError,
+    CoverInterval,
     CoverParams,
+    GrowthStep,
+    GrowthTrace,
     InstanceParams,
     InvalidAssignmentError,
     RoundPlan,
@@ -379,17 +383,16 @@ class TestAuditGrowth:
         cap = p.k * p.s * math.log(c.mu)
         top = cap + 1e-9 * max(1.0, abs(cap))
         value = math.nextafter(top, math.inf) if past else top
-        advance_exact, fresh = potential.advance, potential._log_potential
+        replay_exact, fresh = potential._replay, potential._log_potential
 
-        def advance_at_the_cap(state, c):
+        def replay_at_the_cap(state, c):
             # the stored terms, and so the incremental value, sum to `value`
-            step = advance_exact(state, c)
-            if step is not None:
+            for step in replay_exact(state, c):
                 state.terms[:] = [value] + [0.0] * (len(state.terms) - 1)
                 state.log_A[:] = [0.0] * len(state.log_A)
                 state.log_potential = value
                 assert potential_value(state) == value
-            return step
+                yield step
 
         calls = []
 
@@ -398,7 +401,7 @@ class TestAuditGrowth:
             calls.append(args)
             return fresh(*args) if len(calls) == 1 else value
 
-        monkeypatch.setattr(potential, "advance", advance_at_the_cap)
+        monkeypatch.setattr(potential, "_replay", replay_at_the_cap)
         monkeypatch.setattr(potential, "_log_potential", fresh_at_the_cap)
         if past:
             with pytest.raises(AuditError, match=r"^line potential .* exceeds cap .* at step 0$"):
@@ -485,15 +488,14 @@ class TestOracle:
         # an incremental update off by 1e-6 must fail the from-scratch check
         # at the first step: the oracle runs at every step
         p, assigned = doubling_assigned()
-        advance_exact = potential.advance
+        replay_exact = potential._replay
 
-        def advance_drifting(state, c):
-            step = advance_exact(state, c)
-            if step is not None:
+        def replay_drifting(state, c):
+            for step in replay_exact(state, c):
                 state.log_potential += 1e-6
-            return step
+                yield step
 
-        monkeypatch.setattr(potential, "advance", advance_drifting)
+        monkeypatch.setattr(potential, "_replay", replay_drifting)
         with pytest.raises(AuditError, match="drifted .* at step 0$"):
             audit_growth(assigned, CoverParams(9.0), p, "orc")
 
@@ -550,24 +552,24 @@ def _audit_on_the_tolerance(monkeypatch, check, past):
         assigned = exact_q_assignment(all_cover_intervals(strat, c), 2, 20.0)
     else:
         p, assigned = doubling_assigned()
-    advance_exact, fresh = potential.advance, potential._log_potential
+    replay_exact, fresh = potential._replay, potential._log_potential
     delta_1, delta = growth_factor_delta(1, 1, 1.0), growth_factor_delta(1, 1, c.mu)
 
-    def advance_on_the_tolerance(state, c):
-        step = advance_exact(state, c)
-        if step is None:
-            return None
-        if check == "drift":
-            # stored terms sum to 0, the incremental value is 1e-9 off
-            state.terms[:] = [0.0] * len(state.terms)
-            state.log_A[:] = [0.0] * len(state.log_A)
-            state.log_potential = nudge(1e-9, 1.0)
-        elif check == "floor":
-            floor = delta_1 * step.mu_star**-1 * (1.0 - 1e-12)
-            step = step._replace(step_ratio=nudge(floor, 0.0))
-        else:  # a slack far above mu puts the floor far below delta
-            step = step._replace(mu_star=2.0 * c.mu, step_ratio=nudge(delta * (1.0 - 1e-9), 0.0))
-        return step
+    def replay_on_the_tolerance(state, c):
+        for step in replay_exact(state, c):
+            if check == "drift":
+                # stored terms sum to 0, the incremental value is 1e-9 off
+                state.terms[:] = [0.0] * len(state.terms)
+                state.log_A[:] = [0.0] * len(state.log_A)
+                state.log_potential = nudge(1e-9, 1.0)
+            elif check == "floor":
+                floor = delta_1 * step.mu_star**-1 * (1.0 - 1e-12)
+                step = step._replace(step_ratio=nudge(floor, 0.0))
+            else:  # a slack far above mu puts the floor far below delta
+                step = step._replace(
+                    mu_star=2.0 * c.mu, step_ratio=nudge(delta * (1.0 - 1e-9), 0.0)
+                )
+            yield step
 
     calls = []
 
@@ -576,10 +578,290 @@ def _audit_on_the_tolerance(monkeypatch, check, past):
         calls.append(args)
         return fresh(*args) if len(calls) == 1 else 1e-9
 
-    monkeypatch.setattr(potential, "advance", advance_on_the_tolerance)
+    monkeypatch.setattr(potential, "_replay", replay_on_the_tolerance)
     if check == "drift":
         monkeypatch.setattr(potential, "_log_potential", fresh_on_the_tolerance)
     return audit_growth(assigned, c, p, "orc")
+
+
+# --- the slow predecessor of the step generator, kept as the oracle: the
+# base-prefix scan over the whole stream, one `advance` call per step and
+# the audit loop around it, as they stood before the replay was one loop
+
+
+def _reference_initial_state(assigned, p, mode):
+    mult = potential._multiplicity(p, mode)
+    potential._check_stream(assigned)
+    first_seen = {}
+    last_boundary = -1
+    for idx, iv in enumerate(assigned):
+        first_seen.setdefault(iv.robot, idx)
+        if iv.right <= 1.0:
+            last_boundary = idx
+    if not first_seen:
+        raise ConfigurationError("no assigned intervals")
+    p0 = max(max(first_seen.values()), last_boundary) + 1
+    robots = sorted(first_seen)
+    orc = mode == "orc"
+    k_eff = len(robots)
+    s_exp = mult - k_eff if orc else mult
+    if s_exp < 1:
+        raise ConfigurationError(
+            f"load exponent {s_exp} < 1 (k={k_eff} robots): potential degenerate"
+        )
+    A = covering_situation(assigned[:p0], mult)
+    scale = A[0]
+    width = 2 if orc else 1
+    slot = {r: width * i for i, r in enumerate(robots)}
+    values = [0.0] * (width * k_eff)
+    for iv in assigned[:p0]:
+        values[slot[iv.robot]] += iv.right / scale
+    stream = deque()
+    next_left = {}
+    for r, _, left, right, _ in reversed(assigned[p0:]):
+        left /= scale
+        stream.appendleft((r, left, right / scale, next_left.get(r)))
+        next_left[r] = left
+    if orc:
+        for r, j in slot.items():
+            if r not in next_left:
+                raise ConfigurationError(
+                    f"robot {r} has no interval past the base prefix: potential undefined"
+                )
+            values[j + 1] = next_left[r]
+    A = [y / scale for y in A]
+    state = potential.PrefixState(
+        mode=mode,
+        mult=mult,
+        k=k_eff,
+        s_exp=s_exp,
+        A=A,
+        log_A=[math.log(y) for y in A],
+        values=values,
+        terms=[],
+        slot=slot,
+        stream=stream,
+        log_potential=0.0,
+    )
+    state.terms = potential._fresh_terms(state)
+    state.log_potential = potential._log_potential(state.terms, state.log_A, k_eff)
+    return state
+
+
+def _reference_advance(state, c):
+    tol = potential._REL_TOL
+    if not state.stream:
+        return None
+    r, left, right, next_left = state.stream[0]
+    orc = state.mode == "orc"
+    if orc and next_left is None:
+        return None
+    a = state.A[0]
+    if abs(left - a) > tol * max(1.0, abs(a)):
+        raise InvalidAssignmentError(
+            f"interval starts at {left}, frontier is {a}: not a cover prefix"
+        )
+    j = state.slot[r]
+    load_old = state.values[j]
+    load_new = load_old + right
+    denom = next_left if orc else a
+    mu_star = load_new / denom
+    if mu_star > c.mu * (1.0 + tol):
+        raise InvalidAssignmentError(
+            f"load bound violated: realized mu*={mu_star} exceeds mu={c.mu}"
+        )
+    x = load_old / denom
+    e, k = state.s_exp, state.k
+    log_ratio = e * math.log(mu_star) - e * math.log(x) - k * math.log(mu_star - x)
+    state.stream.popleft()
+    A, log_A = state.A, state.log_A
+    del A[0], log_A[0]
+    i = bisect_right(A, right)
+    A.insert(i, right)
+    log_A.insert(i, math.log(right))
+    state.values[j] = load_new
+    state.terms[j] = e * math.log(load_new)
+    if orc:
+        state.values[j + 1] = next_left
+        state.terms[j + 1] = k * math.log(next_left)
+    state.log_potential += log_ratio
+    return GrowthStep(r, mu_star, x, math.exp(log_ratio), state.log_potential)
+
+
+def _reference_audit(assigned, c, p, mode):
+    tol = potential._REL_TOL
+    state = _reference_initial_state(assigned, p, mode)
+    e, k = state.s_exp, state.k
+    subcritical = c.mu < mu_critical(e, k)
+    delta = growth_factor_delta(e, k, c.mu)
+    delta_1 = growth_factor_delta(e, k, 1.0)
+    cap = k * e * math.log(c.mu) if state.mode == "line" else None
+    trace = GrowthTrace(
+        mult=state.mult,
+        k=k,
+        delta_bound=delta if subcritical else None,
+        line_cap_log=cap,
+        initial_log_potential=state.log_potential,
+    )
+    while (step := _reference_advance(state, c)) is not None:
+        idx = len(trace.steps)
+        scratch = potential_value(state)
+        if cap is not None and scratch > cap + tol * max(1.0, abs(cap)):
+            raise AuditError(f"line potential {scratch} exceeds cap {cap} at step {idx}")
+        if abs(state.log_potential - scratch) > tol * max(1.0, abs(scratch)):
+            raise AuditError(
+                f"incremental potential {state.log_potential} drifted from "
+                f"from-scratch value {scratch} at step {idx}"
+            )
+        floor = delta_1 * step.mu_star**-k
+        if step.step_ratio < floor * (1.0 - 1e-12):
+            raise AuditError(
+                f"step ratio {step.step_ratio} below polynomial floor {floor}"
+                f" at step {idx}"
+            )
+        if subcritical and step.step_ratio < delta * (1.0 - tol):
+            raise AuditError(
+                f"step ratio {step.step_ratio} below growth factor {delta}"
+                f" at step {idx}"
+            )
+        trace.steps.append(step)
+    stored = potential_value(state)
+    fresh = potential._log_potential(
+        potential._fresh_terms(state), map(math.log, state.A), k
+    )
+    if abs(stored - fresh) > tol * max(1.0, abs(fresh)):
+        raise AuditError(
+            f"stored log terms sum to {stored}, fresh logs to {fresh},"
+            f" after {len(trace.steps)} steps"
+        )
+    return trace
+
+
+def _outcome(audit, *args):
+    # a trace, or the type and message of what the audit raised
+    try:
+        return audit(*args)
+    except (ValueError, ConfigurationError, InvalidAssignmentError, AuditError) as exc:
+        return type(exc), str(exc)
+
+
+def _advance_steps(assigned, c, p, mode):
+    state = initial_state(assigned, p, mode)
+    steps = []
+    while (step := advance(state, c)) is not None:
+        steps.append(step)
+    return steps
+
+
+def _assert_replays_agree(assigned, c, p, mode):
+    """audit_growth against the reference, field by field or by its error;
+    returns whether the audit passed."""
+    got = _outcome(audit_growth, assigned, c, p, mode)
+    want = _outcome(_reference_audit, assigned, c, p, mode)
+    if isinstance(want, tuple):
+        assert got == want
+        return False
+    assert isinstance(got, GrowthTrace)
+    for name in ("steps", "initial_log_potential", "delta_bound", "line_cap_log", "mult", "k"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert all(type(step) is GrowthStep for step in got.steps)
+    assert _advance_steps(assigned, c, p, mode) == got.steps
+    return True
+
+
+@st.composite
+def _perturbed_replays(draw):
+    """An exact assignment of a perturbed set, covered at `lam`, and the
+    cover parameters to audit it at: the same lambda, or one low enough
+    that the load bound may break."""
+    mode = draw(st.sampled_from(["orc", "line"]))
+    m = 2 if mode == "line" else draw(st.integers(2, 4))
+    f = draw(st.integers(0, 2))
+    k = draw(st.integers(f + 1, m * (f + 1) - 1))
+    p = InstanceParams(m, k, f)
+    alpha = optimal_alpha(p) ** draw(st.floats(0.97, 1.03))
+    N = math.exp(draw(st.floats(math.log(1e1), math.log(1e6))))
+    rng = draw(st.randoms(use_true_random=False))
+    # turns jittered by up to 5 %, and in orc mode 3 % of the rounds dropped
+    if mode == "line":
+        strategies = [
+            TurnSequence(tuple(t * rng.uniform(0.95, 1.05) for t in s.turns))
+            for s in make_geometric_line_strategy(p, alpha, N)
+        ]
+    else:
+        strategies = [
+            RoundPlan(tuple(
+                (ray, t * rng.uniform(0.95, 1.05))
+                for ray, t in plan.rounds
+                if rng.random() >= 0.03
+            ))
+            for plan in make_exponential_strategy(p, alpha, N)
+        ]
+    # above the set's sup, the set is a lambda-cover of (1, N]
+    sup, _ = worst_ratio(strategies, p, N)
+    assume(math.isfinite(sup))
+    lam = sup * (1.0 + draw(st.floats(1e-9, 0.1)))
+    audit_lam = lam * draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+    mult = p.s if mode == "line" else p.q
+    assigned = exact_q_assignment(all_cover_intervals(strategies, CoverParams(lam)), mult, N)
+    return assigned, CoverParams(audit_lam), p, mode
+
+
+class TestReferenceReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(_perturbed_replays())
+    def test_audit_matches_the_slow_replay(self, case):
+        _assert_replays_agree(*case)
+
+    def test_both_outcomes_are_reached(self):
+        # the sampled cases above include passing audits and each kind of
+        # rejection: the load bound and an orc robot without a next interval
+        p = InstanceParams(3, 2, 1)
+        lam = ratio_lower_bound(p) * 1.01
+        strat = make_exponential_strategy(p, optimal_alpha(p), 1e6)
+        assigned = exact_q_assignment(all_cover_intervals(strat, CoverParams(lam)), p.q, 1e6)
+        assert _assert_replays_agree(assigned, CoverParams(lam), p, "orc")
+        assert not _assert_replays_agree(assigned, CoverParams(lam * 0.9), p, "orc")
+        p, strat = robot_without_a_next_interval()
+        assigned = refute(strat, 40.0, p, 1e3).assignment
+        assert not _assert_replays_agree(assigned, CoverParams(40.0), p, "orc")
+
+    @pytest.mark.parametrize(
+        "mode, p", [("orc", InstanceParams(3, 2, 0)), ("line", InstanceParams(2, 2, 1))]
+    )
+    def test_a_robot_first_seen_past_one(self, mode, p):
+        # robot 1 first opens at u = 2 (orc) or 3 (line), after robot 0's
+        # intervals from 1: the base-prefix scan goes on past the first left
+        # end >= 1 until it has seen all k robots
+        covers = [CoverInterval(0, 0, 0.1, 1.0), CoverInterval(1, 0, 0.9, 6.0)]
+        for i, (left, right) in enumerate(
+            [(0.2, 2.0), (0.3, 3.0), (0.5, 4.0), (2.5, 8.0), (3.5, 12.0), (7.0, 24.0),
+             (11.0, 32.0), (20.0, 64.0), (30.0, 128.0), (50.0, 256.0), (60.0, 512.0)],
+            start=1,
+        ):
+            covers.append(CoverInterval(0, i, left, right))
+        for i, (left, right) in enumerate([(5.0, 16.0), (15.0, 48.0), (45.0, 256.0)], start=1):
+            covers.append(CoverInterval(1, i, left, right))
+        assigned = exact_q_assignment(covers, p.s if mode == "line" else p.q, 100.0)
+        late = next(i for i, iv in enumerate(assigned) if iv.robot == 1)
+        assert assigned[late].left >= 1.0 and assigned[late - 1].left >= 1.0
+        state = initial_state(assigned, p, mode)
+        assert len(assigned) - len(state.stream) == late + 1
+        assert _snapshot(state) == _snapshot(_reference_initial_state(assigned, p, mode))
+        assert _assert_replays_agree(assigned, CoverParams(20.0), p, mode)
+
+    @pytest.mark.parametrize("at", [1, 7])
+    def test_more_robots_than_k_are_rejected(self, at):
+        # a stream of robots 0 and 1 on k = 1, robot 1 met before the scan
+        # stops or first past it
+        p, assigned = doubling_assigned()
+        iv = assigned[at]
+        stream = assigned[: at + 1] + [iv._replace(robot=1)] + assigned[at + 1 :]
+        message = r"^assigned intervals of 2 robots, more than k = 1$"
+        with pytest.raises(ValueError, match=message):
+            initial_state(stream, p, "orc")
+        with pytest.raises(ValueError, match=message):
+            audit_growth(stream, CoverParams(9.0), p, "orc")
 
 
 class TestDetectGap:

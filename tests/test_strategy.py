@@ -1,7 +1,8 @@
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from raysearch import (
     CoverParams,
@@ -20,6 +21,7 @@ from raysearch import (
     save_strategies,
     worst_ratio,
 )
+from raysearch import strategy
 
 
 class TestExponentialGenerator:
@@ -124,6 +126,141 @@ class TestLineGenerator:
         p = InstanceParams(3, 2, 0)
         with pytest.raises(ValueError, match=r"^line strategies need m=2, got m=3$"):
             make_geometric_line_strategy(p, optimal_alpha(p), 100.0)
+
+
+def _walked_exponential_strategy(p, alpha, horizon):
+    # the generator as it stood before it counted its rounds first: it tests
+    # every turn of a cycle against the horizon as it makes it
+    p.require_searchable()
+    strategy._require_base_and_horizon(alpha, horizon)
+    m, k, q = p.m, p.k, p.q
+    log_alpha = math.log(alpha)
+    low = k * (1 - 2 * m) + m
+    if math.exp(low * log_alpha) == 0.0:
+        raise ValueError(f"{p}, alpha={alpha!r}: the first turn alpha^{low} underflows to 0")
+    log_h = math.log(horizon)
+    plans = []
+    for r in range(1, k + 1):
+        rounds = []
+        j = -2
+        while True:
+            cycle_beyond = True
+            for i in range(1, m + 1):
+                exponent = k * (i + m * j) + m * r
+                rounds.append((i, math.exp(exponent * log_alpha)))
+                if (exponent - q) * log_alpha <= log_h:
+                    cycle_beyond = False
+            if cycle_beyond:
+                break
+            j += 1
+        plans.append(RoundPlan(tuple(rounds)))
+    return plans
+
+
+def _walked_line_strategy(p, alpha, horizon):
+    # the line generator as it stood before it counted its turns first
+    strategy._require_two_rays(p)
+    p.require_searchable()
+    strategy._require_base_and_horizon(alpha, horizon)
+    k, s = p.k, p.s
+    log_alpha = math.log(alpha)
+    e_hi = math.log(horizon) / log_alpha + s + k
+    out = []
+    for r in range(k):
+        j_lo = math.floor((-s - k - r) / k)
+        j_hi = math.ceil((e_hi - r) / k)
+        turns = tuple(math.exp((j * k + r) * log_alpha) for j in range(j_lo, j_hi + 1))
+        out.append(TurnSequence(turns))
+    return out
+
+
+def _made(make, *args):
+    # the plans' reprs, or the type and message of what making them raised
+    try:
+        return [repr(plan) for plan in make(*args)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _rounds(strategies):
+    return sum(len(getattr(s, "rounds", getattr(s, "turns", ()))) for s in strategies)
+
+
+@st.composite
+def _generator_shapes(draw):
+    m = draw(st.integers(2, 6))
+    f = draw(st.integers(0, 3))
+    k = draw(st.integers(f + 1, m * (f + 1) - 1))
+    p = InstanceParams(m, k, f)
+    # bases from the optimal one down to within a few ulps of 1
+    alpha = draw(st.one_of(
+        st.floats(0.5, 1.5).map(lambda e: optimal_alpha(p) ** e),
+        st.floats(1.001, 50.0),
+        st.integers(1, 2**40).map(lambda n: 1.0 + n * 2.0**-52),
+    ))
+    N = math.exp(draw(st.floats(0.0, math.log(1e300))))
+    return p, alpha, N
+
+
+class TestRoundCount:
+    @settings(max_examples=300, deadline=None)
+    @given(_generator_shapes())
+    # at N = 3^51 robot 1's closed-form guess is one cycle late: the float
+    # test moves it back
+    @example((InstanceParams(2, 5, 2), 3.0, 3.0**51))
+    def test_turns_match_the_walked_generator(self, shape):
+        # the count comes from the closed form, settled by the same float
+        # test: below the limit, the turns (or the error) are the walked
+        # generator's; the limit is lowered so that no large set is walked
+        pairs = [(make_exponential_strategy, _walked_exponential_strategy)]
+        if shape[0].m == 2:
+            pairs.append((make_geometric_line_strategy, _walked_line_strategy))
+        for make, walked in pairs:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(strategy, "MAX_ROUNDS", 20_000)
+                made = _made(make, *shape)
+            if made[0] is ValueError and made[1].endswith("rounds exceed the limit of 20000"):
+                continue
+            assert made == _made(walked, *shape)
+
+    @pytest.mark.parametrize(
+        "make, p",
+        [
+            (make_exponential_strategy, InstanceParams(3, 2, 1)),
+            (make_geometric_line_strategy, InstanceParams(2, 3, 1)),
+        ],
+    )
+    def test_the_limit_is_checked_before_the_first_round(self, monkeypatch, make, p):
+        # at the exact count the set is made; one below it, nothing is
+        alpha, N = optimal_alpha(p), 1e4
+        count = _rounds(make(p, alpha, N))
+        monkeypatch.setattr(strategy, "MAX_ROUNDS", count)
+        assert _rounds(make(p, alpha, N)) == count
+        monkeypatch.setattr(strategy, "MAX_ROUNDS", count - 1)
+        message = (
+            rf"^{re.escape(repr(p))}, alpha={re.escape(repr(alpha))}, N=10000.0: "
+            rf"{count} rounds exceed the limit of {count - 1}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            make(p, alpha, N)
+
+    @pytest.mark.parametrize(
+        "make, count",
+        [
+            (make_exponential_strategy, 20739842733593700),
+            (make_geometric_line_strategy, 20739842733593695),
+        ],
+    )
+    def test_a_base_next_to_one_is_refused_at_once(self, make, count):
+        # about 2e16 rounds: the count alone says so, none is made
+        limit = strategy.MAX_ROUNDS  # read first: a generator without one walks them
+        message = rf"{count} rounds exceed the limit of {limit}$"
+        with pytest.raises(ValueError, match=message):
+            make(InstanceParams(2, 1, 0), 1.0000000000000002, 100.0)
+
+    def test_the_benchmark_shapes_stay_far_below_the_limit(self):
+        # sweep-long's largest set has 4 464 rounds
+        assert strategy.MAX_ROUNDS >= 100 * 4464
 
 
 # one plan or sequence is checked as a whole: a bad entry anywhere rejects it
