@@ -4,8 +4,9 @@ Exit status: 0 success or certificate; 1 usage or parameter-regime
 errors, among them a strategy file that is malformed, whose robot count
 or kind does not match -k and --mode or that visits a ray past -m,
 --alpha together with --strategy, a numeric flag that is NaN or
-infinite, -N below 1, an instance whose first turn underflows to 0 or
-whose generated set would exceed strategy.MAX_ROUNDS rounds,
+infinite, -N below 1, an instance whose first turn underflows to 0,
+whose largest turn overflows binary64 or whose generated set would
+exceed strategy.MAX_ROUNDS rounds,
 --dense or --rel-step without --csv, --rel-step without --dense, a
 --rel-step too small for a finite dense grid up to N, -N together with
 --auto-horizon, -C without --auto-horizon, --auto-horizon whose default
@@ -24,6 +25,11 @@ given configuration (no timestamps in data files).
 `main` builds its argument parser on its first call and hands the same
 parser to every later call in the process; parsing keeps no state
 between calls.
+
+`simulate --csv` formats each line from the sweep's plain answer, a
+target's sorted (time, robot) arrivals, and builds no Target or
+DetectionReport per row; with breakpoint rows the summary's sup_ratio and
+witness come from the same answers, through `supremum`.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .formulas import (
 )
 from .fractional import fractional_ratio
 from .potential import AuditError, InvalidAssignmentError, detect_gap, refute
-from .simulator import _REL_STEP, supremum, sweep_rows, worst_ratio
+from .simulator import _REL_STEP, Target, _detected, _rows, supremum, worst_ratio
 from .strategy import (
     load_strategies,
     make_exponential_strategy,
@@ -147,12 +153,7 @@ def _build_strategies(args, p: InstanceParams, N: float, mode: str = "orc"):
         return load_strategies(args.strategy)
     alpha = args.alpha if args.alpha is not None else optimal_alpha(p)
     make = make_geometric_line_strategy if mode == "line" else make_exponential_strategy
-    try:
-        return make(p, alpha, N)
-    except OverflowError:
-        raise ValueError(
-            f"horizon N={N!r} too large: the strategy's turn distances overflow binary64"
-        ) from None
+    return make(p, alpha, N)
 
 
 def _write_csv(path: str, header: str, columns: str, lines: Iterable[str]) -> None:
@@ -162,8 +163,25 @@ def _write_csv(path: str, header: str, columns: str, lines: Iterable[str]) -> No
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _sweep_lines(
+    targets: Sequence[tuple[int, float, bool]],
+    arrivals: Sequence[Sequence[tuple[float, int]]],
+    p: InstanceParams,
+) -> tuple[list[str], list[float | None]]:
+    """The sweep CSV's rows, one per target, and the targets' ratios (None: undetected)."""
+    f = p.f
+    names = [str(r) for r in range(p.k)]
+    lines = []
+    ratios = []
+    for (ray, x, above), times in zip(targets, arrivals):
+        tau, ratio = _detected(times, x, f)
+        ratios.append(ratio)
+        order = "|".join([names[r] for _, r in times])
+        if tau is None:
+            lines.append(f"{ray},{x!r},{int(above)},,,{order}")
+        else:
+            lines.append(f"{ray},{x!r},{int(above)},{tau!r},{ratio!r},{order}")
+    return lines, ratios
 
 
 def cmd_simulate(args) -> int:
@@ -175,22 +193,19 @@ def cmd_simulate(args) -> int:
     strategies = _build_strategies(args, p, args.N)
     if args.csv and not args.dense:
         # the breakpoint rows are worst_ratio's candidates, in its order
-        rows = sweep_rows(strategies, p, args.N)
-        sup, witness = supremum((target, report.ratio) for target, _, report in rows)
+        targets, arrivals = _rows(strategies, p, args.N)
     else:
         sup, witness = worst_ratio(strategies, p, args.N)
         if args.csv:
             step = _REL_STEP if args.rel_step is None else args.rel_step
-            rows = sweep_rows(strategies, p, args.N, dense=True, rel_step=step)
+            targets, arrivals = _rows(strategies, p, args.N, dense=True, rel_step=step)
     if args.csv:
-        lines = (
-            f"{t.ray},{t.x!r},{int(above)},"
-            f"{_cell(report.tau)},{_cell(report.ratio)},"
-            + "|".join(str(r) for r, _ in report.visitors)
-            for t, above, report in rows
-        )
+        lines, ratios = _sweep_lines(targets, arrivals, p)
         columns = "ray,x,just_above,tau,ratio,robot_order"
         _write_csv(args.csv, SWEEP_HEADER, columns, lines)
+        if not args.dense:
+            sup, (ray, x, _) = supremum(zip(targets, ratios))
+            witness = Target(ray, x)
     try:
         lam0 = ratio_lower_bound(p)
     except (TrivialRegime, InfeasibleRegime):

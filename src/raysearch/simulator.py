@@ -13,14 +13,22 @@ cross-checks the breakpoint enumeration, not the sweep.
 
 A robot first reaches (ray, x) on the first excursion to that ray whose
 turn is at least x, so only the turns that raise the running maximum on
-a ray can be first visits.  `worst_ratio` and `sweep_rows` (and through
-it `dense_grid_ratio`) walk each robot's legs once.  That one pass lists
+a ray can be first visits.  `worst_ratio`, `sweep_rows` and
+`dense_grid_ratio` walk each robot's legs once.  That one pass lists
 the candidate targets and, per ray, the sweep's items: one at each
 record turn, where the robot's first-visit offset 2*elapsed moves on,
 and one at each other turn that is a candidate.  After one sort of a
 ray's items the sweep answers its targets in increasing x, keeping the
 robots' offsets in a sorted list of at most k floats: each record turn
 passed costs one removal and one insertion, and each target one lookup.
+Asked for visitors, the sweep answers a target with its arrivals instead:
+the (time, robot) pairs of the robots that reach it, sorted, which is the
+sweep's one statement of the tie rule (two offsets that round to one time
+are listed by robot).  `_detected` states tau, the (f+1)-st time, and
+tau/x once, for those answers and for `detection_time`.  `_rows` is the
+one producer of the sweep CSV's targets and arrivals, with the horizon and
+dense-grid checks: `sweep_rows` wraps each answer in a Target and a
+DetectionReport, while the CLI formats its lines from the plain answers.
 One gate, `strategy._require_strategy_set`, admits the sets of the sweep
 and of its reference path alike and names their rays: a target on another
 ray is a ValueError in `detection_time`, as a RoundPlan visiting a ray
@@ -119,11 +127,23 @@ def detection_time(
         if t is not None:
             arrivals.append((t, r))
     arrivals.sort()
-    visitors = tuple((r, t) for t, r in arrivals)
-    if len(arrivals) < p.f + 1:
-        return DetectionReport(None, visitors, None)
-    tau = arrivals[p.f][0]
-    return DetectionReport(tau, visitors, tau / target.x)
+    return _as_report(arrivals, target.x, p.f)
+
+
+def _detected(
+    arrivals: Sequence[tuple[float, int]], x: float, f: int
+) -> tuple[float | None, float | None]:
+    """(tau, tau/x) at x from its sorted (time, robot) arrivals, or (None,
+    None) below f+1 of them: the first f visitors stay silent."""
+    if len(arrivals) > f:
+        tau = arrivals[f][0]
+        return tau, tau / x
+    return None, None
+
+
+def _as_report(arrivals: Sequence[tuple[float, int]], x: float, f: int) -> DetectionReport:
+    tau, ratio = _detected(arrivals, x, f)
+    return DetectionReport(tau, tuple((r, t) for t, r in arrivals), ratio)
 
 
 # ends each ray's items: it carries no target, so the last one is answered
@@ -142,7 +162,8 @@ def _sweep(
     The targets are the probes, each x of xs at x itself on each ray of the
     set, then just past each turn t with 1 <= t < N, at its first
     appearance.  Returns them as (ray, x, just_above) and, for each, its
-    ratio (None if undetected) or, with `visitors` set, its DetectionReport.
+    ratio (None if undetected) or, with `visitors` set, its arrivals: the
+    sorted (time, robot) pairs of the robots that ever reach it.
     """
     rays = _require_strategy_set(strategies, p)
     targets = [(ray, x, False) for ray in rays for x in xs]
@@ -191,7 +212,10 @@ def _sweep(
                 # every item of target i is passed, and none after it
                 if i >= 0:
                     if visitors:
-                        answers[i] = _report(cur, x, f)
+                        # two offsets can round to one time: sort by (time, robot)
+                        answers[i] = sorted(
+                            [(off + x, r) for r, off in enumerate(cur) if off is not None]
+                        )
                     elif len(live) > f:
                         answers[i] = (live[f] + x) / x
                 i, x = idx, key
@@ -203,15 +227,6 @@ def _sweep(
                     insort(live, new)
                 cur[r] = new
     return targets, answers
-
-
-def _report(cur: Sequence[float | None], x: float, f: int) -> DetectionReport:
-    """`detection_time` at x, from each robot's first-visit offset."""
-    # two offsets can round to one time: list visitors by (time, robot)
-    times = sorted([(off + x, r) for r, off in enumerate(cur) if off is not None])
-    visitors = tuple((r, t) for t, r in times)
-    tau = visitors[f][1] if len(visitors) > f else None
-    return DetectionReport(tau, visitors, None if tau is None else tau / x)
 
 
 def supremum(pairs: Iterable[tuple[K, float | None]]) -> tuple[float, K]:
@@ -247,6 +262,34 @@ def worst_ratio(
     return ratio, Target(ray, x)
 
 
+def _rows(
+    strategies: Sequence[Strategy],
+    p: InstanceParams,
+    N: float,
+    dense: bool = False,
+    rel_step: float = _REL_STEP,
+) -> tuple[list[tuple[int, float, bool]], list[list[tuple[float, int]]]]:
+    """The targets of the sweep CSV, breakpoints or a dense grid, as
+    (ray, x, just_above), and each one's sorted (time, robot) arrivals.
+
+    N below 1, or NaN, is a ValueError.
+    """
+    _require_horizon(N)
+    if not dense:
+        return _sweep(strategies, p, (1.0,), N, visitors=True)
+    if not rel_step > 0.0:
+        raise ValueError(f"rel_step must be positive, got {rel_step}")
+    span = math.log(N) / rel_step
+    if not math.isfinite(span):
+        raise ValueError(
+            f"rel_step={rel_step!r} too small for N={N!r}: "
+            "the dense grid's point count log(N)/rel_step is not finite"
+        )
+    n_pts = max(2, int(span) + 1)
+    grid = [math.exp(math.log(N) * i / (n_pts - 1)) for i in range(n_pts)]
+    return _sweep(strategies, p, grid, visitors=True)
+
+
 def sweep_rows(
     strategies: Sequence[Strategy],
     p: InstanceParams,
@@ -258,22 +301,12 @@ def sweep_rows(
 
     N below 1, or NaN, is a ValueError.
     """
-    _require_horizon(N)
-    if dense:
-        if not rel_step > 0.0:
-            raise ValueError(f"rel_step must be positive, got {rel_step}")
-        span = math.log(N) / rel_step
-        if not math.isfinite(span):
-            raise ValueError(
-                f"rel_step={rel_step!r} too small for N={N!r}: "
-                "the dense grid's point count log(N)/rel_step is not finite"
-            )
-        n_pts = max(2, int(span) + 1)
-        grid = [math.exp(math.log(N) * i / (n_pts - 1)) for i in range(n_pts)]
-        targets, reports = _sweep(strategies, p, grid, visitors=True)
-    else:
-        targets, reports = _sweep(strategies, p, (1.0,), N, visitors=True)
-    return [(Target(ray, x), ja, rep) for (ray, x, ja), rep in zip(targets, reports)]
+    targets, arrivals = _rows(strategies, p, N, dense, rel_step)
+    f = p.f
+    return [
+        (Target(ray, x), above, _as_report(times, x, f))
+        for (ray, x, above), times in zip(targets, arrivals)
+    ]
 
 
 def dense_grid_ratio(
@@ -284,5 +317,7 @@ def dense_grid_ratio(
 ) -> float:
     """Sup of tau(x)/x on a geometric grid, through worst_ratio's sweep: a
     cross-check of its breakpoint enumeration, not of the sweep itself."""
-    rows = sweep_rows(strategies, p, N, dense=True, rel_step=rel_step)
-    return max((r.ratio for _, _, r in rows if r.ratio is not None), default=-math.inf)
+    targets, arrivals = _rows(strategies, p, N, True, rel_step)
+    f = p.f
+    ratios = (_detected(times, x, f)[1] for (_, x, _), times in zip(targets, arrivals))
+    return max((r for r in ratios if r is not None), default=-math.inf)

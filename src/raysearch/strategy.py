@@ -161,6 +161,20 @@ def _require_round_count(count: int, p: InstanceParams, alpha: float, horizon: f
         )
 
 
+def _require_finite_turns(
+    top: int, log_alpha: float, p: InstanceParams, alpha: float, horizon: float
+) -> None:
+    """ValueError unless the largest turn, alpha^top, is finite in binary64;
+    exp is monotone, so then every smaller turn is finite too."""
+    try:
+        math.exp(top * log_alpha)
+    except OverflowError:
+        raise ValueError(
+            f"{p}, alpha={alpha!r}, N={horizon!r}: "
+            f"the largest turn alpha^{top} overflows binary64"
+        ) from None
+
+
 def _require_base_and_horizon(alpha: float, horizon: float) -> None:
     if not alpha > 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
@@ -183,7 +197,8 @@ def make_exponential_strategy(
 
     Generation stops after the first full cycle whose assignment windows
     lie entirely beyond the horizon.  That cycle is known before the first
-    round, so a set of more than MAX_ROUNDS rounds is a ValueError.
+    round, so a set of more than MAX_ROUNDS rounds is a ValueError, and so
+    is one whose largest turn overflows binary64.
     """
     p.require_searchable()
     _require_base_and_horizon(alpha, horizon)
@@ -209,6 +224,9 @@ def make_exponential_strategy(
             j += 1
         last.append(j)
     _require_round_count(m * sum(j + 3 for j in last), p, alpha, horizon)
+    # robot r's largest turn is its last one, on ray m
+    top = max(k * m * (j + 1) + m * r for r, j in enumerate(last, start=1))
+    _require_finite_turns(top, log_alpha, p, alpha, horizon)
     return [
         RoundPlan(tuple(
             (i, math.exp((k * (i + m * j) + m * r) * log_alpha))
@@ -227,7 +245,8 @@ def make_geometric_line_strategy(
     Robot r (0-based) turns at alpha^(j*k + r), alternating sides.  At the
     optimal alpha the cover intervals of all k robots tile every point of
     [1, horizon] exactly s = 2(f+1)-k times.  Each robot's range of j is
-    known first, so a set of more than MAX_ROUNDS turns is a ValueError.
+    known first, so a set of more than MAX_ROUNDS turns is a ValueError,
+    and so is one whose largest turn overflows binary64.
     """
     _require_two_rays(p)
     p.require_searchable()
@@ -239,6 +258,8 @@ def make_geometric_line_strategy(
         range(math.floor((-s - k - r) / k), math.ceil((e_hi - r) / k) + 1) for r in range(k)
     ]
     _require_round_count(sum(map(len, ranges)), p, alpha, horizon)
+    top = max(js[-1] * k + r for r, js in enumerate(ranges))  # of each robot's last turn
+    _require_finite_turns(top, log_alpha, p, alpha, horizon)
     return [
         TurnSequence(tuple(math.exp((j * k + r) * log_alpha) for j in js))
         for r, js in enumerate(ranges)

@@ -8,12 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import raysearch
 from raysearch import (
     CoverParams,
     InstanceParams,
+    RoundPlan,
+    TurnSequence,
     dumps_strategies,
     growth_factor_delta,
     make_exponential_strategy,
@@ -22,6 +24,8 @@ from raysearch import (
     ratio_lower_bound,
     refute,
     save_strategies,
+    supremum,
+    sweep_rows,
     worst_ratio,
 )
 from raysearch import cli
@@ -278,9 +282,11 @@ class TestSimulate:
         )
         assert code == 1
         assert out == ""
+        # the generator's own ValueError, which names the instance, alpha and N
+        alpha = optimal_alpha(InstanceParams(2, 3, 1))
         assert err == (
-            "raysearch: error: horizon N=1e+307 too large: "
-            "the strategy's turn distances overflow binary64\n"
+            f"raysearch: error: InstanceParams(m=2, k=3, f=1), alpha={alpha!r}, N=1e+307: "
+            "the largest turn alpha^1542 overflows binary64\n"
         )
 
 
@@ -903,3 +909,113 @@ class TestLibraryAgreement:
         doc, expected = json.loads(out), verdict.to_dict()
         assert doc["kind"] == expected["kind"]
         assert doc.get("audit", {}).get("steps") == expected.get("audit", {}).get("steps")
+
+
+def _slow_sweep_csv(strategies, p, N, dense=False, rel_step=1e-3):
+    """The sweep CSV and the summary's (sup, witness) as `simulate --csv`
+    made them before it formatted the sweep's plain answers: one Target and
+    one DetectionReport per row of sweep_rows, taken apart again."""
+    rows = sweep_rows(strategies, p, N, dense=dense, rel_step=rel_step)
+
+    def cell(value):
+        return "" if value is None else repr(value)
+
+    lines = (
+        f"{t.ray},{t.x!r},{int(above)},{cell(report.tau)},{cell(report.ratio)},"
+        + "|".join(str(r) for r, _ in report.visitors)
+        for t, above, report in rows
+    )
+    text = "# raysearch sweep v1\nray,x,just_above,tau,ratio,robot_order\n"
+    text += "".join(f"{line}\n" for line in lines)
+    if dense:
+        sup, witness = worst_ratio(strategies, p, N)
+    else:
+        sup, witness = supremum((target, report.ratio) for target, _, report in rows)
+    return text, sup, witness
+
+
+# small integers give repeated turns and ties across robots
+_SWEEP_TURN = st.one_of(
+    st.integers(1, 6).map(float), st.sampled_from([0.5, 1.5, 2.5]), st.floats(0.1, 40.0)
+)
+
+
+@st.composite
+def _sweep_sets(draw):
+    """A strategy set as a file holds it, its instance and a horizon: drawn
+    round plans (now and then on a ray past m) or line sequences, or a
+    generated set."""
+    line = draw(st.booleans())
+    m = 2 if line else draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        f = draw(st.integers(0, 1))
+        k = draw(st.integers(f + 1, m * (f + 1) - 1))
+        p = InstanceParams(m, k, f)
+        N = draw(st.sampled_from([10.0, 1e3, 1e8]))
+        make = make_geometric_line_strategy if line else make_exponential_strategy
+        return make(p, optimal_alpha(p), N), p, N
+    k = draw(st.integers(1, 4))
+    f = draw(st.integers(0, k - 1))
+    if line:
+        turns = st.lists(_SWEEP_TURN, min_size=1, max_size=10).map(tuple)
+        robot = st.builds(TurnSequence, turns, st.booleans())
+    else:
+        rays = st.integers(1, m + 1) if draw(st.integers(0, 9)) == 0 else st.integers(1, m)
+        rounds = st.lists(st.tuples(rays, _SWEEP_TURN), min_size=1, max_size=10)
+        robot = rounds.map(lambda rs: RoundPlan(tuple(rs)))
+    strategies = draw(st.lists(robot, min_size=k, max_size=k))
+    N = draw(st.sampled_from([1.0, 2.0, 4.5, 50.0, 1e4]))
+    return strategies, InstanceParams(m, k, f), N
+
+
+# at x = 1e20 the offsets of robots 0 and 1 vanish in rounding: the
+# rows list the tied times by robot
+_TIED = (
+    [RoundPlan(((2, 2.0), (1, 1e21))), RoundPlan(((2, 1.0), (1, 1e21))), RoundPlan(((1, 1e20),))],
+    InstanceParams(2, 3, 1),
+    1e21,
+)
+# one excursion per ray: every target past 1 is undetected, exit 2
+_UNCOVERED = ([RoundPlan(((1, 1.0), (2, 1.0)))], InstanceParams(2, 1, 0), 1e3)
+
+
+class TestSweepCsvMatchesTheSlowPath:
+    """`simulate --csv` writes the bytes the slow path over sweep_rows wrote."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sweep_sets(), st.sampled_from([None, 0.05, 0.3]))
+    @example(_TIED, None)
+    @example(_TIED, 0.3)
+    @example(_UNCOVERED, None)
+    @example(_UNCOVERED, 0.3)
+    def test_csv_bytes_and_summary(self, tmp_path_factory, case, rel_step):
+        strategies, p, N = case
+        folder = tmp_path_factory.mktemp("sweep")
+        save_strategies(strategies, str(folder / "set.txt"))
+        csv = folder / "sweep.csv"
+        dense = rel_step is not None
+        extra = ["--dense", "--rel-step", repr(rel_step)] if dense else []
+        code, out, err = call(
+            "simulate", *_instance_flags(p.m, p.k, p.f), "-N", repr(N),
+            "--strategy", str(folder / "set.txt"), "--csv", str(csv), *extra,
+        )
+        try:
+            text, sup, witness = _slow_sweep_csv(strategies, p, N, dense, rel_step or 1e-3)
+        except ValueError as exc:
+            assert (code, out, err) == (1, "", f"raysearch: error: {exc}\n")
+            assert not csv.exists()
+            return
+        assert err == ""
+        assert code == (0 if math.isfinite(sup) else 2)
+        assert csv.read_text() == text
+        doc = strict_json(out)
+        assert doc["sup_ratio"] == (sup if math.isfinite(sup) else None)
+        assert doc["witness"] == {"ray": witness.ray, "x": witness.x}
+
+    def test_the_examples_reach_their_cases(self):
+        # just past 1e20 the tie lists robot 0 before robot 1, and the
+        # uncovered rows have empty tau and ratio cells
+        text, _, _ = _slow_sweep_csv(*_TIED)
+        assert "\n1,1e+20,1,1e+20,1.0,0|1\n" in text
+        text, sup, _ = _slow_sweep_csv(*_UNCOVERED)
+        assert sup == math.inf and "\n1,1.0,1,,,\n2,1.0,1,,,\n" in text

@@ -22,7 +22,7 @@ from raysearch import (
     worst_ratio,
 )
 from raysearch import simulator
-from raysearch.simulator import _sweep
+from raysearch.simulator import _detected, _sweep
 
 
 class TestFirstVisit:
@@ -401,14 +401,20 @@ class TestIndexMatchesReference:
                 _sweep(strategies, p, (1.0,), math.inf, visitors=True)
             return
         xs = list(dict.fromkeys(t.x for t, _ in cands))
-        targets, reports = _sweep(strategies, p, xs, math.inf, visitors=True)
+        targets, arrivals = _sweep(strategies, p, xs, math.inf, visitors=True)
         # every distance exactly at x on each ray, then just past each turn from 1 on
         assert targets == [(ray, x, False) for ray in rays for x in xs] + [
             (t.ray, t.x, True) for t, _ in cands[len(rays):]
         ]
-        assert reports == [
+        # each plain answer lists detection_time's visitors as (time, robot),
+        # and gives its tau and ratio
+        reports = [
             detection_time(strategies, p, Target(ray, x), just_above)
             for ray, x, just_above in targets
+        ]
+        assert arrivals == [[(t, r) for r, t in rep.visitors] for rep in reports]
+        assert [_detected(times, x, p.f) for (_, x, _), times in zip(targets, arrivals)] == [
+            (rep.tau, rep.ratio) for rep in reports
         ]
 
 

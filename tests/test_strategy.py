@@ -175,11 +175,13 @@ def _walked_line_strategy(p, alpha, horizon):
 
 
 def _made(make, *args):
-    # the plans' reprs, or the type and message of what making them raised
+    # the plans' reprs, or the type and message of what making them raised;
+    # a turn past binary64 is an OverflowError in the walked copies only
     try:
         return [repr(plan) for plan in make(*args)]
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
+
 
 
 def _rounds(strategies):
@@ -208,6 +210,9 @@ class TestRoundCount:
     # at N = 3^51 robot 1's closed-form guess is one cycle late: the float
     # test moves it back
     @example((InstanceParams(2, 5, 2), 3.0, 3.0**51))
+    # the walked copies overflow binary64 in exp on these two
+    @example((InstanceParams(4, 14, 3), 21.5, 4.4555e157))
+    @example((InstanceParams(2, 3, 1), 1e150, 1e300))
     def test_turns_match_the_walked_generator(self, shape):
         # the count comes from the closed form, settled by the same float
         # test: below the limit, the turns (or the error) are the walked
@@ -221,7 +226,15 @@ class TestRoundCount:
                 made = _made(make, *shape)
             if made[0] is ValueError and made[1].endswith("rounds exceed the limit of 20000"):
                 continue
-            assert made == _made(walked, *shape)
+            expected = _made(walked, *shape)
+            if expected[0] is OverflowError:
+                # the generator checks its largest turn first, and says where
+                p, alpha, N = shape
+                assert made[0] is ValueError
+                assert made[1].startswith(f"{p}, alpha={alpha!r}, N={N!r}: the largest turn")
+                assert made[1].endswith(" overflows binary64")
+            else:
+                assert made == expected
 
     @pytest.mark.parametrize(
         "make, p",
@@ -257,6 +270,20 @@ class TestRoundCount:
         message = rf"{count} rounds exceed the limit of {limit}$"
         with pytest.raises(ValueError, match=message):
             make(InstanceParams(2, 1, 0), 1.0000000000000002, 100.0)
+
+    @pytest.mark.parametrize(
+        "make, p, alpha, N, top",
+        [
+            (make_exponential_strategy, InstanceParams(4, 14, 3), 21.5, 4.4555e157, 232),
+            (make_geometric_line_strategy, InstanceParams(2, 3, 1), 1e150, 1e300, 8),
+        ],
+    )
+    def test_a_turn_past_binary64_is_refused_at_once(self, make, p, alpha, N, top):
+        # the largest turn is known before the first round: it was a bare
+        # OverflowError from exp, which named neither the instance nor N
+        message = f"{p}, alpha={alpha!r}, N={N!r}: the largest turn alpha^{top} overflows binary64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(p, alpha, N)
 
     def test_the_benchmark_shapes_stay_far_below_the_limit(self):
         # sweep-long's largest set has 4 464 rounds
