@@ -55,7 +55,7 @@ from .formulas import (
 )
 from .fractional import fractional_ratio
 from .potential import AuditError, InvalidAssignmentError, detect_gap, refute
-from .simulator import _REL_STEP, Target, _detected, _rows, supremum, worst_ratio
+from .simulator import _REL_STEP, Answer, Target, _detected, _rows, supremum, worst_ratio
 from .strategy import (
     load_strategies,
     make_exponential_strategy,
@@ -164,16 +164,14 @@ def _write_csv(path: str, header: str, columns: str, lines: Iterable[str]) -> No
 
 
 def _sweep_lines(
-    targets: Sequence[tuple[int, float, bool]],
-    arrivals: Sequence[Sequence[tuple[float, int]]],
-    p: InstanceParams,
+    rows: Sequence[Answer], p: InstanceParams
 ) -> tuple[list[str], list[float | None]]:
     """The sweep CSV's rows, one per target, and the targets' ratios (None: undetected)."""
     f = p.f
     names = [str(r) for r in range(p.k)]
     lines = []
     ratios = []
-    for (ray, x, above), times in zip(targets, arrivals):
+    for _, (ray, x, above), times in rows:
         tau, ratio = _detected(times, x, f)
         ratios.append(ratio)
         order = "|".join([names[r] for _, r in times])
@@ -193,18 +191,18 @@ def cmd_simulate(args) -> int:
     strategies = _build_strategies(args, p, args.N)
     if args.csv and not args.dense:
         # the breakpoint rows are worst_ratio's candidates, in its order
-        targets, arrivals = _rows(strategies, p, args.N)
+        rows = _rows(strategies, p, args.N)
     else:
         sup, witness = worst_ratio(strategies, p, args.N)
         if args.csv:
             step = _REL_STEP if args.rel_step is None else args.rel_step
-            targets, arrivals = _rows(strategies, p, args.N, dense=True, rel_step=step)
+            rows = _rows(strategies, p, args.N, dense=True, rel_step=step)
     if args.csv:
-        lines, ratios = _sweep_lines(targets, arrivals, p)
+        lines, ratios = _sweep_lines(rows, p)
         columns = "ray,x,just_above,tau,ratio,robot_order"
         _write_csv(args.csv, SWEEP_HEADER, columns, lines)
         if not args.dense:
-            sup, (ray, x, _) = supremum(zip(targets, ratios))
+            sup, (ray, x, _) = supremum(zip((target for _, target, _ in rows), ratios))
             witness = Target(ray, x)
     try:
         lam0 = ratio_lower_bound(p)

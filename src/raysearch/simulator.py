@@ -14,21 +14,26 @@ cross-checks the breakpoint enumeration, not the sweep.
 A robot first reaches (ray, x) on the first excursion to that ray whose
 turn is at least x, so only the turns that raise the running maximum on
 a ray can be first visits.  `worst_ratio`, `sweep_rows` and
-`dense_grid_ratio` walk each robot's legs once.  That one pass lists
-the candidate targets and, per ray, the sweep's items: one at each
-record turn, where the robot's first-visit offset 2*elapsed moves on,
-and one at each other turn that is a candidate.  After one sort of a
-ray's items the sweep answers its targets in increasing x, keeping the
-robots' offsets in a sorted list of at most k floats: each record turn
-passed costs one removal and one insertion, and each target one lookup.
-Asked for visitors, the sweep answers a target with its arrivals instead:
-the (time, robot) pairs of the robots that reach it, sorted, which is the
-sweep's one statement of the tie rule (two offsets that round to one time
-are listed by robot).  `_detected` states tau, the (f+1)-st time, and
-tau/x once, for those answers and for `detection_time`.  `_rows` is the
-one producer of the sweep CSV's targets and arrivals, with the horizon and
-dense-grid checks: `sweep_rows` wraps each answer in a Target and a
-DetectionReport, while the CLI formats its lines from the plain answers.
+`dense_grid_ratio` walk each robot's legs once.  That one pass numbers
+the candidate targets by walk position, with no index of them, and
+lists per ray the sweep's items: one at each record turn, where the
+robot's first-visit offset 2*elapsed moves on, and one at each other
+turn below the record that is a candidate.  After one sort of a ray's
+items the sweep answers its targets in increasing x, items of one key
+being one target with the least of their numbers, and keeps the robots'
+offsets in a sorted list of at most k floats: each record turn passed
+costs one removal and one insertion, and each target one lookup.
+`worst_ratio` keeps the sup as it goes, the least number deciding a
+tie, and lists no target.  Asked for visitors, the sweep answers a
+target with its arrivals instead, and sorts those answers once by
+number: the (time, robot) pairs of the robots that reach it, sorted,
+which is the sweep's one statement of the tie rule (two offsets that
+round to one time are listed by robot).  `_detected` states tau, the
+(f+1)-st time, and tau/x once, for those answers and for
+`detection_time`.  `_rows` is the one producer of the sweep CSV's
+answers, with the horizon and dense-grid checks: `sweep_rows` wraps each
+in a Target and a DetectionReport, while the CLI formats its lines from
+the plain answers.
 One gate, `strategy._require_strategy_set`, admits the sets of the sweep
 and of its reference path alike and names their rays: a target on another
 ray is a ValueError in `detection_time`, as a RoundPlan visiting a ray
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import count
 from operator import itemgetter
 from typing import Iterable, Sequence, TypeVar
 
@@ -149,6 +155,9 @@ def _as_report(arrivals: Sequence[tuple[float, int]], x: float, f: int) -> Detec
 # ends each ray's items: it carries no target, so the last one is answered
 _END = (math.inf, -1, -1, None)
 
+# a target's number, (ray, x, just_above) and sorted (time, robot) arrivals
+Answer = tuple[int, tuple[int, float, bool], list[tuple[float, int]]]
+
 
 def _sweep(
     strategies: Sequence[Strategy],
@@ -156,68 +165,84 @@ def _sweep(
     xs: Sequence[float],
     N: float = 1.0,
     visitors: bool = False,
-) -> tuple[list[tuple[int, float, bool]], list]:
+) -> tuple[float, tuple[int, float]] | list[Answer]:
     """Answer each target from one walk of each robot and one sweep per ray.
 
-    The targets are the probes, each x of xs at x itself on each ray of the
-    set, then just past each turn t with 1 <= t < N, at its first
-    appearance.  Returns them as (ray, x, just_above) and, for each, its
-    ratio (None if undetected) or, with `visitors` set, its arrivals: the
-    sorted (time, robot) pairs of the robots that ever reach it.
+    The targets are numbered by walk position.  The probes, each x of xs
+    at x itself on each ray of the set, take 0..n-1 in (ray, x) order; then
+    each leg takes the next number, and a turn t with 1 <= t < N is the
+    target just past t.  On one ray the items of equal turns are one
+    target, numbered at its first appearance; a probe stays apart from the
+    turns at its own x.  Returns the sup, (ratio, (ray, x)): the undetected
+    target of least number, ratio inf, else the largest ratio with the
+    least number that reaches it.  With `visitors` set, returns instead
+    each target as (number, (ray, x, just_above), arrivals), sorted once by
+    number: its arrivals are the sorted (time, robot) pairs of the robots
+    that ever reach it.
     """
     rays = _require_strategy_set(strategies, p)
-    targets = [(ray, x, False) for ray in rays for x in xs]
     # per ray, (key, i, r, new) items: once x passes key, robot r's
     # first-visit offset 2*elapsed becomes new (None: no visit), or none
     # moves if r = -1; target i >= 0 is answered after its last item.
     # A probe sorts before the turns at its own x: the sort is stable.
     items: dict[int, list[tuple[float, int, int, float | None]]] = {ray: [] for ray in rays}
-    for i, (ray, x, _) in enumerate(targets):
-        items[ray].append((x, i, -1, None))
-    # (ray, turn) -> its target, in order of first appearance
-    index: dict[tuple[int, float], int] = {}
-    n = len(targets)
+    n = 0
+    for ray in rays:
+        evs = items[ray]
+        for x in xs:
+            evs.append((x, n, -1, None))
+            n += 1
+    numbers = count(n)
     for r, strat in enumerate(strategies):
         # ray -> (top, i): the robot's record turn there and its target
         last: dict[int, tuple[float, int]] = {}
         elapsed = 0.0
-        for leg in _legs(strat):
-            ray, turn = leg
+        for (ray, turn), i in zip(_legs(strat), numbers):
             try:
                 evs = items[ray]
             except KeyError:
                 raise _ray_past_m(r, ray, p) from None
-            i = index.setdefault(leg, n + len(index)) if 1.0 <= turn < N else -1
+            if not 1.0 <= turn < N:
+                i = -1
             top, j = last.get(ray, (0.0, -1))
             if turn > top:
-                # the robot enters at 0 and moves at each record turn
+                # the robot enters at 0 and moves at each record turn; its
+                # item comes later, so a repeat of top adds none before it
                 evs.append((top, j, r, 2.0 * elapsed))
                 last[ray] = (turn, i)
-            elif i >= 0:
+            elif turn < top and i >= 0:
                 evs.append((turn, i, -1, None))
             elapsed += turn
         for ray, (top, j) in last.items():
             items[ray].append((top, j, r, None))
-    targets += [(ray, x, True) for ray, x in index]
     f = p.f
-    answers: list = [None] * len(targets)
-    for evs in items.values():
+    answers: list[Answer] = []
+    best, best_i, best_at = -math.inf, -1, (0, 0.0)
+    miss_i, miss_at = -1, (0, 0.0)  # the undetected target of least number
+    for ray, evs in items.items():
         evs.sort(key=itemgetter(0))  # each robot's items are mostly ascending
         evs.append(_END)
         live: list[float] = []  # the offsets in cur, sorted: live[f] + x is tau
         cur: list[float | None] = [None] * p.k
         i, x = -1, 0.0
         for key, idx, r, new in evs:
-            if idx != i:
+            # a target ends at a new key, or at a probe's last item: the
+            # turns' items at one key are one target, and the first of
+            # them has the least number
+            if key != x or (idx != i and i < n):
                 # every item of target i is passed, and none after it
                 if i >= 0:
                     if visitors:
                         # two offsets can round to one time: sort by (time, robot)
-                        answers[i] = sorted(
+                        answers.append((i, (ray, x, i >= n), sorted(
                             [(off + x, r) for r, off in enumerate(cur) if off is not None]
-                        )
+                        )))
                     elif len(live) > f:
-                        answers[i] = (live[f] + x) / x
+                        ratio = (live[f] + x) / x
+                        if ratio > best or (ratio == best and i < best_i):
+                            best, best_i, best_at = ratio, i, (ray, x)
+                    elif miss_i < 0 or i < miss_i:
+                        miss_i, miss_at = i, (ray, x)
                 i, x = idx, key
             if r >= 0:
                 old = cur[r]
@@ -226,14 +251,18 @@ def _sweep(
                 if new is not None:
                     insort(live, new)
                 cur[r] = new
-    return targets, answers
+    if visitors:
+        answers.sort(key=itemgetter(0))
+        return answers
+    return (math.inf, miss_at) if miss_i >= 0 else (best, best_at)
 
 
 def supremum(pairs: Iterable[tuple[K, float | None]]) -> tuple[float, K]:
     """Sup of (key, ratio) pairs, a ratio of None meaning undetected.
 
     Returns (inf, key) at the first undetected key, else the largest ratio
-    with the first key that reaches it.
+    with the first key that reaches it: the witness rule of the sweep's
+    own sup, with keys in number order.
     """
     best_ratio = -math.inf
     best_key = None
@@ -256,9 +285,7 @@ def worst_ratio(
     target is never detected.  N below 1, or NaN, is a ValueError.
     """
     _require_horizon(N)
-    targets, ratios = _sweep(strategies, p, (1.0,), N)
-    ratio, i = supremum(enumerate(ratios))
-    ray, x, _ = targets[i]
+    ratio, (ray, x) = _sweep(strategies, p, (1.0,), N)
     return ratio, Target(ray, x)
 
 
@@ -268,9 +295,10 @@ def _rows(
     N: float,
     dense: bool = False,
     rel_step: float = _REL_STEP,
-) -> tuple[list[tuple[int, float, bool]], list[list[tuple[float, int]]]]:
-    """The targets of the sweep CSV, breakpoints or a dense grid, as
-    (ray, x, just_above), and each one's sorted (time, robot) arrivals.
+) -> list[Answer]:
+    """The targets of the sweep CSV, breakpoints or a dense grid, each as
+    (number, (ray, x, just_above), arrivals) in number order, its arrivals
+    sorted (time, robot) pairs.
 
     N below 1, or NaN, is a ValueError.
     """
@@ -301,11 +329,10 @@ def sweep_rows(
 
     N below 1, or NaN, is a ValueError.
     """
-    targets, arrivals = _rows(strategies, p, N, dense, rel_step)
     f = p.f
     return [
         (Target(ray, x), above, _as_report(times, x, f))
-        for (ray, x, above), times in zip(targets, arrivals)
+        for _, (ray, x, above), times in _rows(strategies, p, N, dense, rel_step)
     ]
 
 
@@ -317,7 +344,9 @@ def dense_grid_ratio(
 ) -> float:
     """Sup of tau(x)/x on a geometric grid, through worst_ratio's sweep: a
     cross-check of its breakpoint enumeration, not of the sweep itself."""
-    targets, arrivals = _rows(strategies, p, N, True, rel_step)
     f = p.f
-    ratios = (_detected(times, x, f)[1] for (_, x, _), times in zip(targets, arrivals))
+    ratios = (
+        _detected(times, x, f)[1]
+        for _, (_, x, _), times in _rows(strategies, p, N, True, rel_step)
+    )
     return max((r for r in ratios if r is not None), default=-math.inf)

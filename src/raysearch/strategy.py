@@ -227,12 +227,14 @@ def make_exponential_strategy(
     # robot r's largest turn is its last one, on ray m
     top = max(k * m * (j + 1) + m * r for r, j in enumerate(last, start=1))
     _require_finite_turns(top, log_alpha, p, alpha, horizon)
+    # in walking order robot r's exponents k(i+mj)+mr are k*n + mr for
+    # n = 1-2m .. m(j_last+1): one progression of step k, the same integers
+    exp = math.exp
     return [
-        RoundPlan(tuple(
-            (i, math.exp((k * (i + m * j) + m * r) * log_alpha))
-            for j in range(-2, j_last + 1)
-            for i in range(1, m + 1)
-        ))
+        RoundPlan(tuple(zip(cycle(range(1, m + 1)), [
+            exp(e * log_alpha)
+            for e in range(k * (1 - 2 * m) + m * r, k * m * (j_last + 1) + m * r + 1, k)
+        ])))
         for r, j_last in enumerate(last, start=1)
     ]
 

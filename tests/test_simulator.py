@@ -1,7 +1,9 @@
 import math
 import random
 import re
+from bisect import bisect_left, insort
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,8 @@ from raysearch import (
     worst_ratio,
 )
 from raysearch import simulator
-from raysearch.simulator import _detected, _sweep
+from raysearch.simulator import _detected, _sweep, supremum
+from raysearch.strategy import _legs, _ray_past_m as _past_m_error, _require_strategy_set
 
 
 class TestFirstVisit:
@@ -401,7 +404,9 @@ class TestIndexMatchesReference:
                 _sweep(strategies, p, (1.0,), math.inf, visitors=True)
             return
         xs = list(dict.fromkeys(t.x for t, _ in cands))
-        targets, arrivals = _sweep(strategies, p, xs, math.inf, visitors=True)
+        answers = _sweep(strategies, p, xs, math.inf, visitors=True)
+        targets = [target for _, target, _ in answers]
+        arrivals = [times for _, _, times in answers]
         # every distance exactly at x on each ray, then just past each turn from 1 on
         assert targets == [(ray, x, False) for ray in rays for x in xs] + [
             (t.ray, t.x, True) for t, _ in cands[len(rays):]
@@ -416,6 +421,200 @@ class TestIndexMatchesReference:
         assert [_detected(times, x, p.f) for (_, x, _), times in zip(targets, arrivals)] == [
             (rep.tau, rep.ratio) for rep in reports
         ]
+
+
+# --- the numbered sweep against its indexed predecessor ---------------------
+#
+# The sweep as it stood before it numbered its targets by walk position:
+# each leg looked its (ray, turn) up in a dict, and the sweep answered a
+# list of targets in that dict's order.  The numbered sweep must give the
+# same targets in the same order, the same arrivals, ratios and witness,
+# and the same errors.
+
+
+def _indexed_sweep(strategies, p, xs, N=1.0, visitors=False):
+    rays = _require_strategy_set(strategies, p)
+    targets = [(ray, x, False) for ray in rays for x in xs]
+    items = {ray: [] for ray in rays}
+    for i, (ray, x, _) in enumerate(targets):
+        items[ray].append((x, i, -1, None))
+    index = {}
+    n = len(targets)
+    for r, strat in enumerate(strategies):
+        last = {}
+        elapsed = 0.0
+        for leg in _legs(strat):
+            ray, turn = leg
+            try:
+                evs = items[ray]
+            except KeyError:
+                raise _past_m_error(r, ray, p) from None
+            i = index.setdefault(leg, n + len(index)) if 1.0 <= turn < N else -1
+            top, j = last.get(ray, (0.0, -1))
+            if turn > top:
+                evs.append((top, j, r, 2.0 * elapsed))
+                last[ray] = (turn, i)
+            elif i >= 0:
+                evs.append((turn, i, -1, None))
+            elapsed += turn
+        for ray, (top, j) in last.items():
+            items[ray].append((top, j, r, None))
+    targets += [(ray, x, True) for ray, x in index]
+    f = p.f
+    answers = [None] * len(targets)
+    for evs in items.values():
+        evs.sort(key=itemgetter(0))
+        evs.append((math.inf, -1, -1, None))
+        live = []
+        cur = [None] * p.k
+        i, x = -1, 0.0
+        for key, idx, r, new in evs:
+            if idx != i:
+                if i >= 0:
+                    if visitors:
+                        answers[i] = sorted(
+                            [(off + x, r) for r, off in enumerate(cur) if off is not None]
+                        )
+                    elif len(live) > f:
+                        answers[i] = (live[f] + x) / x
+                i, x = idx, key
+            if r >= 0:
+                old = cur[r]
+                if old is not None:
+                    del live[bisect_left(live, old)]
+                if new is not None:
+                    insort(live, new)
+                cur[r] = new
+    return targets, answers
+
+
+def _indexed_answers(strategies, p, xs, N):
+    """The indexed sweep's targets, arrivals, ratios and sup with witness."""
+    targets, arrivals = _indexed_sweep(strategies, p, xs, N, visitors=True)
+    _, ratios = _indexed_sweep(strategies, p, xs, N)
+    ratio, i = supremum(enumerate(ratios))
+    return targets, arrivals, ratios, (ratio, targets[i][:2])
+
+
+def _numbered_answers(strategies, p, xs, N):
+    answers = _sweep(strategies, p, xs, N, visitors=True)
+    numbers = [i for i, _, _ in answers]
+    # numbered by walk position: the probes first, each target once
+    probes = 2 * len(xs) if isinstance(strategies[0], TurnSequence) else p.m * len(xs)
+    assert numbers[:probes] == list(range(probes))
+    assert numbers == sorted(set(numbers))
+    targets = [target for _, target, _ in answers]
+    arrivals = [times for _, _, times in answers]
+    ratios = [_detected(times, x, p.f)[1] for (_, x, _), times in zip(targets, arrivals)]
+    return targets, arrivals, ratios, _sweep(strategies, p, xs, N)
+
+
+def _assert_numbered_is_indexed(strategies, p, N):
+    # breakpoint probes, every turn as a probe, and probes out of order and twice
+    cands, _ = _oracle_candidates(strategies, p, N)
+    for xs in ((1.0,), list(dict.fromkeys(t.x for t, _ in cands)), (2.0, 1.0, 2.0)):
+        assert _outcome(_numbered_answers, strategies, p, xs, N) == _outcome(
+            _indexed_answers, strategies, p, xs, N
+        )
+
+
+_SWEEP_LONG_SETS = [
+    # (m, k, f), the exponent of the optimal base, rounds R with N = alpha^R
+    ((2, 3, 2), 0.98, 3000),
+    ((4, 3, 1), 1.02, 3000),
+    ((6, 5, 2), 0.98, 1000),
+    ((3, 4, 1), 1.02, 1000),
+]
+
+
+class TestNumberedMatchesIndexed:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_instances("orc"), _instances("orc", past=False), _instances("line")))
+    def test_small_sets(self, inst):
+        _assert_numbered_is_indexed(*inst)
+
+    @pytest.mark.parametrize("shape, e, R", _SWEEP_LONG_SETS)
+    def test_sweep_long_scale(self, shape, e, R):
+        p = InstanceParams(*shape)
+        alpha = optimal_alpha(p) ** e
+        N = alpha**R
+        assert 1e20 <= N <= 1e300
+        strategies = make_exponential_strategy(p, alpha, N)
+        assert 1000 <= sum(len(s.rounds) for s in strategies) <= 3200
+        _, _, _, sup = expected = _indexed_answers(strategies, p, (1.0,), N)
+        assert _numbered_answers(strategies, p, (1.0,), N) == expected
+        assert worst_ratio(strategies, p, N) == (sup[0], Target(*sup[1]))
+
+
+class TestNumberingRule:
+    # On one ray the items of equal turns are one target, numbered at its
+    # first appearance.  Each example below reorders rows or moves the
+    # witness if a target took the number of its last appearance instead.
+
+    def test_a_turn_reached_by_two_robots_is_one_target(self):
+        # robot 1 repeats (1, 2.0) after robot 0 has gone on to (2, 3.0)
+        strategies = [
+            RoundPlan(((1, 2.0), (2, 3.0), (1, 5.0), (2, 5.0))),
+            RoundPlan(((1, 2.0), (2, 5.0), (1, 5.0))),
+        ]
+        p, N = InstanceParams(2, 2, 1), 4.0
+        rows = sweep_rows(strategies, p, N)
+        assert [(t.ray, t.x, ja) for t, ja, _ in rows] == [
+            (1, 1.0, False), (2, 1.0, False), (1, 2.0, True), (2, 3.0, True),
+        ]
+        assert rows == _oracle_rows(strategies, p, N)
+
+    def test_a_turn_at_one_stays_apart_from_the_probe(self):
+        # the probe at x = 1 is answered before the robots move on at 1.0
+        strategies = [
+            RoundPlan(((1, 1.0), (2, 2.0), (1, 4.0), (2, 4.0))),
+            RoundPlan(((1, 1.0), (1, 4.0), (2, 4.0))),
+        ]
+        p, N = InstanceParams(2, 2, 0), 3.0
+        rows = sweep_rows(strategies, p, N)
+        assert [(t.ray, t.x, ja) for t, ja, _ in rows] == [
+            (1, 1.0, False), (2, 1.0, False), (1, 1.0, True), (2, 2.0, True),
+        ]
+        assert rows[0][2].ratio == 1.0
+        assert rows[2][2].ratio == 3.0  # (2*1 + 1) / 1: robot 1 passes 1.0 first
+        assert rows == _oracle_rows(strategies, p, N)
+
+    def test_a_ratio_tie_across_rays_goes_to_the_first_in_walk_order(self):
+        # just past 3.0 both rays read 15/3 = 5: ray 2's target appears
+        # first (robot 0's first leg), though ray 1 is swept first and ray
+        # 2's target appears again last (robot 1's second leg)
+        strategies = [
+            RoundPlan(((2, 3.0), (1, 3.0), (2, 6.0), (1, 6.0))),
+            RoundPlan(((1, 3.0), (2, 3.0), (1, 6.0), (2, 6.0))),
+        ]
+        p, N = InstanceParams(2, 2, 0), 6.0
+        assert worst_ratio(strategies, p, N) == (5.0, Target(2, 3.0))
+        assert worst_ratio(strategies, p, N) == _oracle_worst(strategies, p, N)
+
+    def test_an_undetected_target_after_a_larger_detected_ratio(self):
+        # just past 2.0 on ray 1 reads 12/2 = 6; after it, just past 3.0 is
+        # undetected on both rays, ray 2's first, then ray 1's, then ray
+        # 2's again: the witness is the first undetected one
+        strategies = [
+            RoundPlan(((1, 2.0), (2, 3.0), (1, 3.0))),
+            RoundPlan(((2, 3.0), (1, 1.5))),
+        ]
+        p, N = InstanceParams(2, 2, 0), 10.0
+        rows = sweep_rows(strategies, p, N)
+        assert max(r.ratio for _, _, r in rows if r.ratio is not None) == 6.0
+        assert worst_ratio(strategies, p, N) == (math.inf, Target(2, 3.0))
+        assert worst_ratio(strategies, p, N) == _oracle_worst(strategies, p, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_instances("orc", past=False), _instances("line")))
+    def test_worst_ratio_is_the_supremum_of_the_rows(self, inst):
+        # the sweep's own sup and `supremum` over its rows, in number order,
+        # state one witness rule
+        strategies, p, N = inst
+        rows = sweep_rows(strategies, p, N)
+        assert worst_ratio(strategies, p, N) == supremum(
+            (target, report.ratio) for target, _, report in rows
+        )
 
 
 class TestRoundingAndLargeOffsets:

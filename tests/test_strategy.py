@@ -157,6 +157,42 @@ def _walked_exponential_strategy(p, alpha, horizon):
     return plans
 
 
+def _nested_exponential_strategy(p, alpha, horizon):
+    # the generator as it stood before its flat progression of exponents:
+    # the same checks, then one nested pass over cycles j and rays i
+    p.require_searchable()
+    strategy._require_base_and_horizon(alpha, horizon)
+    m, k, q = p.m, p.k, p.q
+    log_alpha = math.log(alpha)
+    low = k * (1 - 2 * m) + m
+    if math.exp(low * log_alpha) == 0.0:
+        raise ValueError(f"{p}, alpha={alpha!r}: the first turn alpha^{low} underflows to 0")
+    log_h = math.log(horizon)
+
+    def beyond(r, j):
+        return (k * (1 + m * j) + m * r - q) * log_alpha > log_h
+
+    last = []
+    for r in range(1, k + 1):
+        j = max(-2, math.floor((log_h / log_alpha - k - m * r + q) / (k * m)) + 1)
+        while j > -2 and beyond(r, j - 1):
+            j -= 1
+        while not beyond(r, j):
+            j += 1
+        last.append(j)
+    strategy._require_round_count(m * sum(j + 3 for j in last), p, alpha, horizon)
+    top = max(k * m * (j + 1) + m * r for r, j in enumerate(last, start=1))
+    strategy._require_finite_turns(top, log_alpha, p, alpha, horizon)
+    return [
+        RoundPlan(tuple(
+            (i, math.exp((k * (i + m * j) + m * r) * log_alpha))
+            for j in range(-2, j_last + 1)
+            for i in range(1, m + 1)
+        ))
+        for r, j_last in enumerate(last, start=1)
+    ]
+
+
 def _walked_line_strategy(p, alpha, horizon):
     # the line generator as it stood before it counted its turns first
     strategy._require_two_rays(p)
@@ -236,6 +272,27 @@ class TestRoundCount:
             else:
                 assert made == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(_generator_shapes())
+    @example((InstanceParams(2, 5, 2), 3.0, 3.0**51))
+    @example((InstanceParams(4, 14, 3), 21.5, 4.4555e157))  # overflows
+    @example((InstanceParams(2, 1, 0), 1.0000000000000002, 100.0))  # too many rounds
+    @example((InstanceParams(3, 2, 1), 1e200, 10.0))  # the first turn underflows
+    def test_turns_match_the_nested_generator(self, shape):
+        # one flat progression of exponents per robot gives every turn the
+        # nested form's bits, and each refusal its message
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(strategy, "MAX_ROUNDS", 20_000)
+            try:
+                made = make_exponential_strategy(*shape)
+            except ValueError as exc:
+                made = str(exc)
+            try:
+                expected = _nested_exponential_strategy(*shape)
+            except ValueError as exc:
+                expected = str(exc)
+        assert made == expected
+
     @pytest.mark.parametrize(
         "make, p",
         [
@@ -293,6 +350,31 @@ class TestRoundCount:
 # one plan or sequence is checked as a whole: a bad entry anywhere rejects it
 _GOOD_TURN = st.floats(1e-3, 1e6)
 _BAD_TURN = st.sampled_from([0.0, -0.0, -1.5, -math.inf, math.nan])
+
+
+class TestStrategySetGate:
+    # the one gate of a strategy set, with and without a mode
+    def test_a_mode_takes_its_own_kind_only(self):
+        plans = [RoundPlan(((1, 2.0),)), RoundPlan(((2, 3.0),))]
+        lines = [TurnSequence((2.0, 4.0)), TurnSequence((3.0,))]
+        p = InstanceParams(2, 2, 0)
+        assert strategy._require_strategy_set(plans, p, "orc") == (1, 2)
+        assert strategy._require_strategy_set(lines, p, "line") == (1, -1)
+        message = "line mode needs TurnSequence strategies, robot 0 is a RoundPlan"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            strategy._require_strategy_set(plans, p, "line")
+        message = "orc mode needs RoundPlan strategies, robot 1 is a TurnSequence"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            strategy._require_strategy_set([plans[0], lines[1]], p, "orc")
+
+    def test_orc_mode_names_the_first_ray_past_m(self):
+        # rays up to m pass whatever their turns; the first ray past m is named
+        p = InstanceParams(2, 2, 0)
+        good = RoundPlan(((1, 50.0), (2, 40.0)))
+        assert strategy._require_strategy_set([good, good], p, "orc") == (1, 2)
+        past = RoundPlan(((2, 1.0), (3, 2.0), (4, 3.0)))
+        with pytest.raises(ValueError, match=r"^robot 1 visits ray 3, past m = 2$"):
+            strategy._require_strategy_set([good, past], p, "orc")
 
 
 class TestValidation:
