@@ -29,7 +29,7 @@ between calls.
 `simulate --csv` formats each line from the sweep's plain answer, a
 target's sorted (time, robot) arrivals, and builds no Target or
 DetectionReport per row; with breakpoint rows the summary's sup_ratio and
-witness come from the same answers, through `supremum`.
+witness are the sup that the same sweep kept.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .formulas import (
 )
 from .fractional import fractional_ratio
 from .potential import AuditError, InvalidAssignmentError, detect_gap, refute
-from .simulator import _REL_STEP, Answer, Target, _detected, _rows, supremum, worst_ratio
+from .simulator import _REL_STEP, Answer, Target, _detected, _rows, worst_ratio
 from .strategy import (
     load_strategies,
     make_exponential_strategy,
@@ -163,23 +163,19 @@ def _write_csv(path: str, header: str, columns: str, lines: Iterable[str]) -> No
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def _sweep_lines(
-    rows: Sequence[Answer], p: InstanceParams
-) -> tuple[list[str], list[float | None]]:
-    """The sweep CSV's rows, one per target, and the targets' ratios (None: undetected)."""
+def _sweep_lines(rows: Sequence[Answer], p: InstanceParams) -> list[str]:
+    """The sweep CSV's rows, one per target."""
     f = p.f
     names = [str(r) for r in range(p.k)]
     lines = []
-    ratios = []
     for _, (ray, x, above), times in rows:
         tau, ratio = _detected(times, x, f)
-        ratios.append(ratio)
         order = "|".join([names[r] for _, r in times])
         if tau is None:
             lines.append(f"{ray},{x!r},{int(above)},,,{order}")
         else:
             lines.append(f"{ray},{x!r},{int(above)},{tau!r},{ratio!r},{order}")
-    return lines, ratios
+    return lines
 
 
 def cmd_simulate(args) -> int:
@@ -190,20 +186,17 @@ def cmd_simulate(args) -> int:
     p = _instance(args)
     strategies = _build_strategies(args, p, args.N)
     if args.csv and not args.dense:
-        # the breakpoint rows are worst_ratio's candidates, in its order
-        rows = _rows(strategies, p, args.N)
+        # the breakpoint rows are worst_ratio's candidates, and their sup its sup
+        (sup, (ray, x)), rows = _rows(strategies, p, args.N)
+        witness = Target(ray, x)
     else:
         sup, witness = worst_ratio(strategies, p, args.N)
         if args.csv:
             step = _REL_STEP if args.rel_step is None else args.rel_step
-            rows = _rows(strategies, p, args.N, dense=True, rel_step=step)
+            _, rows = _rows(strategies, p, args.N, dense=True, rel_step=step)
     if args.csv:
-        lines, ratios = _sweep_lines(rows, p)
         columns = "ray,x,just_above,tau,ratio,robot_order"
-        _write_csv(args.csv, SWEEP_HEADER, columns, lines)
-        if not args.dense:
-            sup, (ray, x, _) = supremum(zip((target for _, target, _ in rows), ratios))
-            witness = Target(ray, x)
+        _write_csv(args.csv, SWEEP_HEADER, columns, _sweep_lines(rows, p))
     try:
         lam0 = ratio_lower_bound(p)
     except (TrivialRegime, InfeasibleRegime):

@@ -146,10 +146,15 @@ def growth_factor_delta(s: int, k: int, mu: float) -> float:
         raise ValueError(f"s and k must be >= 1, got s={s}, k={k}")
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    log_delta = k * math.log(_critical_slack(s / k) / mu)
+    log_delta = _log_growth_factor(s, k, mu)
     if log_delta > _LOG_FLOAT_MAX:
         return math.inf
     return math.exp(log_delta)
+
+
+def _log_growth_factor(s: int, k: int, mu: float) -> float:
+    """log delta = k log(mu_critical/mu), finite wherever delta overflows."""
+    return k * math.log(_critical_slack(s / k) / mu)
 
 
 def mu_critical(s: int, k: int) -> float:
@@ -180,13 +185,13 @@ def horizon_estimate(p: InstanceParams, lam: float, C: float) -> float:
         raise ValueError(f"need C > mu, got C={C}, mu={mu}")
     if C == math.inf:
         raise ValueError("need a finite C, got inf")
-    delta = growth_factor_delta(p.s, p.k, mu)
-    if delta <= 1.0:
+    log_delta = _log_growth_factor(p.s, p.k, mu)
+    if log_delta <= 0.0:
         raise NoFiniteHorizon(
-            f"growth factor {delta} <= 1 at mu={mu}: potential need not grow"
+            f"growth factor {math.exp(log_delta)} <= 1 at mu={mu}: potential need not grow"
         )
     log_cap = p.q * p.k * math.log(C) + p.s * p.k * math.log(mu)
-    n = max(1, math.ceil(log_cap / math.log(delta)))
+    n = max(1, math.ceil(log_cap / log_delta))
     log_n_horizon = n * math.log(C)
     if log_n_horizon > _LOG_FLOAT_MAX:
         return math.inf

@@ -543,6 +543,8 @@ def refute(
         # below assigns none), or in orc mode a load exponent q - k < 1 or
         # a robot with no interval past the base prefix (no next left end)
         return Verdict(kind="certificate", params=params, assignment=assigned)
+    # log of the reported delta_bound, not formulas' log(delta): the
+    # headroom can be redone from the verdict alone
     headroom = None
     if trace.delta_bound is not None and trace.steps and trace.line_cap_log is not None:
         headroom = max(

@@ -23,17 +23,17 @@ items the sweep answers its targets in increasing x, items of one key
 being one target with the least of their numbers, and keeps the robots'
 offsets in a sorted list of at most k floats: each record turn passed
 costs one removal and one insertion, and each target one lookup.
-`worst_ratio` keeps the sup as it goes, the least number deciding a
-tie, and lists no target.  Asked for visitors, the sweep answers a
-target with its arrivals instead, and sorts those answers once by
-number: the (time, robot) pairs of the robots that reach it, sorted,
-which is the sweep's one statement of the tie rule (two offsets that
-round to one time are listed by robot).  `_detected` states tau, the
-(f+1)-st time, and tau/x once, for those answers and for
-`detection_time`.  `_rows` is the one producer of the sweep CSV's
-answers, with the horizon and dense-grid checks: `sweep_rows` wraps each
-in a Target and a DetectionReport, while the CLI formats its lines from
-the plain answers.
+The sweep keeps the sup as it goes, from that list, and states the
+witness rule once.  Asked for visitors, it also answers each target with
+its arrivals, and sorts those answers once by number: the (time, robot)
+pairs of the robots that reach it, sorted, which is the sweep's one
+statement of the tie rule (two offsets that round to one time are listed
+by robot).  `_detected` states tau, the (f+1)-st time, and tau/x once,
+for those answers and for `detection_time`.  `_rows` is the one producer
+of the sweep CSV's answers and their sup, with the horizon and
+dense-grid checks: `sweep_rows` wraps each answer in a Target and a
+DetectionReport, while the CLI formats its lines from the plain answers
+and takes the breakpoint summary's sup and witness from the same sweep.
 One gate, `strategy._require_strategy_set`, admits the sets of the sweep
 and of its reference path alike and names their rays: a target on another
 ray is a ValueError in `detection_time`, as a RoundPlan visiting a ray
@@ -49,7 +49,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from .formulas import InstanceParams
 from .strategy import (
@@ -67,12 +67,10 @@ __all__ = [
     "first_visit_time",
     "detection_time",
     "worst_ratio",
-    "supremum",
     "sweep_rows",
     "dense_grid_ratio",
 ]
 
-K = TypeVar("K")
 _REL_STEP = 1e-3  # the dense grid's default step in log(x)
 
 
@@ -157,6 +155,8 @@ _END = (math.inf, -1, -1, None)
 
 # a target's number, (ray, x, just_above) and sorted (time, robot) arrivals
 Answer = tuple[int, tuple[int, float, bool], list[tuple[float, int]]]
+# the sup of tau(x)/x over the targets and its witness (ray, x)
+Sup = tuple[float, tuple[int, float]]
 
 
 def _sweep(
@@ -165,7 +165,7 @@ def _sweep(
     xs: Sequence[float],
     N: float = 1.0,
     visitors: bool = False,
-) -> tuple[float, tuple[int, float]] | list[Answer]:
+) -> tuple[Sup, list[Answer]]:
     """Answer each target from one walk of each robot and one sweep per ray.
 
     The targets are numbered by walk position.  The probes, each x of xs
@@ -173,12 +173,12 @@ def _sweep(
     each leg takes the next number, and a turn t with 1 <= t < N is the
     target just past t.  On one ray the items of equal turns are one
     target, numbered at its first appearance; a probe stays apart from the
-    turns at its own x.  Returns the sup, (ratio, (ray, x)): the undetected
-    target of least number, ratio inf, else the largest ratio with the
-    least number that reaches it.  With `visitors` set, returns instead
-    each target as (number, (ray, x, just_above), arrivals), sorted once by
-    number: its arrivals are the sorted (time, robot) pairs of the robots
-    that ever reach it.
+    turns at its own x.  Returns (sup, answers).  The sup is (ratio, (ray,
+    x)): the undetected target of least number, ratio inf, else the largest
+    ratio with the least number that reaches it.  The answers are empty
+    unless `visitors` is set; then they list each target as (number, (ray,
+    x, just_above), arrivals), sorted once by number: its arrivals are the
+    sorted (time, robot) pairs of the robots that ever reach it.
     """
     rays = _require_strategy_set(strategies, p)
     # per ray, (key, i, r, new) items: once x passes key, robot r's
@@ -237,7 +237,8 @@ def _sweep(
                         answers.append((i, (ray, x, i >= n), sorted(
                             [(off + x, r) for r, off in enumerate(cur) if off is not None]
                         )))
-                    elif len(live) > f:
+                    if len(live) > f:
+                        # live[f] + x rounds as the arrivals' (f+1)-st time does
                         ratio = (live[f] + x) / x
                         if ratio > best or (ratio == best and i < best_i):
                             best, best_i, best_at = ratio, i, (ray, x)
@@ -251,29 +252,8 @@ def _sweep(
                 if new is not None:
                     insort(live, new)
                 cur[r] = new
-    if visitors:
-        answers.sort(key=itemgetter(0))
-        return answers
-    return (math.inf, miss_at) if miss_i >= 0 else (best, best_at)
-
-
-def supremum(pairs: Iterable[tuple[K, float | None]]) -> tuple[float, K]:
-    """Sup of (key, ratio) pairs, a ratio of None meaning undetected.
-
-    Returns (inf, key) at the first undetected key, else the largest ratio
-    with the first key that reaches it: the witness rule of the sweep's
-    own sup, with keys in number order.
-    """
-    best_ratio = -math.inf
-    best_key = None
-    for key, ratio in pairs:
-        if ratio is None:
-            return math.inf, key
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_key = key
-    assert best_key is not None
-    return best_ratio, best_key
+    answers.sort(key=itemgetter(0))
+    return ((math.inf, miss_at) if miss_i >= 0 else (best, best_at)), answers
 
 
 def worst_ratio(
@@ -285,7 +265,7 @@ def worst_ratio(
     target is never detected.  N below 1, or NaN, is a ValueError.
     """
     _require_horizon(N)
-    ratio, (ray, x) = _sweep(strategies, p, (1.0,), N)
+    (ratio, (ray, x)), _ = _sweep(strategies, p, (1.0,), N)
     return ratio, Target(ray, x)
 
 
@@ -295,10 +275,10 @@ def _rows(
     N: float,
     dense: bool = False,
     rel_step: float = _REL_STEP,
-) -> list[Answer]:
-    """The targets of the sweep CSV, breakpoints or a dense grid, each as
-    (number, (ray, x, just_above), arrivals) in number order, its arrivals
-    sorted (time, robot) pairs.
+) -> tuple[Sup, list[Answer]]:
+    """The sweep's sup over the targets of the sweep CSV, breakpoints or a
+    dense grid, and each target as (number, (ray, x, just_above), arrivals)
+    in number order, its arrivals sorted (time, robot) pairs.
 
     N below 1, or NaN, is a ValueError.
     """
@@ -332,7 +312,7 @@ def sweep_rows(
     f = p.f
     return [
         (Target(ray, x), above, _as_report(times, x, f))
-        for _, (ray, x, above), times in _rows(strategies, p, N, dense, rel_step)
+        for _, (ray, x, above), times in _rows(strategies, p, N, dense, rel_step)[1]
     ]
 
 
@@ -347,6 +327,6 @@ def dense_grid_ratio(
     f = p.f
     ratios = (
         _detected(times, x, f)[1]
-        for _, (_, x, _), times in _rows(strategies, p, N, True, rel_step)
+        for _, (_, x, _), times in _rows(strategies, p, N, True, rel_step)[1]
     )
     return max((r for r in ratios if r is not None), default=-math.inf)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from raysearch import CoverParams, InstanceParams, make_exponential_strategy, optimal_alpha
@@ -23,3 +25,23 @@ def three_robot():
 @pytest.fixture
 def cover9():
     return CoverParams(9.0)
+
+
+def slow_supremum(pairs):
+    """Sup of (key, ratio) pairs, a ratio of None meaning undetected: (inf,
+    key) at the first undetected key, else the largest ratio with the first
+    key that reaches it.
+
+    Once the simulator's public `supremum`: the oracle of the sweep's own
+    witness rule, with keys in number order.
+    """
+    best_ratio = -math.inf
+    best_key = None
+    for key, ratio in pairs:
+        if ratio is None:
+            return math.inf, key
+        if ratio > best_ratio:
+            best_ratio = ratio
+            best_key = key
+    assert best_key is not None
+    return best_ratio, best_key

@@ -3,16 +3,18 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import raysearch
 from raysearch import (
     CoverParams,
+    InfeasibleRegime,
     InstanceParams,
     RoundPlan,
     TurnSequence,
@@ -23,14 +25,16 @@ from raysearch import (
     optimal_alpha,
     ratio_lower_bound,
     refute,
+    TrivialRegime,
     save_strategies,
-    supremum,
     sweep_rows,
     worst_ratio,
 )
 from raysearch import cli
 from raysearch.cli import BROKEN_PIPE_EXIT, build_parser, main
 from raysearch.potential import AuditError, InvalidAssignmentError
+
+from conftest import slow_supremum
 
 
 def run(capsys, *argv):
@@ -930,7 +934,7 @@ def _slow_sweep_csv(strategies, p, N, dense=False, rel_step=1e-3):
     if dense:
         sup, witness = worst_ratio(strategies, p, N)
     else:
-        sup, witness = supremum((target, report.ratio) for target, _, report in rows)
+        sup, witness = slow_supremum((target, report.ratio) for target, _, report in rows)
     return text, sup, witness
 
 
@@ -1019,3 +1023,194 @@ class TestSweepCsvMatchesTheSlowPath:
         assert "\n1,1e+20,1,1e+20,1.0,0|1\n" in text
         text, sup, _ = _slow_sweep_csv(*_UNCOVERED)
         assert sup == math.inf and "\n1,1.0,1,,,\n2,1.0,1,,,\n" in text
+
+
+# --- the command line's contract over a grammar of argv ----------------------
+#
+# One seeded property test: every drawn command line exits with a code the
+# cli docstring lists, writes one `raysearch: <kind>: ...` line to stderr on
+# a command error and nothing on 0 or 2, prints strict JSON that each --json
+# or --summary file repeats, and writes the documented files.
+
+_DOCUMENTED_EXITS = {
+    int(code) for code in re.findall(r"(?:Exit status:|;)\s+(\d+)\s", cli.__doc__)
+}
+_FAILURE_LINE = re.compile(
+    r"raysearch: (%s): .+" % "|".join(re.escape(label) for _, label, _ in cli._FAILURES)
+)
+_USAGE_LINE = re.compile(r"raysearch(?: \w+)?: error: .+")
+
+
+def _pick(draw, good, bad):
+    """One of good, or now and then one of bad."""
+    return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 0 else good))
+
+
+@st.composite
+def _strategy_files(draw, m, k):
+    """The text of a --strategy file: a generated set, drawn round plans
+    (some on a ray past m, most leaving targets uncovered) or line
+    sequences, sometimes one robot short or over, or a malformed or empty
+    file; None for no file."""
+    kind = draw(st.sampled_from(["none"] * 4 + ["generated"] * 2 + ["plans", "line", "bad"]))
+    if kind == "none":
+        return None
+    if kind == "bad":
+        return draw(st.sampled_from(["", "1:abc\n", "1.0 2.0\n", "1:2.0 -3.0\n"]))
+    count = max(1, k + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    if kind == "generated":
+        # an instance of count robots, on m rays if they fit
+        if draw(st.booleans()):
+            p, make = InstanceParams(2, count, count // 2), make_geometric_line_strategy
+        else:
+            p, make = InstanceParams(max(m, count + 1), count, 0), make_exponential_strategy
+        return dumps_strategies(make(p, optimal_alpha(p), 1e4))
+    if kind == "plans":
+        rays = st.integers(1, m + draw(st.sampled_from([0, 0, 1])))
+        robot = st.lists(st.tuples(rays, _SWEEP_TURN), min_size=1, max_size=8)
+        return dumps_strategies(
+            RoundPlan(tuple(rs)) for rs in draw(st.lists(robot, min_size=count, max_size=count))
+        )
+    turns = st.lists(_SWEEP_TURN, min_size=1, max_size=8).map(tuple)
+    robot = st.builds(TurnSequence, turns, st.booleans())
+    return dumps_strategies(draw(st.lists(robot, min_size=count, max_size=count)))
+
+
+_ODD = ["nan", "inf", "1e400"]
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv with {name} in place of each output path, strategy file text):
+    mostly valid command lines on small instances, now and then a value or
+    a flag that the command must refuse."""
+    command = draw(st.sampled_from(["bound", "simulate", "refute"]))
+    m, k, f = _pick(draw, _INSTANCES, [(1, 1, 0), (2, 0, 0), (2, 2, 2), (2, 4, 1), (2, 1, -1)])
+    argv = [command]
+    if command != "bound" or draw(st.booleans()):
+        argv += ["-m", str(m), "-k", str(k), "-f", str(f)]
+    if command == "bound":
+        if draw(st.booleans()):
+            argv += ["--lam", _pick(draw, ["1.5", "5", "9.5", "20"], ["0.5", *_ODD])]
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--eta", _pick(draw, ["1.5", "3", "1e308"], ["1", "nan"])]
+        if draw(st.booleans()):
+            argv.append("--json")
+        return argv, None
+    text = draw(_strategy_files(max(m, 2), max(k, 1)))
+    if text is not None:
+        argv += ["--strategy", "{strategy}"]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--alpha", _pick(draw, ["1.5", "2", "3"], ["0.5", "1.0000000000000002"])]
+    horizons = (["10", "1e3", "1e4", "1e8"], ["0.5", *_ODD])
+    if command == "simulate":
+        if draw(st.integers(0, 3)) > 0:
+            argv += ["-N", _pick(draw, *horizons)]
+        for flag in ("--csv", "--summary"):
+            if draw(st.booleans()):
+                argv += [flag, "{%s}" % flag[2:]]
+        # --dense and --rel-step mostly only where they apply
+        if _pick(draw, ["--csv" in argv], [True, False]):
+            if draw(st.booleans()):
+                argv.append("--dense")
+            if _pick(draw, ["--dense" in argv and draw(st.booleans())], [True]):
+                argv += ["--rel-step", _pick(draw, ["0.05", "0.3"], ["0", "-0.5", "nan"])]
+        return argv, text
+    try:
+        scale = draw(st.sampled_from([0.97, 1.03, 1.5]))
+        lam = repr(ratio_lower_bound(InstanceParams(m, k, f)) * scale)
+    except (ValueError, TrivialRegime, InfeasibleRegime):
+        lam = "9.5"
+    argv += ["--lam", _pick(draw, [lam], ["1", "0.5", "nan"])]
+    auto = draw(st.integers(0, 4)) == 0
+    if auto:
+        argv.append("--auto-horizon")
+        if draw(st.booleans()):
+            argv += ["-C", _pick(draw, ["2", "5"], ["0.5", "inf"])]
+    elif draw(st.integers(0, 15)) == 0:
+        argv += ["-C", "5"]
+    if _pick(draw, [not auto], [auto]):  # -N mostly only without --auto-horizon
+        argv += ["-N", _pick(draw, *horizons)]
+    argv += ["--mode", draw(st.sampled_from(["orc", "orc", "line"]))]
+    for flag in ("--json", "--trace", "--assignment"):
+        if draw(st.booleans()):
+            argv += [flag, "{%s}" % flag[2:]]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--gap-constant", _pick(draw, ["2", "10"], ["0.5", "1"])]
+    return argv, text
+
+
+_OUTPUT_FLAGS = ("--csv", "--summary", "--json", "--trace", "--assignment")
+
+
+def _written(argv):
+    """The output flags of argv, each with its file's text or None if absent."""
+    paths = {flag: argv[i + 1] for i, flag in enumerate(argv[:-1]) if flag in _OUTPUT_FLAGS}
+    return {
+        flag: (Path(path).read_text() if Path(path).exists() else None)
+        for flag, path in paths.items()
+    }
+
+
+class TestContract:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_command_lines())
+    def test_every_command_line_keeps_the_contract(self, tmp_path_factory, drawn):
+        template, text = drawn
+        folder = tmp_path_factory.mktemp("contract")
+        if text is not None:
+            (folder / "strategy").write_text(text)
+        argv = [a.format(**{n: str(folder / n) for n in
+                            ("strategy", "csv", "summary", "json", "trace", "assignment")})
+                for a in template]
+        code, out, err = call(*argv)
+        event(f"{argv[0]} exits {code}")
+        assert code in _DOCUMENTED_EXITS - {BROKEN_PIPE_EXIT}, (argv, err)
+        written = _written(argv)
+        if code not in (0, 2):
+            assert out == ""
+            lines = err.splitlines()
+            if lines and lines[0].startswith("usage: "):
+                # argparse's own message: usage, then one error line
+                assert code == 1 and _USAGE_LINE.fullmatch(lines[-1]), err
+                assert all(value is None for value in written.values())
+            else:
+                [line] = lines
+                match = _FAILURE_LINE.fullmatch(line)
+                assert match, err
+                assert (match[1], code) in {(lb, c) for _, lb, c in cli._FAILURES}
+            return
+        assert err == ""
+        command = argv[0]
+        if command == "bound" and "--json" not in argv:
+            return
+        doc = strict_json(out)
+        for flag in ("--json", "--summary"):
+            if flag in written:
+                assert written[flag] == out
+        if command == "simulate":
+            assert code == (0 if doc["covered"] else 2)
+            assert (doc["sup_ratio"] is None) == (code == 2)
+            if "--csv" in written:
+                assert written["--csv"].startswith(cli.SWEEP_HEADER + "\n")
+                # the summary is the same without the rows
+                plain = [a for a in argv if a != "--dense"]
+                for flag in ("--csv", "--rel-step"):
+                    if flag in plain:
+                        i = plain.index(flag)
+                        del plain[i:i + 2]
+                if "--summary" in plain:
+                    plain[plain.index("--summary") + 1] = str(folder / "plain-summary")
+                assert call(*plain) == (code, out, "")
+                if "--summary" in written:
+                    assert (folder / "plain-summary").read_text() == written["--summary"]
+        elif command == "refute":
+            assert code == (0 if doc["kind"] == "certificate" else 2)
+            if doc["kind"] == "coverage_failure":
+                # no audit: --trace writes its header lines only, and
+                # --assignment writes no file
+                columns = "step,robot,mu_star,x,step_ratio,log_potential"
+                assert written.get("--trace", "") in ("", f"{cli.TRACE_HEADER}\n{columns}\n")
+                assert written.get("--assignment") is None
+            else:
+                assert all(value is not None for value in written.values())

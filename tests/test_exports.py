@@ -1,5 +1,6 @@
 """The export lists are whole: each name in a module's `__all__` exists, and
-every public function or class a module defines is in it.
+every public function or class a module defines is in it.  No module
+imports a name it never reads.
 
 perfbench/tracing.py times only the functions it finds in a module's
 `__all__` (every name, for `cli`, which declares none), so a public
@@ -8,10 +9,14 @@ name left in the list after its removal already fails the package's
 star import.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
+
+import raysearch
 
 # the modules the tracer walks
 MODULES = ("formulas", "strategy", "simulator", "cover", "potential", "fractional", "cli")
@@ -39,3 +44,47 @@ def test_a_public_definition_is_found():
     from raysearch import fractional
 
     assert sorted(_public_definitions(fractional)) == sorted(fractional.__all__)
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names a module's imports bind that it never reads, by its syntax
+    tree: a name in `__all__` counts as read, and `__future__` and star
+    imports bind none."""
+    tree = ast.parse(source)
+    bound = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ) and isinstance(node.value, ast.List):
+            read.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return [name for name in bound if name not in read]
+
+
+SOURCES = sorted(Path(raysearch.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_imported_name_is_read(path):
+    assert _unread_imports(path.read_text()) == []
+
+
+def test_an_unread_import_is_found():
+    # a leftover import beside a read one, a module read through an
+    # attribute, an alias, and a name kept for export
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from typing import Iterable, Sequence, TypeVar as T\n"
+        "from .simulator import supremum, worst_ratio\n"
+        "__all__ = ['worst_ratio']\n"
+        "def f(xs: Sequence[float]) -> float:\n"
+        "    return math.fsum(xs)\n"
+    )
+    assert _unread_imports(source) == ["os", "Iterable", "T", "supremum"]

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from raysearch import (
     CoverParams,
@@ -157,10 +157,10 @@ class TestHorizonEstimate:
 
     def test_a_growth_factor_that_rounds_to_one_has_no_horizon(self, monkeypatch):
         # no lambda reaches this guard: lambda < lambda0 makes mu < mu_critical
-        # in binary64, so mu_critical/mu >= 1 + 2^-52 and delta > 1.  It stays,
-        # since the step count would divide by log(delta) = 0; a delta of 1
-        # is put in by hand to reach it
-        monkeypatch.setattr(formulas, "growth_factor_delta", lambda s, k, mu: 1.0)
+        # in binary64, so mu_critical/mu >= 1 + 2^-52 and log(delta) > 0.  It
+        # stays, since the step count would divide by log(delta) = 0; a
+        # log(delta) of 0 is put in by hand to reach it
+        monkeypatch.setattr(formulas, "_log_growth_factor", lambda s, k, mu: 0.0)
         with pytest.raises(NoFiniteHorizon, match=r"^growth factor 1.0 <= 1 at mu=6.5"):
             horizon_estimate(InstanceParams(3, 1, 0), 14.0, C=100.0)
 
@@ -185,6 +185,67 @@ class TestHorizonEstimate:
         C = optimal_alpha(three_robot) ** (2 * 2 * 3)
         N = horizon_estimate(three_robot, 0.999 * lam0, C)
         assert N == math.inf
+
+    def test_an_overflowing_growth_factor_still_counts_its_steps(self):
+        # delta = exp(734.3) overflows binary64 at lambda = 1 + 1e-8, but its
+        # log does not: the cap takes 2.79 steps, so N = C^3.  Through
+        # log(inf) the step count used to collapse to 1, and N to C
+        p, C = InstanceParams(5, 38, 7), 10.0
+        assert growth_factor_delta(p.s, p.k, CoverParams(1.0 + 1e-8).mu) == math.inf
+        assert horizon_estimate(p, 1.0 + 1e-8, C) == pytest.approx(1e3, rel=1e-12)
+        # at twice that lambda delta is finite, and the count is 2.97 steps
+        assert math.isfinite(growth_factor_delta(p.s, p.k, CoverParams(1.0 + 2e-8).mu))
+        assert horizon_estimate(p, 1.0 + 2e-8, C) == pytest.approx(1e3, rel=1e-12)
+
+
+def _horizon_through_delta(p, lam, C):
+    """horizon_estimate as it stood when it took log of the exponentiated
+    delta: the oracle of the log form wherever delta is finite."""
+    lam0 = ratio_lower_bound(p)
+    if lam >= lam0:
+        raise NoFiniteHorizon(f"lambda={lam} >= tight bound {lam0}: covers of every [1,N] exist")
+    mu = CoverParams(lam).mu
+    delta = growth_factor_delta(p.s, p.k, mu)
+    if delta <= 1.0:
+        raise NoFiniteHorizon(f"growth factor {delta} <= 1 at mu={mu}: potential need not grow")
+    log_cap = p.q * p.k * math.log(C) + p.s * p.k * math.log(mu)
+    n = max(1, math.ceil(log_cap / math.log(delta)))
+    log_n_horizon = n * math.log(C)
+    if log_n_horizon > _LOG_FLOAT_MAX:
+        return math.inf
+    return math.exp(log_n_horizon)
+
+
+@st.composite
+def _subcritical(draw):
+    # m <= 12, f <= 5, lambda in [lambda0/2, lambda0), C >= alpha^(2mk): there
+    # log(exp(log delta)) differs from log delta about one time in nine
+    m, f = draw(st.integers(2, 12)), draw(st.integers(0, 5))
+    k = draw(st.integers(f + 1, m * (f + 1) - 1))
+    p = InstanceParams(m, k, f)
+    lam0 = ratio_lower_bound(p)
+    lam = draw(st.one_of(
+        st.floats(lam0 / 2.0, lam0, exclude_max=True),
+        st.just(math.nextafter(lam0, 0.0)),
+    ))
+    C = optimal_alpha(p) ** (2 * m * k) * 10.0 ** draw(st.floats(0.0, 5.0))
+    return p, lam, C
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subcritical())
+def test_the_log_form_gives_the_horizon_through_delta(inst):
+    p, lam, C = inst
+    if CoverParams(lam).mu >= C:
+        return
+    try:
+        expected = _horizon_through_delta(p, lam, C)
+    except NoFiniteHorizon as exc:
+        with pytest.raises(NoFiniteHorizon) as raised:
+            horizon_estimate(p, lam, C)
+        assert str(raised.value) == str(exc)
+        return
+    assert horizon_estimate(p, lam, C) == expected
 
 
 def test_the_log_of_the_largest_float_is_finite():

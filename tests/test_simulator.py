@@ -24,8 +24,10 @@ from raysearch import (
     worst_ratio,
 )
 from raysearch import simulator
-from raysearch.simulator import _detected, _sweep, supremum
+from raysearch.simulator import _detected, _rows, _sweep
 from raysearch.strategy import _legs, _ray_past_m as _past_m_error, _require_strategy_set
+
+from conftest import slow_supremum
 
 
 class TestFirstVisit:
@@ -404,7 +406,7 @@ class TestIndexMatchesReference:
                 _sweep(strategies, p, (1.0,), math.inf, visitors=True)
             return
         xs = list(dict.fromkeys(t.x for t, _ in cands))
-        answers = _sweep(strategies, p, xs, math.inf, visitors=True)
+        _, answers = _sweep(strategies, p, xs, math.inf, visitors=True)
         targets = [target for _, target, _ in answers]
         arrivals = [times for _, _, times in answers]
         # every distance exactly at x on each ray, then just past each turn from 1 on
@@ -492,12 +494,14 @@ def _indexed_answers(strategies, p, xs, N):
     """The indexed sweep's targets, arrivals, ratios and sup with witness."""
     targets, arrivals = _indexed_sweep(strategies, p, xs, N, visitors=True)
     _, ratios = _indexed_sweep(strategies, p, xs, N)
-    ratio, i = supremum(enumerate(ratios))
+    ratio, i = slow_supremum(enumerate(ratios))
     return targets, arrivals, ratios, (ratio, targets[i][:2])
 
 
 def _numbered_answers(strategies, p, xs, N):
-    answers = _sweep(strategies, p, xs, N, visitors=True)
+    sup, answers = _sweep(strategies, p, xs, N, visitors=True)
+    # the sup is the same with and without visitors, which list no answer
+    assert _sweep(strategies, p, xs, N) == (sup, [])
     numbers = [i for i, _, _ in answers]
     # numbered by walk position: the probes first, each target once
     probes = 2 * len(xs) if isinstance(strategies[0], TurnSequence) else p.m * len(xs)
@@ -506,7 +510,7 @@ def _numbered_answers(strategies, p, xs, N):
     targets = [target for _, target, _ in answers]
     arrivals = [times for _, _, times in answers]
     ratios = [_detected(times, x, p.f)[1] for (_, x, _), times in zip(targets, arrivals)]
-    return targets, arrivals, ratios, _sweep(strategies, p, xs, N)
+    return targets, arrivals, ratios, sup
 
 
 def _assert_numbered_is_indexed(strategies, p, N):
@@ -608,11 +612,17 @@ class TestNumberingRule:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_instances("orc", past=False), _instances("line")))
     def test_worst_ratio_is_the_supremum_of_the_rows(self, inst):
-        # the sweep's own sup and `supremum` over its rows, in number order,
-        # state one witness rule
+        # the sup of the rows' sweep, worst_ratio's and the slow rule over
+        # the rows, in number order, are one answer; on the dense grid too
         strategies, p, N = inst
+        (sup, at), _ = _rows(strategies, p, N)
         rows = sweep_rows(strategies, p, N)
-        assert worst_ratio(strategies, p, N) == supremum(
+        assert worst_ratio(strategies, p, N) == (sup, Target(*at)) == slow_supremum(
+            (target, report.ratio) for target, _, report in rows
+        )
+        (sup, at), _ = _rows(strategies, p, N, dense=True, rel_step=0.3)
+        rows = sweep_rows(strategies, p, N, dense=True, rel_step=0.3)
+        assert (sup, Target(*at)) == slow_supremum(
             (target, report.ratio) for target, _, report in rows
         )
 
