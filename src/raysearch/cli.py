@@ -8,7 +8,8 @@ infinite, -N below 1, an instance whose first turn underflows to 0,
 whose largest turn overflows binary64 or whose generated set would
 exceed strategy.MAX_ROUNDS rounds,
 --dense or --rel-step without --csv, --rel-step without --dense, a
---rel-step too small for a finite dense grid up to N, -N together with
+--rel-step too small for a finite dense grid up to N or for one of at
+most simulator.MAX_GRID_POINTS points, -N together with
 --auto-horizon, -C without --auto-horizon, --auto-horizon whose default
 C overflows or whose N is inf without --strategy, --lam, -m, -k or -f
 together with --eta (a flag the command would ignore is an error), a

@@ -23,6 +23,15 @@ Intervals whose right endpoint sits at or below the floor 1 are kept
 untruncated: they carry their turning distance into the robot loads
 without covering anything above the boundary.
 
+Both entries read a cover interval by position, as (robot, round_index,
+left, right): a `strategy.CoverInterval` or a plain 4-tuple, which is
+what `refute` passes from `strategy._cover_rows`; `verify_multicover`
+reads the first four fields of an AssignedInterval the same way.  The
+assignment keeps plain tuples throughout: (left, robot, round_index,
+right) pool rows and (left, robot, round_index, right, cover_left)
+output rows, each sorted as it stands, and one AssignedInterval per
+output row, built in stream order at the end.
+
 The assignment is the stream the potential audit replays, sorted once by
 (left, robot, round_index); every interval has t'' <= t' < t by
 construction.  `_check_stream` holds a stream to that contract in one
@@ -35,10 +44,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
-from .strategy import CoverInterval, _require_horizon
+from .strategy import _CoverRow, _require_horizon
 
 __all__ = [
     "AssignedInterval",
@@ -77,11 +85,11 @@ class DeficientCoverError(Exception):
         )
 
 
-def _require_domain(intervals: Sequence[CoverInterval], hi: float) -> None:
+def _require_domain(intervals: Sequence[_CoverRow | AssignedInterval], hi: float) -> None:
     _require_horizon(hi, "hi")
-    for iv in intervals:
-        if iv.left > iv.right:
-            raise ValueError(f"empty cover interval {iv.left} > {iv.right}")
+    for iv in intervals:  # (robot, round_index, left, right, ...)
+        if iv[2] > iv[3]:
+            raise ValueError(f"empty cover interval {iv[2]} > {iv[3]}")
 
 
 def _check_stream(assigned: Sequence[AssignedInterval]) -> None:
@@ -103,7 +111,7 @@ def _check_stream(assigned: Sequence[AssignedInterval]) -> None:
 
 
 def _multiplicity_scan(
-    intervals: Sequence[CoverInterval | AssignedInterval],
+    intervals: Sequence[_CoverRow | AssignedInterval],
 ) -> Iterator[tuple[float, int]]:
     """(u, multiplicity just above u) at u = 1 and at each distinct right
     end above 1, ascending, over the intervals that end above 1.
@@ -113,15 +121,15 @@ def _multiplicity_scan(
     closed or half-open.  Multiplicity falls only at a right end, so the
     leftmost deficient segment starts at 1 or at a right end.
     """
-    live = [iv for iv in intervals if iv.right > 1.0]
-    starts = sorted(iv.left for iv in live)
-    ends = sorted(iv.right for iv in live)
+    live = [iv for iv in intervals if iv[3] > 1.0]  # (robot, round_index, left, right, ...)
+    starts = sorted(iv[2] for iv in live)
+    ends = sorted(iv[3] for iv in live)
     for u in [1.0, *sorted(set(ends))]:
         yield u, bisect_right(starts, u) - bisect_right(ends, u)
 
 
 def verify_multicover(
-    intervals: Sequence[CoverInterval], q: int, hi: float
+    intervals: Sequence[_CoverRow | AssignedInterval], q: int, hi: float
 ) -> Witness | None:
     """None if every point of (1, hi] has multiplicity >= q, else the
     leftmost deficient segment, reported at its left end: 1 or a right
@@ -138,7 +146,7 @@ def verify_multicover(
 
 
 def exact_q_assignment(
-    intervals: Sequence[CoverInterval], q: int, hi: float
+    intervals: Sequence[_CoverRow], q: int, hi: float
 ) -> list[AssignedInterval]:
     """Truncate a >= q-fold cover of (1, hi] to exact multiplicity q.
 
@@ -155,28 +163,30 @@ def exact_q_assignment(
     _require_domain(intervals, hi)
     if q <= 0:
         return []
-    out: list[AssignedInterval] = []
+    # (left, robot, round_index, right, cover_left) rows: sorted as they
+    # stand, they are in stream order
+    out: list[tuple[float, int, int, float, float]] = []
     # boundary intervals: no coverage above 1, but their turning distances
     # still belong to the robot loads of the potential argument
-    pool = []
-    for iv in intervals:
-        if iv.right <= 1.0:
-            if iv.left < iv.right:
-                out.append(AssignedInterval(*iv, iv.left))  # kept whole: t' = t''
-        elif iv.left <= 1.0 or iv.left < hi:  # opens at a u that is 1 or below hi
-            pool.append(iv)
-    pool.sort(key=itemgetter(2, 0, 1))  # (left, robot, round_index)
+    pool: list[tuple[float, int, int, float]] = []  # (left, robot, round_index, right)
+    for robot, rnd, left, right in intervals:
+        if right <= 1.0:
+            if left < right:
+                out.append((left, robot, rnd, right, left))  # kept whole: t' = t''
+        elif left <= 1.0 or left < hi:  # opens at a u that is 1 or below hi
+            pool.append((left, robot, rnd, right))
+    pool.sort()
 
-    nxt = 0  # next pool interval to become available
-    # available but not yet opened, as a heap of (right, robot, round, pool
-    # index); expired entries (right <= u) are dropped when they reach the top
-    avail: list[tuple[float, int, int, int]] = []
+    nxt, end = 0, len(pool)  # the next pool interval to become available
+    # available but not yet opened, as a heap of (right, robot, round, t'');
+    # expired entries (right <= u) are dropped when they reach the top
+    avail: list[tuple[float, int, int, float]] = []
     opened: list[float] = []  # heap of the opened intervals' right ends
     u = 1.0
     while True:
-        while nxt < len(pool) and pool[nxt].left <= u:
-            iv = pool[nxt]
-            heappush(avail, (iv.right, iv.robot, iv.round_index, nxt))
+        while nxt < end and pool[nxt][0] <= u:
+            left, robot, rnd, right = pool[nxt]
+            heappush(avail, (right, robot, rnd, left))
             nxt += 1
         while opened and opened[0] <= u:  # the others that close at u
             heappop(opened)
@@ -186,10 +196,15 @@ def exact_q_assignment(
         if len(avail) < need:
             raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
         for _ in range(need):
-            right, robot, rnd, i = heappop(avail)
+            right, robot, rnd, cover_left = heappop(avail)
             heappush(opened, right)
-            out.append(AssignedInterval(robot, rnd, u, right, pool[i].left))
+            out.append((u, robot, rnd, right, cover_left))
         u = heappop(opened)  # the next closing
         if u >= hi:
-            out.sort(key=itemgetter(2, 0, 1))
-            return out
+            out.sort()
+            # what AssignedInterval(...) builds, without its Python-level __new__
+            new = tuple.__new__
+            return [
+                new(AssignedInterval, (robot, rnd, left, right, cover_left))
+                for left, robot, rnd, right, cover_left in out
+            ]

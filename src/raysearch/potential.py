@@ -54,12 +54,7 @@ from .cover import (
     exact_q_assignment,
 )
 from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical
-from .strategy import (
-    Strategy,
-    _require_horizon,
-    _require_strategy_set,
-    all_cover_intervals,
-)
+from .strategy import Strategy, _cover_rows, _require_horizon, _require_strategy_set
 
 __all__ = [
     "Mode",
@@ -531,7 +526,7 @@ def refute(
         "mode": mode,
         "multiplicity": max(mult, 0),
     }
-    covers = all_cover_intervals(strategies, c)
+    covers = [row for r, strat in enumerate(strategies) for row in _cover_rows(strat, c.mu, r)]
     try:
         assigned = exact_q_assignment(covers, mult, N)
     except DeficientCoverError as exc:

@@ -73,6 +73,14 @@ __all__ = [
 
 _REL_STEP = 1e-3  # the dense grid's default step in log(x)
 
+# The most points one dense grid may hold; `_rows` counts them before it
+# makes the first, and a larger count is a ValueError.  The default step
+# stays below it for every finite N (log of the largest float / _REL_STEP
+# is 709 783 points).  Each point is answered on every ray, at about 1 kB
+# per point on m = 2, k = 1 and 2.6 kB on m = 4, k = 3, so a grid at the
+# limit can take a few GB.
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Target:
@@ -280,7 +288,8 @@ def _rows(
     dense grid, and each target as (number, (ray, x, just_above), arrivals)
     in number order, its arrivals sorted (time, robot) pairs.
 
-    N below 1, or NaN, is a ValueError.
+    N below 1, or NaN, is a ValueError, and so is a dense grid with a step
+    that is not positive or with more than MAX_GRID_POINTS points.
     """
     _require_horizon(N)
     if not dense:
@@ -294,6 +303,11 @@ def _rows(
             "the dense grid's point count log(N)/rel_step is not finite"
         )
     n_pts = max(2, int(span) + 1)
+    if n_pts > MAX_GRID_POINTS:
+        raise ValueError(
+            f"rel_step={rel_step!r} too small for N={N!r}: the dense grid's"
+            f" {n_pts:.7g} points exceed the limit of {MAX_GRID_POINTS}"
+        )
     grid = [math.exp(math.log(N) * i / (n_pts - 1)) for i in range(n_pts)]
     return _sweep(strategies, p, grid, visitors=True)
 

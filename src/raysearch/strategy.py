@@ -11,8 +11,11 @@ Two settings are supported, mirroring the two covering relaxations:
 The cyclic exponential strategy of the tight upper bound is generated
 here, together with extraction of the lambda-cover intervals that feed
 the covering machinery; a strategy is read as given, unfruitful turns
-included.  `_legs` walks either kind as (ray, turn) legs, and it holds
-the one statement of the line side rule.  `_require_strategy_set` gates
+included.  `_cover_rows` states the cover rule once, as plain
+(robot, round_index, left, right) tuples that `refute` hands to the
+assignment; `cover_intervals` and `all_cover_intervals` wrap the same
+rows in CoverInterval.  `_legs` walks either kind as (ray, turn) legs,
+and it holds the one statement of the line side rule.  `_require_strategy_set` gates
 both simulator paths alike: a target off a set's rays is a ValueError.
 """
 
@@ -97,6 +100,11 @@ class CoverInterval(NamedTuple):
     round_index: int
     left: float
     right: float
+
+
+# (robot, round_index, left, right): a CoverInterval's fields in its order,
+# which `cover` reads by position from either form
+_CoverRow = tuple[int, int, float, float]
 
 
 def _require_horizon(N: float, name: str = "N") -> None:
@@ -268,10 +276,9 @@ def make_geometric_line_strategy(
     ]
 
 
-def cover_intervals(
-    strategy: Strategy, c: CoverParams, robot: int = 0
-) -> list[CoverInterval]:
-    """Intervals of distances the strategy lambda-covers, one per fruitful turn.
+def _cover_rows(strategy: Strategy, mu: float, robot: int) -> list[_CoverRow]:
+    """(robot, round_index, left, right) of each interval the strategy
+    mu-covers, one per fruitful turn: the one statement of the cover rule.
 
     Line: turn i covers [max((t_1+...+t_i)/mu, t_(i-1)), t_i] (visiting x
     and -x costs 2*(t_1+...+t_i) + x).  ORC: round i covers
@@ -279,8 +286,7 @@ def cover_intervals(
     Prefix sums run over the strategy as given, including unfruitful
     turns, so the union is exactly the covered set of *this* strategy.
     """
-    mu = c.mu
-    out: list[CoverInterval] = []
+    out: list[_CoverRow] = []
     if isinstance(strategy, TurnSequence):
         total = 0.0
         prev = 0.0
@@ -288,27 +294,32 @@ def cover_intervals(
             total += turn
             left = max(total / mu, prev)
             if left <= turn:
-                out.append(CoverInterval(robot, i, left, turn))
+                out.append((robot, i, left, turn))
             prev = turn
     elif isinstance(strategy, RoundPlan):
         total = 0.0
         for i, (_, turn) in enumerate(strategy.rounds):
             left = total / mu
             if left <= turn:
-                out.append(CoverInterval(robot, i, left, turn))
+                out.append((robot, i, left, turn))
             total += turn
     else:
         raise TypeError(f"unsupported strategy type {type(strategy)!r}")
     return out
 
 
+def cover_intervals(
+    strategy: Strategy, c: CoverParams, robot: int = 0
+) -> list[CoverInterval]:
+    """Intervals of distances the strategy lambda-covers, one per fruitful
+    turn, as `_cover_rows` states them."""
+    return list(map(CoverInterval._make, _cover_rows(strategy, c.mu, robot)))
+
+
 def all_cover_intervals(
     strategies: Sequence[Strategy], c: CoverParams
 ) -> list[CoverInterval]:
-    out: list[CoverInterval] = []
-    for r, strat in enumerate(strategies):
-        out.extend(cover_intervals(strat, c, robot=r))
-    return out
+    return [iv for r, strat in enumerate(strategies) for iv in cover_intervals(strat, c, r)]
 
 
 # --- serialization: one robot per line ---------------------------------

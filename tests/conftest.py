@@ -1,8 +1,18 @@
 import math
+from heapq import heappop, heappush
+from operator import itemgetter
 
 import pytest
 
-from raysearch import CoverParams, InstanceParams, make_exponential_strategy, optimal_alpha
+from raysearch import (
+    AssignedInterval,
+    CoverParams,
+    DeficientCoverError,
+    InstanceParams,
+    Witness,
+    make_exponential_strategy,
+    optimal_alpha,
+)
 
 
 @pytest.fixture
@@ -45,3 +55,53 @@ def slow_supremum(pairs):
             best_key = key
     assert best_key is not None
     return best_ratio, best_key
+
+
+def slow_exact_q_assignment(intervals, q, hi):
+    """exact_q_assignment as it was before it kept plain tuples: it reads
+    CoverInterval fields by name, builds an AssignedInterval per interval
+    as it opens, and sorts its pool and its output through key tuples.
+    The oracle of the plain-tuple sweep, with its own domain check."""
+    if not hi >= 1.0:
+        raise ValueError(f"horizon hi must be >= 1, got {hi!r}")
+    for iv in intervals:
+        if iv.left > iv.right:
+            raise ValueError(f"empty cover interval {iv.left} > {iv.right}")
+    if q <= 0:
+        return []
+    out = []
+    pool = []
+    for iv in intervals:
+        if iv.right <= 1.0:
+            if iv.left < iv.right:
+                out.append(AssignedInterval(*iv, iv.left))  # kept whole: t' = t''
+        elif iv.left <= 1.0 or iv.left < hi:  # opens at a u that is 1 or below hi
+            pool.append(iv)
+    pool.sort(key=itemgetter(2, 0, 1))  # (left, robot, round_index)
+
+    nxt = 0  # next pool interval to become available
+    # available but not yet opened, as a heap of (right, robot, round, pool
+    # index); expired entries (right <= u) are dropped when they reach the top
+    avail = []
+    opened = []  # heap of the opened intervals' right ends
+    u = 1.0
+    while True:
+        while nxt < len(pool) and pool[nxt].left <= u:
+            iv = pool[nxt]
+            heappush(avail, (iv.right, iv.robot, iv.round_index, nxt))
+            nxt += 1
+        while opened and opened[0] <= u:  # the others that close at u
+            heappop(opened)
+        while avail and avail[0][0] <= u:
+            heappop(avail)
+        need = q - len(opened)
+        if len(avail) < need:
+            raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
+        for _ in range(need):
+            right, robot, rnd, i = heappop(avail)
+            heappush(opened, right)
+            out.append(AssignedInterval(robot, rnd, u, right, pool[i].left))
+        u = heappop(opened)  # the next closing
+        if u >= hi:
+            out.sort(key=itemgetter(2, 0, 1))
+            return out

@@ -30,7 +30,7 @@ from raysearch import (
     sweep_rows,
     worst_ratio,
 )
-from raysearch import cli
+from raysearch import cli, simulator
 from raysearch.cli import BROKEN_PIPE_EXIT, build_parser, main
 from raysearch.potential import AuditError, InvalidAssignmentError
 
@@ -670,6 +670,33 @@ class TestInputChecks:
         assert not csv.exists()
 
     @pytest.mark.parametrize(
+        "limit, N, rel_step, count",
+        [
+            # about 1.8e301 points: counted, not built
+            (None, "1e8", "1e-300", "1.842068e+301"),
+            # log(1e3)/0.01 = 690.8: 691 points, one past a limit of 690
+            (690, "1e3", "0.01", "691"),
+        ],
+    )
+    def test_dense_grid_past_the_limit(
+        self, capsys, monkeypatch, tmp_path, limit, N, rel_step, count
+    ):
+        if limit is not None:
+            monkeypatch.setattr(simulator, "MAX_GRID_POINTS", limit)
+        csv = tmp_path / "dense.csv"
+        code, out, err = run(
+            capsys, "simulate", *self.DOUBLING, "-N", N, "--dense",
+            "--rel-step", rel_step, "--csv", str(csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"raysearch: error: rel_step={float(rel_step)!r} too small for N={float(N)!r}: "
+            f"the dense grid's {count} points exceed the limit of {simulator.MAX_GRID_POINTS}\n"
+        )
+        assert not csv.exists()
+
+    @pytest.mark.parametrize(
         "command, extra", [("simulate", ()), ("refute", ("--lam", "9.5"))]
     )
     def test_alpha_with_strategy_is_usage_error(self, capsys, tmp_path, command, extra):
@@ -1114,7 +1141,8 @@ def _command_lines(draw):
             if draw(st.booleans()):
                 argv.append("--dense")
             if _pick(draw, ["--dense" in argv and draw(st.booleans())], [True]):
-                argv += ["--rel-step", _pick(draw, ["0.05", "0.3"], ["0", "-0.5", "nan"])]
+                steps = (["0.05", "0.3"], ["0", "-0.5", "nan", "1e-300", "1e-320"])
+                argv += ["--rel-step", _pick(draw, *steps)]
         return argv, text
     try:
         scale = draw(st.sampled_from([0.97, 1.03, 1.5]))
@@ -1152,9 +1180,15 @@ def _written(argv):
     }
 
 
+# a dense grid of about 1.8e301 points: refused before its first point
+_HUGE_GRID = ["simulate", "-m", "2", "-k", "1", "-f", "0", "-N", "1e8",
+              "--csv", "{csv}", "--dense", "--rel-step", "1e-300"]
+
+
 class TestContract:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_command_lines())
+    @example((_HUGE_GRID, None))
     def test_every_command_line_keeps_the_contract(self, tmp_path_factory, drawn):
         template, text = drawn
         folder = tmp_path_factory.mktemp("contract")

@@ -20,6 +20,8 @@ from raysearch import (
     verify_multicover,
 )
 
+from conftest import slow_exact_q_assignment
+
 
 def _doubling_strategy(hi=1e3):
     p = InstanceParams(2, 1, 0)
@@ -313,6 +315,46 @@ def test_repeated_keys_give_the_same_multiset(spans, q, hi):
         assert sorted(got) == sorted(want) and keys == sorted(keys)
     else:
         assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_GRID_ENDPOINT, _GRID_ENDPOINT), min_size=1, max_size=16),
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.one_of(st.none(), st.sampled_from([1.0, 1.5, 2.0, 5.0, math.inf]), st.floats(1.0, 80.0)),
+)
+def test_plain_rows_give_the_oracles_answer(spans, copies, q, hi):
+    # repeated spans on other robots tie their lefts across robots; the grid
+    # gives right ends at or below 1, a small hi leaves lefts past it, and a
+    # large q a deficient cover.  Each (robot, round_index) is distinct, so
+    # the stream order is fully specified, and the answer is the oracle's
+    # whether the intervals come as CoverIntervals or as plain tuples
+    ivs = [
+        civ(min(a, b), max(a, b), robot=i % 4, idx=i)
+        for i, (a, b) in enumerate(spans * copies)
+    ]
+    if hi is None:
+        hi = max(1.0, max(iv.right for iv in ivs))
+    want = _assignment_or_witness(slow_exact_q_assignment, ivs, q, hi)
+    rows = [tuple(iv) for iv in ivs]
+    assert all(type(row) is tuple for row in rows)
+    for given_ivs in (ivs, rows):
+        got = _assignment_or_witness(exact_q_assignment, given_ivs, q, hi)
+        assert got == want
+        if isinstance(want, list):
+            assert all(type(iv) is AssignedInterval for iv in got)
+        witness = verify_multicover(given_ivs, q, hi)
+        assert witness == (want if isinstance(want, Witness) else None)
+
+
+def test_plain_rows_keep_the_entry_checks():
+    # a reversed interval and a horizon below 1, given as plain tuples
+    for entry in (verify_multicover, exact_q_assignment):
+        with pytest.raises(ValueError, match=r"^empty cover interval 3\.0 > 2\.0$"):
+            entry([(0, 0, 1.0, 2.0), (1, 0, 3.0, 2.0)], 1, 2.0)
+        with pytest.raises(ValueError, match=r"^horizon hi must be >= 1, got 0\.5$"):
+            entry([(0, 0, 1.0, 2.0)], 1, 0.5)
 
 
 class TestClosingStops:

@@ -151,6 +151,27 @@ class TestDenseStep:
         with pytest.raises(ValueError, match="rel_step must be positive"):
             dense_grid_ratio(doubling_strategy, doubling, 100.0, rel_step=rel_step)
 
+    def test_a_grid_past_the_limit_is_refused(self, monkeypatch, doubling, doubling_strategy):
+        # log(100)/0.1 = 46.05: 47 points; at the exact count the grid is
+        # made, one below it nothing is, and the message names N and the step
+        monkeypatch.setattr(simulator, "MAX_GRID_POINTS", 47)
+        assert len(_rows(doubling_strategy, doubling, 100.0, True, 0.1)[1]) == 2 * 47
+        monkeypatch.setattr(simulator, "MAX_GRID_POINTS", 46)
+        message = (
+            r"^rel_step=0\.1 too small for N=100\.0: "
+            r"the dense grid's 47 points exceed the limit of 46$"
+        )
+        for entry in (
+            lambda: sweep_rows(doubling_strategy, doubling, 100.0, dense=True, rel_step=0.1),
+            lambda: dense_grid_ratio(doubling_strategy, doubling, 100.0, rel_step=0.1),
+        ):
+            with pytest.raises(ValueError, match=message):
+                entry()
+
+    def test_the_default_step_fits_every_finite_horizon(self):
+        # so no query at the default step is refused for its grid's size
+        assert math.log(1.7976931348623157e308) / simulator._REL_STEP < simulator.MAX_GRID_POINTS
+
 
 class TestHorizon:
     # a sup over [1, N] needs N >= 1: below it, the sweep answered at x = 1

@@ -451,6 +451,24 @@ class TestCoverIntervals:
         ivs = all_cover_intervals([plan, plan], cover9)
         assert sorted({iv.robot for iv in ivs}) == [0, 1]
 
+    @pytest.mark.parametrize(
+        "make, p", [(make_exponential_strategy, InstanceParams(3, 2, 1)),
+                    (make_geometric_line_strategy, InstanceParams(2, 3, 1))]
+    )
+    def test_the_public_intervals_wrap_the_rows(self, make, p):
+        # the producer refute reads gives plain tuples; the public entries
+        # give the same rows as CoverIntervals, robot by robot
+        strategies = make(p, optimal_alpha(p), 1e4)
+        c = CoverParams(ratio_lower_bound(p) * 1.01)
+        rows = [strategy._cover_rows(s, c.mu, r) for r, s in enumerate(strategies)]
+        assert all(type(row) is tuple for robot in rows for row in robot)
+        for r, s in enumerate(strategies):
+            ivs = cover_intervals(s, c, robot=r)
+            assert ivs == rows[r] and all(type(iv) is strategy.CoverInterval for iv in ivs)
+        every = all_cover_intervals(strategies, c)
+        assert every == [row for robot in rows for row in robot]
+        assert all(type(iv) is strategy.CoverInterval for iv in every)
+
 
 class TestSerialization:
     def test_round_trip_orc(self, three_robot, tmp_path):
