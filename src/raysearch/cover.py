@@ -23,14 +23,13 @@ Intervals whose right endpoint sits at or below the floor 1 are kept
 untruncated: they carry their turning distance into the robot loads
 without covering anything above the boundary.
 
-Both entries read a cover interval by position, as (robot, round_index,
-left, right): a `strategy.CoverInterval` or a plain 4-tuple, which is
-what `refute` passes from `strategy._cover_rows`; `verify_multicover`
-reads the first four fields of an AssignedInterval the same way.  The
-assignment keeps plain tuples throughout: (left, robot, round_index,
-right) pool rows and (left, robot, round_index, right, cover_left)
-output rows, each sorted as it stands, and one AssignedInterval per
-output row, built in stream order at the end.
+Both entries read a cover interval by position, as the plain
+(robot, round_index, left, right) tuple `strategy.cover_intervals` makes;
+`verify_multicover` reads the first four fields of an AssignedInterval
+the same way.  The assignment keeps plain tuples throughout:
+(left, robot, round_index, right) pool rows and (left, robot,
+round_index, right, cover_left) output rows, each sorted as it stands,
+and one AssignedInterval per output row, built in stream order at the end.
 
 The assignment is the stream the potential audit replays, sorted once by
 (left, robot, round_index); every interval has t'' <= t' < t by

@@ -2,8 +2,8 @@
 
 Everything here is a pure function of small integer/real parameters:
 the tight competitive-ratio bound, the optimal base of the cyclic
-exponential strategy, the maximizer of x^s (mu*-x)^k, the per-step
-growth factor of the potential audit, and the refutation horizon.
+exponential strategy, the per-step growth factor of the potential audit,
+and the refutation horizon.
 
 The tight bound has one form, `_critical_slack(x)` with x = rho - 1 =
 s/k: (1+x) exp(x log1p(1/x)), whose exponent lies in (0, 1).  The
@@ -26,7 +26,6 @@ __all__ = [
     "NoFiniteHorizon",
     "ratio_lower_bound",
     "optimal_alpha",
-    "poly_max_point",
     "growth_factor_delta",
     "mu_critical",
     "horizon_estimate",
@@ -102,13 +101,15 @@ class InstanceParams:
 
 @dataclass(frozen=True)
 class CoverParams:
-    """A candidate competitive ratio lambda > 1 and its half-slack mu."""
+    """A candidate competitive ratio lambda > 1, finite, and its half-slack mu."""
 
     lam: float
 
     def __post_init__(self) -> None:
         if not self.lam > 1.0:
             raise ValueError(f"lambda must be > 1, got {self.lam}")
+        if self.lam == math.inf:
+            raise ValueError(f"lambda must be finite, got {self.lam}")
 
     @property
     def mu(self) -> float:
@@ -128,24 +129,18 @@ def optimal_alpha(p: InstanceParams) -> float:
     return math.exp((1.0 / k) * math.log(q) - (1.0 / k) * math.log(q - k))
 
 
-def poly_max_point(s: int, k: int, mu_star: float) -> float:
-    """Unique maximizer of x^s (mu*-x)^k on (0, mu*): x = s*mu*/(k+s)."""
-    if s < 1 or k < 1:
-        raise ValueError(f"s and k must be >= 1, got s={s}, k={k}")
-    if not mu_star > 0.0:
-        raise ValueError(f"mu_star must be positive, got {mu_star}")
-    return s * mu_star / (k + s)
-
-
 def growth_factor_delta(s: int, k: int, mu: float) -> float:
     """(k+s)^(k+s) / (s^s k^k mu^k) = (mu_critical/mu)^k; inf where it overflows.
 
-    Exceeds 1 iff mu is below mu_critical, and is exactly 1.0 there.
+    Exceeds 1 iff mu is below mu_critical, and is exactly 1.0 there; mu
+    must be positive and finite.
     """
     if s < 1 or k < 1:
         raise ValueError(f"s and k must be >= 1, got s={s}, k={k}")
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
+    if mu == math.inf:
+        raise ValueError(f"mu must be finite, got {mu}")
     log_delta = _log_growth_factor(s, k, mu)
     if log_delta > _LOG_FLOAT_MAX:
         return math.inf

@@ -26,7 +26,7 @@ its log term beside it, and each stream interval carries its robot's
 next left end, so a step takes three logs for the incremental update and
 three for the terms it replaces.  One generator, `_replay`, states a
 step: it binds the state's lists and constants once and yields each
-step; `audit_growth` iterates it and `advance` takes its first step.
+step; `audit_growth` iterates it.
 The from-scratch oracle, the sum of the stored terms (`potential_value`),
 runs at every audited step and never reads the incremental value.  The
 audit checks that sum against the incremental value and, in line mode,
@@ -54,7 +54,7 @@ from .cover import (
     exact_q_assignment,
 )
 from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical
-from .strategy import Strategy, _cover_rows, _require_horizon, _require_strategy_set
+from .strategy import Strategy, _require_horizon, _require_strategy_set, all_cover_intervals
 
 __all__ = [
     "Mode",
@@ -68,7 +68,6 @@ __all__ = [
     "ConfigurationError",
     "covering_situation",
     "initial_state",
-    "advance",
     "potential_value",
     "audit_growth",
     "detect_gap",
@@ -309,13 +308,6 @@ def _replay(state: PrefixState, c: CoverParams) -> Iterator[GrowthStep]:
         yield make((r, mu_star, x, exp(log_ratio), lp))
 
 
-def advance(state: PrefixState, c: CoverParams) -> GrowthStep | None:
-    """Extend the prefix by the next interval of its stream, in place: the
-    first step of `_replay`, or None where it stops.  A rejected step
-    raises InvalidAssignmentError and leaves the state as it was."""
-    return next(_replay(state, c), None)
-
-
 def potential_value(state: PrefixState) -> float:
     """From-scratch log-domain potential of the state.
 
@@ -526,9 +518,8 @@ def refute(
         "mode": mode,
         "multiplicity": max(mult, 0),
     }
-    covers = [row for r, strat in enumerate(strategies) for row in _cover_rows(strat, c.mu, r)]
     try:
-        assigned = exact_q_assignment(covers, mult, N)
+        assigned = exact_q_assignment(all_cover_intervals(strategies, c), mult, N)
     except DeficientCoverError as exc:
         return Verdict(kind="coverage_failure", params=params, witness=exc.witness)
     try:

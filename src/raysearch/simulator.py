@@ -337,10 +337,7 @@ def dense_grid_ratio(
     rel_step: float = _REL_STEP,
 ) -> float:
     """Sup of tau(x)/x on a geometric grid, through worst_ratio's sweep: a
-    cross-check of its breakpoint enumeration, not of the sweep itself."""
-    f = p.f
-    ratios = (
-        _detected(times, x, f)[1]
-        for _, (_, x, _), times in _rows(strategies, p, N, True, rel_step)[1]
-    )
-    return max((r for r in ratios if r is not None), default=-math.inf)
+    cross-check of its breakpoint enumeration, not of the sweep itself.
+    inf if some grid point is never detected, as worst_ratio reports."""
+    (ratio, _), _ = _rows(strategies, p, N, True, rel_step)
+    return ratio

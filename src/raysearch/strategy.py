@@ -11,12 +11,12 @@ Two settings are supported, mirroring the two covering relaxations:
 The cyclic exponential strategy of the tight upper bound is generated
 here, together with extraction of the lambda-cover intervals that feed
 the covering machinery; a strategy is read as given, unfruitful turns
-included.  `_cover_rows` states the cover rule once, as plain
-(robot, round_index, left, right) tuples that `refute` hands to the
-assignment; `cover_intervals` and `all_cover_intervals` wrap the same
-rows in CoverInterval.  `_legs` walks either kind as (ray, turn) legs,
-and it holds the one statement of the line side rule.  `_require_strategy_set` gates
-both simulator paths alike: a target off a set's rays is a ValueError.
+included.  `cover_intervals` states the cover rule once, as plain
+(robot, round_index, left, right) tuples, and `refute` hands
+`all_cover_intervals`' tuples to the assignment as they are.  `_legs`
+walks either kind as (ray, turn) legs, and it holds the one statement of
+the line side rule.  `_require_strategy_set` gates both simulator paths
+alike: a target off a set's rays is a ValueError.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import cycle
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .formulas import CoverParams, InstanceParams
 
 __all__ = [
     "TurnSequence",
     "RoundPlan",
-    "CoverInterval",
     "Strategy",
     "make_exponential_strategy",
     "make_geometric_line_strategy",
@@ -93,17 +92,8 @@ def _legs(strategy: Strategy) -> Iterable[tuple[int, float]]:
     raise TypeError(f"unsupported strategy type {type(strategy)!r}")
 
 
-class CoverInterval(NamedTuple):
-    """The interval [left, right] a turn or round lambda-covers; `cover` checks it."""
-
-    robot: int
-    round_index: int
-    left: float
-    right: float
-
-
-# (robot, round_index, left, right): a CoverInterval's fields in its order,
-# which `cover` reads by position from either form
+# the interval [left, right] a turn or round lambda-covers, as
+# (robot, round_index, left, right); `cover` checks left <= right
 _CoverRow = tuple[int, int, float, float]
 
 
@@ -276,9 +266,9 @@ def make_geometric_line_strategy(
     ]
 
 
-def _cover_rows(strategy: Strategy, mu: float, robot: int) -> list[_CoverRow]:
+def cover_intervals(strategy: Strategy, c: CoverParams, robot: int = 0) -> list[_CoverRow]:
     """(robot, round_index, left, right) of each interval the strategy
-    mu-covers, one per fruitful turn: the one statement of the cover rule.
+    lambda-covers, one per fruitful turn: the one statement of the cover rule.
 
     Line: turn i covers [max((t_1+...+t_i)/mu, t_(i-1)), t_i] (visiting x
     and -x costs 2*(t_1+...+t_i) + x).  ORC: round i covers
@@ -286,6 +276,7 @@ def _cover_rows(strategy: Strategy, mu: float, robot: int) -> list[_CoverRow]:
     Prefix sums run over the strategy as given, including unfruitful
     turns, so the union is exactly the covered set of *this* strategy.
     """
+    mu = c.mu
     out: list[_CoverRow] = []
     if isinstance(strategy, TurnSequence):
         total = 0.0
@@ -308,18 +299,9 @@ def _cover_rows(strategy: Strategy, mu: float, robot: int) -> list[_CoverRow]:
     return out
 
 
-def cover_intervals(
-    strategy: Strategy, c: CoverParams, robot: int = 0
-) -> list[CoverInterval]:
-    """Intervals of distances the strategy lambda-covers, one per fruitful
-    turn, as `_cover_rows` states them."""
-    return list(map(CoverInterval._make, _cover_rows(strategy, c.mu, robot)))
-
-
-def all_cover_intervals(
-    strategies: Sequence[Strategy], c: CoverParams
-) -> list[CoverInterval]:
-    return [iv for r, strat in enumerate(strategies) for iv in cover_intervals(strat, c, r)]
+def all_cover_intervals(strategies: Sequence[Strategy], c: CoverParams) -> list[_CoverRow]:
+    """Each robot's `cover_intervals` in robot order, tagged 0..k-1."""
+    return [row for r, strat in enumerate(strategies) for row in cover_intervals(strat, c, r)]
 
 
 # --- serialization: one robot per line ---------------------------------

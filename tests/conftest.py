@@ -1,6 +1,7 @@
 import math
 from heapq import heappop, heappush
 from operator import itemgetter
+from typing import NamedTuple
 
 import pytest
 
@@ -13,6 +14,7 @@ from raysearch import (
     make_exponential_strategy,
     optimal_alpha,
 )
+from raysearch import potential
 
 
 @pytest.fixture
@@ -57,9 +59,29 @@ def slow_supremum(pairs):
     return best_ratio, best_key
 
 
+def advance(state, c):
+    """The first step of `potential._replay`, or None where it stops."""
+    return next(potential._replay(state, c), None)
+
+
+def poly_max_point(s, k, mu_star):
+    """The maximizer s*mu*/(k+s) of x^s (mu*-x)^k on (0, mu*): the oracle
+    of the audit's polynomial floor."""
+    return s * mu_star / (k + s)
+
+
+class CoverRecord(NamedTuple):
+    """A cover interval with named fields, in the library's tuple order."""
+
+    robot: int
+    round_index: int
+    left: float
+    right: float
+
+
 def slow_exact_q_assignment(intervals, q, hi):
     """exact_q_assignment as it was before it kept plain tuples: it reads
-    CoverInterval fields by name, builds an AssignedInterval per interval
+    CoverRecord fields by name, builds an AssignedInterval per interval
     as it opens, and sorts its pool and its output through key tuples.
     The oracle of the plain-tuple sweep, with its own domain check."""
     if not hi >= 1.0:

@@ -11,7 +11,6 @@ from raysearch import (
     InfeasibleRegime,
     InstanceParams,
     TurnSequence,
-    advance,
     all_cover_intervals,
     dense_grid_ratio,
     exact_q_assignment,
@@ -22,12 +21,13 @@ from raysearch import (
     make_exponential_strategy,
     make_geometric_line_strategy,
     optimal_alpha,
-    poly_max_point,
     potential_value,
     ratio_lower_bound,
     refute,
     worst_ratio,
 )
+
+from conftest import advance, poly_max_point
 
 
 def grid():

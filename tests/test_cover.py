@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from raysearch import (
     AssignedInterval,
-    CoverInterval,
     CoverParams,
     DeficientCoverError,
     InstanceParams,
@@ -20,7 +19,7 @@ from raysearch import (
     verify_multicover,
 )
 
-from conftest import slow_exact_q_assignment
+from conftest import CoverRecord, slow_exact_q_assignment
 
 
 def _doubling_strategy(hi=1e3):
@@ -29,7 +28,7 @@ def _doubling_strategy(hi=1e3):
 
 
 def civ(left, right, robot=0, idx=0):
-    return CoverInterval(robot=robot, round_index=idx, left=left, right=right)
+    return CoverRecord(robot=robot, round_index=idx, left=left, right=right)
 
 
 class TestVerifyMulticover:
@@ -125,7 +124,7 @@ class TestHorizon:
         # covers just above it, at hi = 1 as at any hi past 1
         plan = RoundPlan(((1, 1.0), (2, 1.0), (1, 2.0), (2, 2.0), (1, 4.0), (2, 4.0)))
         ivs = all_cover_intervals([plan], CoverParams(lam))
-        assert any(iv.left == 1.0 for iv in ivs)
+        assert any(left == 1.0 for _, _, left, _ in ivs)
         for hi in (1.0, math.nextafter(1.0, 2.0), 1.5):
             assert verify_multicover(ivs, 2, hi) == hole
             if hole is None:
@@ -143,7 +142,7 @@ class TestHorizon:
 
 
 class TestReversedInterval:
-    # a CoverInterval is a plain tuple; cover checks the order on entry
+    # a cover interval is a plain tuple; cover checks the order on entry
     def _intervals(self):
         return [civ(1.0, 2.0), civ(3.0, 2.5, idx=1), civ(2.0, 4.0, idx=2)]
 
@@ -329,7 +328,7 @@ def test_plain_rows_give_the_oracles_answer(spans, copies, q, hi):
     # gives right ends at or below 1, a small hi leaves lefts past it, and a
     # large q a deficient cover.  Each (robot, round_index) is distinct, so
     # the stream order is fully specified, and the answer is the oracle's
-    # whether the intervals come as CoverIntervals or as plain tuples
+    # whether the intervals come as named records or as plain tuples
     ivs = [
         civ(min(a, b), max(a, b), robot=i % 4, idx=i)
         for i, (a, b) in enumerate(spans * copies)

@@ -15,11 +15,12 @@ from raysearch import (
     horizon_estimate,
     mu_critical,
     optimal_alpha,
-    poly_max_point,
     ratio_lower_bound,
 )
 from raysearch import formulas
 from raysearch.formulas import _LOG_FLOAT_MAX
+
+from conftest import poly_max_point
 
 
 class TestInstanceParams:
@@ -78,6 +79,7 @@ class TestClosedForms:
 
 
 class TestGrowthQuantities:
+    # poly_max_point is the tests' oracle of the audit's polynomial floor
     def test_poly_max_point_closed_form(self):
         assert poly_max_point(1, 1, 4.0) == pytest.approx(2.0)
         assert poly_max_point(3, 2, 10.0) == pytest.approx(6.0)
@@ -97,18 +99,18 @@ class TestGrowthQuantities:
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
     def test_slack_must_be_positive(self, mu):
-        # mu = 0 is the boundary: delta divides by mu^k, and the maximizer
-        # of x^s (0 - x)^k on (0, 0) does not exist
+        # mu = 0 is the boundary: delta divides by mu^k
         with pytest.raises(ValueError, match=rf"^mu must be positive, got {mu}$"):
             growth_factor_delta(1, 1, mu)
-        with pytest.raises(ValueError, match=rf"^mu_star must be positive, got {mu}$"):
-            poly_max_point(1, 1, mu)
+
+    def test_slack_must_be_finite(self):
+        # log(mu_critical / inf) was a bare "math domain error"
+        with pytest.raises(ValueError, match=r"^mu must be finite, got inf$"):
+            growth_factor_delta(1, 1, math.inf)
 
     @pytest.mark.parametrize("s, k", [(0, 1), (1, 0), (-1, 2)])
     def test_exponents_below_one_are_rejected(self, s, k):
         message = rf"^s and k must be >= 1, got s={s}, k={k}$"
-        with pytest.raises(ValueError, match=message):
-            poly_max_point(s, k, 4.0)
         with pytest.raises(ValueError, match=message):
             growth_factor_delta(s, k, 4.0)
         with pytest.raises(ValueError, match=message):
@@ -265,6 +267,11 @@ class TestCoverParams:
     def test_rejects_degenerate_lambda(self):
         with pytest.raises(ValueError):
             CoverParams(1.0)
+
+    def test_rejects_infinite_lambda(self):
+        # accepted once, it gave mu = inf and every cover left end 0
+        with pytest.raises(ValueError, match=r"^lambda must be finite, got inf$"):
+            CoverParams(math.inf)
 
 
 def _shapes(count: int) -> list[InstanceParams]:

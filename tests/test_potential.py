@@ -9,7 +9,6 @@ from raysearch import (
     AssignedInterval,
     AuditError,
     ConfigurationError,
-    CoverInterval,
     CoverParams,
     GrowthStep,
     GrowthTrace,
@@ -17,7 +16,6 @@ from raysearch import (
     InvalidAssignmentError,
     RoundPlan,
     TurnSequence,
-    advance,
     all_cover_intervals,
     audit_growth,
     covering_situation,
@@ -29,13 +27,14 @@ from raysearch import (
     make_geometric_line_strategy,
     mu_critical,
     optimal_alpha,
-    poly_max_point,
     potential_value,
     ratio_lower_bound,
     refute,
     worst_ratio,
 )
 from raysearch import cover, potential
+
+from conftest import CoverRecord, advance, poly_max_point
 
 
 def robot_without_a_next_interval():
@@ -833,15 +832,15 @@ class TestReferenceReplay:
         # robot 1 first opens at u = 2 (orc) or 3 (line), after robot 0's
         # intervals from 1: the base-prefix scan goes on past the first left
         # end >= 1 until it has seen all k robots
-        covers = [CoverInterval(0, 0, 0.1, 1.0), CoverInterval(1, 0, 0.9, 6.0)]
+        covers = [CoverRecord(0, 0, 0.1, 1.0), CoverRecord(1, 0, 0.9, 6.0)]
         for i, (left, right) in enumerate(
             [(0.2, 2.0), (0.3, 3.0), (0.5, 4.0), (2.5, 8.0), (3.5, 12.0), (7.0, 24.0),
              (11.0, 32.0), (20.0, 64.0), (30.0, 128.0), (50.0, 256.0), (60.0, 512.0)],
             start=1,
         ):
-            covers.append(CoverInterval(0, i, left, right))
+            covers.append(CoverRecord(0, i, left, right))
         for i, (left, right) in enumerate([(5.0, 16.0), (15.0, 48.0), (45.0, 256.0)], start=1):
-            covers.append(CoverInterval(1, i, left, right))
+            covers.append(CoverRecord(1, i, left, right))
         assigned = exact_q_assignment(covers, p.s if mode == "line" else p.q, 100.0)
         late = next(i for i, iv in enumerate(assigned) if iv.robot == 1)
         assert assigned[late].left >= 1.0 and assigned[late - 1].left >= 1.0
@@ -940,6 +939,11 @@ class TestRefute:
         strat = make(doubling, 2.0, 1e3)
         with pytest.raises(ValueError, match=rf"^horizon N must be >= 1, got {N!r}$"):
             refute(strat, 9.5, doubling, N, mode=mode)
+
+    def test_an_infinite_lambda_is_rejected(self, doubling, doubling_strategy):
+        # accepted, it ended in a bare "math domain error" from the audit
+        with pytest.raises(ValueError, match=r"^lambda must be finite, got inf$"):
+            refute(doubling_strategy, math.inf, doubling, 1e4)
 
     @pytest.mark.parametrize("mode", ["ORC", "lines", None, ""])
     def test_an_unknown_mode_is_rejected(self, mode):

@@ -168,6 +168,15 @@ class TestDenseStep:
             with pytest.raises(ValueError, match=message):
                 entry()
 
+    def test_an_undetected_grid_point_makes_the_sup_inf(self, doubling):
+        # ray 2 is never searched: worst_ratio says inf, and so must the
+        # grid, not the largest ratio of the points that are detected
+        plan = RoundPlan(((1, 2.0), (1, 4.0)))
+        assert worst_ratio([plan], doubling, 10.0)[0] == math.inf
+        assert dense_grid_ratio([plan], doubling, 10.0) == math.inf
+        rows = sweep_rows([plan], doubling, 10.0, dense=True)
+        assert any(r.ratio is not None for _, _, r in rows)
+
     def test_the_default_step_fits_every_finite_horizon(self):
         # so no query at the default step is refused for its grid's size
         assert math.log(1.7976931348623157e308) / simulator._REL_STEP < simulator.MAX_GRID_POINTS
@@ -311,8 +320,9 @@ def _oracle_rows(strategies, p, N, dense=False, rel_step=1e-3):
 
 
 def _oracle_dense(strategies, p, N, rel_step):
+    # an undetected grid point makes the sup inf, as in _oracle_worst
     ratios = [r.ratio for _, _, r in _oracle_rows(strategies, p, N, True, rel_step)]
-    return max((r for r in ratios if r is not None), default=-math.inf)
+    return math.inf if None in ratios else max(ratios)
 
 
 def _outcome(fn, *args, **kwargs):

@@ -417,13 +417,13 @@ class TestCoverIntervals:
         # starts at (sum of earlier turns) / mu = 0.5.
         plan = RoundPlan(((1, 1.0), (1, 3.0)))
         ivs = cover_intervals(plan, CoverParams(5.0))
-        assert [(iv.left, iv.right) for iv in ivs] == [(0.0, 1.0), (0.5, 3.0)]
+        assert [(left, right) for _, _, left, right in ivs] == [(0.0, 1.0), (0.5, 3.0)]
 
     def test_line_example(self, cover9):
         # mu = 4; the prefix-sum start is clipped at the previous turn.
         t = TurnSequence((1.0, 2.0, 4.0, 8.0))
         ivs = cover_intervals(t, cover9)
-        assert [(iv.left, iv.right) for iv in ivs] == [
+        assert [(left, right) for _, _, left, right in ivs] == [
             (0.25, 1.0),
             (1.0, 2.0),
             (2.0, 4.0),
@@ -442,32 +442,29 @@ class TestCoverIntervals:
             cover_intervals([(1, 2.0)], CoverParams(5.0))
 
     def test_interval_is_a_plain_tuple(self):
+        # (robot, round_index, left, right), with no named fields
         (iv,) = cover_intervals(RoundPlan(((2, 4.0),)), CoverParams(5.0), robot=3)
-        assert iv == (3, 0, 0.0, 4.0)
-        assert (iv.robot, iv.round_index, iv.left, iv.right) == (3, 0, 0.0, 4.0)
+        assert type(iv) is tuple and iv == (3, 0, 0.0, 4.0)
 
     def test_robot_tag_propagates(self, cover9):
         plan = RoundPlan(((1, 1.0),))
         ivs = all_cover_intervals([plan, plan], cover9)
-        assert sorted({iv.robot for iv in ivs}) == [0, 1]
+        assert sorted({robot for robot, _, _, _ in ivs}) == [0, 1]
 
     @pytest.mark.parametrize(
         "make, p", [(make_exponential_strategy, InstanceParams(3, 2, 1)),
                     (make_geometric_line_strategy, InstanceParams(2, 3, 1))]
     )
-    def test_the_public_intervals_wrap_the_rows(self, make, p):
-        # the producer refute reads gives plain tuples; the public entries
-        # give the same rows as CoverIntervals, robot by robot
+    def test_the_set_joins_each_robots_intervals(self, make, p):
+        # all_cover_intervals, which refute reads, is each robot's plain
+        # tuples in robot order, tagged with the robot's index
         strategies = make(p, optimal_alpha(p), 1e4)
         c = CoverParams(ratio_lower_bound(p) * 1.01)
-        rows = [strategy._cover_rows(s, c.mu, r) for r, s in enumerate(strategies)]
-        assert all(type(row) is tuple for robot in rows for row in robot)
-        for r, s in enumerate(strategies):
-            ivs = cover_intervals(s, c, robot=r)
-            assert ivs == rows[r] and all(type(iv) is strategy.CoverInterval for iv in ivs)
+        rows = [cover_intervals(s, c, robot=r) for r, s in enumerate(strategies)]
+        assert all(row[0] == r for r, robot in enumerate(rows) for row in robot)
         every = all_cover_intervals(strategies, c)
         assert every == [row for robot in rows for row in robot]
-        assert all(type(iv) is strategy.CoverInterval for iv in every)
+        assert all(type(iv) is tuple for iv in every)
 
 
 class TestSerialization:
