@@ -241,7 +241,8 @@ def cmd_refute(args) -> int:
     strategies = _build_strategies(args, p, N, mode=args.mode)
     verdict = refute(strategies, args.lam, p, N, mode=args.mode)
     doc = verdict.to_dict()
-    doc["params"] = {key: _json_value(v) for key, v in doc["params"].items()}
+    for part in doc.keys() & {"params", "audit"}:  # an inf N or step ratio is null
+        doc[part] = {key: _json_value(v) for key, v in doc[part].items()}
     # a coverage failure has no assignment, and a multiplicity of 0 an
     # empty one: either way there is no stream to scan, and the gap is null
     if args.gap_constant is not None:
@@ -257,15 +258,15 @@ def cmd_refute(args) -> int:
                 "sub_hi": gap.sub_hi,
             }
     # a coverage failure has no audit: --trace writes the header lines
-    # only, while --assignment writes no file.  Both files list the fields
-    # of a GrowthStep or an AssignedInterval, in their order.
+    # only, while --assignment writes no file.  A line lists a step's index
+    # and GrowthStep, or an assigned (robot, round_index, left, right).
     if args.trace:
         steps = verdict.trace.steps if verdict.trace is not None else []
         lines = (",".join(map(repr, (i, *s))) for i, s in enumerate(steps))
         columns = "step,robot,mu_star,x,step_ratio,log_potential"
         _write_csv(args.trace, TRACE_HEADER, columns, lines)
     if args.assignment and verdict.assignment is not None:
-        lines = (",".join(map(repr, iv[:4])) for iv in verdict.assignment)
+        lines = (",".join(map(repr, iv)) for iv in verdict.assignment)
         _write_csv(args.assignment, ASSIGNMENT_HEADER, "robot,round,t_prime,t", lines)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.json:

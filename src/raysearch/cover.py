@@ -23,19 +23,17 @@ Intervals whose right endpoint sits at or below the floor 1 are kept
 untruncated: they carry their turning distance into the robot loads
 without covering anything above the boundary.
 
-Both entries read a cover interval by position, as the plain
-(robot, round_index, left, right) tuple `strategy.cover_intervals` makes;
-`verify_multicover` reads the first four fields of an AssignedInterval
-the same way.  The assignment keeps plain tuples throughout:
-(left, robot, round_index, right) pool rows and (left, robot,
-round_index, right, cover_left) output rows, each sorted as it stands,
-and one AssignedInterval per output row, built in stream order at the end.
+A cover interval and an assigned interval are one record, the plain
+(robot, round_index, left, right) tuple `strategy.cover_intervals` makes,
+and every entry reads it by position.  An assigned interval's t'' is the
+left end of the cover interval with its (robot, round_index); the
+assignment keeps no copy of it.
 
 The assignment is the stream the potential audit replays, sorted once by
-(left, robot, round_index); every interval has t'' <= t' < t by
-construction.  `_check_stream` holds a stream to that contract in one
-pass; the entries that read a stream from outside, `initial_state` and
-`detect_gap`, run it on their input.
+(left, robot, round_index); every interval has t' < t by construction.
+`_check_stream` holds a stream to that contract in one pass; the entries
+that read a stream from outside, `initial_state` and `detect_gap`, run it
+on their input.
 """
 
 from __future__ import annotations
@@ -43,27 +41,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .strategy import _CoverRow, _require_horizon
 
 __all__ = [
-    "AssignedInterval",
     "Witness",
     "DeficientCoverError",
     "verify_multicover",
     "exact_q_assignment",
 ]
-
-
-class AssignedInterval(NamedTuple):
-    """Half-open (left, right] retained after truncation to exact multiplicity."""
-
-    robot: int
-    round_index: int
-    left: float
-    right: float
-    cover_left: float  # the t'' of the cover interval this came from
 
 
 @dataclass(frozen=True)
@@ -84,23 +71,20 @@ class DeficientCoverError(Exception):
         )
 
 
-def _require_domain(intervals: Sequence[_CoverRow | AssignedInterval], hi: float) -> None:
+def _require_domain(intervals: Sequence[_CoverRow], hi: float) -> None:
     _require_horizon(hi, "hi")
-    for iv in intervals:  # (robot, round_index, left, right, ...)
+    for iv in intervals:  # (robot, round_index, left, right)
         if iv[2] > iv[3]:
             raise ValueError(f"empty cover interval {iv[2]} > {iv[3]}")
 
 
-def _check_stream(assigned: Sequence[AssignedInterval]) -> None:
-    """ValueError naming the first index where t'' <= t' < t fails or the
-    key (left, robot, round_index) decreases; equal keys are allowed."""
+def _check_stream(assigned: Sequence[_CoverRow]) -> None:
+    """ValueError naming the first index where t' < t fails or the key
+    (left, robot, round_index) decreases; equal keys are allowed."""
     prev = ()
-    for i, (robot, rnd, left, right, cover_left) in enumerate(assigned):
-        if not cover_left <= left < right:
-            raise ValueError(
-                f"assigned interval {i}: need t'' <= t' < t,"
-                f" got {cover_left}, {left}, {right}"
-            )
+    for i, (robot, rnd, left, right) in enumerate(assigned):
+        if not left < right:
+            raise ValueError(f"assigned interval {i}: need t' < t, got {left}, {right}")
         key = (left, robot, rnd)
         if key < prev:
             raise ValueError(
@@ -110,7 +94,7 @@ def _check_stream(assigned: Sequence[AssignedInterval]) -> None:
 
 
 def _multiplicity_scan(
-    intervals: Sequence[_CoverRow | AssignedInterval],
+    intervals: Sequence[_CoverRow],
 ) -> Iterator[tuple[float, int]]:
     """(u, multiplicity just above u) at u = 1 and at each distinct right
     end above 1, ascending, over the intervals that end above 1.
@@ -120,7 +104,7 @@ def _multiplicity_scan(
     closed or half-open.  Multiplicity falls only at a right end, so the
     leftmost deficient segment starts at 1 or at a right end.
     """
-    live = [iv for iv in intervals if iv[3] > 1.0]  # (robot, round_index, left, right, ...)
+    live = [iv for iv in intervals if iv[3] > 1.0]  # (robot, round_index, left, right)
     starts = sorted(iv[2] for iv in live)
     ends = sorted(iv[3] for iv in live)
     for u in [1.0, *sorted(set(ends))]:
@@ -128,7 +112,7 @@ def _multiplicity_scan(
 
 
 def verify_multicover(
-    intervals: Sequence[_CoverRow | AssignedInterval], q: int, hi: float
+    intervals: Sequence[_CoverRow], q: int, hi: float
 ) -> Witness | None:
     """None if every point of (1, hi] has multiplicity >= q, else the
     leftmost deficient segment, reported at its left end: 1 or a right
@@ -146,8 +130,9 @@ def verify_multicover(
 
 def exact_q_assignment(
     intervals: Sequence[_CoverRow], q: int, hi: float
-) -> list[AssignedInterval]:
-    """Truncate a >= q-fold cover of (1, hi] to exact multiplicity q.
+) -> list[_CoverRow]:
+    """Truncate a >= q-fold cover of (1, hi] to exact multiplicity q, as
+    (robot, round_index, left, right) tuples in stream order.
 
     The sweep is also the cover check.  It stops at u = 1 and then only
     where an opened interval closes, below hi: coverage falls nowhere
@@ -162,30 +147,30 @@ def exact_q_assignment(
     _require_domain(intervals, hi)
     if q <= 0:
         return []
-    # (left, robot, round_index, right, cover_left) rows: sorted as they
-    # stand, they are in stream order
-    out: list[tuple[float, int, int, float, float]] = []
+    # (left, robot, round_index, right) rows: sorted as they stand, they
+    # are in stream order
+    out: list[tuple[float, int, int, float]] = []
     # boundary intervals: no coverage above 1, but their turning distances
     # still belong to the robot loads of the potential argument
     pool: list[tuple[float, int, int, float]] = []  # (left, robot, round_index, right)
     for robot, rnd, left, right in intervals:
         if right <= 1.0:
             if left < right:
-                out.append((left, robot, rnd, right, left))  # kept whole: t' = t''
+                out.append((left, robot, rnd, right))  # kept whole: t' = t''
         elif left <= 1.0 or left < hi:  # opens at a u that is 1 or below hi
             pool.append((left, robot, rnd, right))
     pool.sort()
 
     nxt, end = 0, len(pool)  # the next pool interval to become available
-    # available but not yet opened, as a heap of (right, robot, round, t'');
+    # available but not yet opened, as a heap of (right, robot, round);
     # expired entries (right <= u) are dropped when they reach the top
-    avail: list[tuple[float, int, int, float]] = []
+    avail: list[tuple[float, int, int]] = []
     opened: list[float] = []  # heap of the opened intervals' right ends
     u = 1.0
     while True:
         while nxt < end and pool[nxt][0] <= u:
-            left, robot, rnd, right = pool[nxt]
-            heappush(avail, (right, robot, rnd, left))
+            _, robot, rnd, right = pool[nxt]
+            heappush(avail, (right, robot, rnd))
             nxt += 1
         while opened and opened[0] <= u:  # the others that close at u
             heappop(opened)
@@ -195,15 +180,10 @@ def exact_q_assignment(
         if len(avail) < need:
             raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
         for _ in range(need):
-            right, robot, rnd, cover_left = heappop(avail)
+            right, robot, rnd = heappop(avail)
             heappush(opened, right)
-            out.append((u, robot, rnd, right, cover_left))
+            out.append((u, robot, rnd, right))
         u = heappop(opened)  # the next closing
         if u >= hi:
             out.sort()
-            # what AssignedInterval(...) builds, without its Python-level __new__
-            new = tuple.__new__
-            return [
-                new(AssignedInterval, (robot, rnd, left, right, cover_left))
-                for left, robot, rnd, right, cover_left in out
-            ]
+            return [(robot, rnd, left, right) for left, robot, rnd, right in out]

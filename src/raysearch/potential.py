@@ -1,8 +1,9 @@
 """Mechanized potential-function lower-bound engine.
 
 Works on the search domain (1, hi], as `cover` does.  Replays an
-exact-multiplicity assignment, as `exact_q_assignment` orders it, through
-the covering-situation state: the sorted multiset A of multiplicity
+exact-multiplicity assignment, the (robot, round_index, left, right)
+tuples `exact_q_assignment` returns in stream order, through the
+covering-situation state: the sorted multiset A of multiplicity
 frontiers, per-robot loads (sums of assigned turning distances), and for
 the one-ray-cover setting the left endpoint b of each robot's next
 assigned interval.  The orc potential is defined only while every
@@ -46,15 +47,16 @@ from itertools import cycle
 from typing import Collection, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .cover import (
-    AssignedInterval,
     DeficientCoverError,
     Witness,
     _check_stream,
     _multiplicity_scan,
     exact_q_assignment,
 )
-from .formulas import CoverParams, InstanceParams, growth_factor_delta, mu_critical
-from .strategy import Strategy, _require_horizon, _require_strategy_set, all_cover_intervals
+from .formulas import _LOG_FLOAT_MAX, CoverParams, InstanceParams, growth_factor_delta, mu_critical
+from .strategy import (
+    Strategy, _CoverRow, _require_horizon, _require_strategy_set, all_cover_intervals
+)
 
 __all__ = [
     "Mode",
@@ -102,7 +104,7 @@ def _multiplicity(p: InstanceParams, mode: str) -> int:
     raise ValueError(f"mode must be 'line' or 'orc', got {mode!r}")
 
 
-def covering_situation(intervals: Sequence[AssignedInterval], mult: int) -> list[float]:
+def covering_situation(intervals: Sequence[_CoverRow], mult: int) -> list[float]:
     """The sorted frontier multiset [a_mult, ..., a_1] of a prefix.
 
     a_j is the first point above 1 whose coverage multiplicity drops
@@ -162,7 +164,7 @@ def _more_robots_than_k(robots: Collection[int], p: InstanceParams) -> ValueErro
 
 
 def initial_state(
-    assigned: Sequence[AssignedInterval], p: InstanceParams, mode: Mode
+    assigned: Sequence[_CoverRow], p: InstanceParams, mode: Mode
 ) -> PrefixState:
     """State of the base prefix, rescaled so that its frontier a is 1.
 
@@ -181,7 +183,7 @@ def initial_state(
     _check_stream(assigned)
     first_seen: dict[int, int] = {}
     last_boundary = -1
-    for idx, (r, _, left, right, _) in enumerate(assigned):
+    for idx, (r, _, left, right) in enumerate(assigned):
         if left >= 1.0 and len(first_seen) == p.k:
             # sorted by left, with left < right: no right end <= 1 follows
             break
@@ -206,11 +208,11 @@ def initial_state(
     width = 2 if orc else 1
     slot = {r: width * i for i, r in enumerate(robots)}
     values = [0.0] * (width * k_eff)
-    for iv in assigned[:p0]:
-        values[slot[iv.robot]] += iv.right / scale
+    for r, _, _, right in assigned[:p0]:
+        values[slot[r]] += right / scale
     stream: deque[tuple[int, float, float, float | None]] = deque()
     next_left: dict[int, float] = {}
-    for r, _, left, right, _ in reversed(assigned[p0:]):
+    for r, _, left, right in reversed(assigned[p0:]):
         left /= scale
         stream.appendleft((r, left, right / scale, next_left.get(r)))
         next_left[r] = left
@@ -305,7 +307,9 @@ def _replay(state: PrefixState, c: CoverParams) -> Iterator[GrowthStep]:
             terms[j + 1] = k * log(next_left)
         lp = state.log_potential + log_ratio
         state.log_potential = lp
-        yield make((r, mu_star, x, exp(log_ratio), lp))
+        # the step ratio is inf where it overflows, as growth_factor_delta is
+        ratio = exp(log_ratio) if log_ratio <= _LOG_FLOAT_MAX else math.inf
+        yield make((r, mu_star, x, ratio, lp))
 
 
 def potential_value(state: PrefixState) -> float:
@@ -340,7 +344,7 @@ class GrowthTrace:
 
 
 def audit_growth(
-    assigned: Sequence[AssignedInterval],
+    assigned: Sequence[_CoverRow],
     c: CoverParams,
     p: InstanceParams,
     mode: Mode,
@@ -421,7 +425,7 @@ class GapReport:
 
 
 def detect_gap(
-    assigned: Sequence[AssignedInterval], C: float, c: CoverParams
+    assigned: Sequence[_CoverRow], C: float, c: CoverParams
 ) -> GapReport:
     """First per-robot pair of consecutive left endpoints with ratio above C.
 
@@ -432,18 +436,18 @@ def detect_gap(
         raise ValueError(f"gap constant C must be > 1, got {C}")
     _check_stream(assigned)
     prev: dict[int, float] = {}
-    for iv in assigned:
-        last = prev.get(iv.robot)
-        if last is not None and last >= 1.0 and iv.left / last > C:
+    for robot, rnd, left, _ in assigned:
+        last = prev.get(robot)
+        if last is not None and last >= 1.0 and left / last > C:
             return GapReport(
                 case=2,
-                robot=iv.robot,
-                round_index=iv.round_index,
-                ratio=iv.left / last,
+                robot=robot,
+                round_index=rnd,
+                ratio=left / last,
                 sub_lo=c.mu * last,
                 sub_hi=C * last,
             )
-        prev[iv.robot] = iv.left
+        prev[robot] = left
     return GapReport(case=1)
 
 
@@ -458,7 +462,7 @@ class Verdict:
     headroom_steps: float | None = None  # growth steps left before the cap
     # the exact assignment of a certificate, left out of to_dict(); None on
     # a coverage failure, empty when the multiplicity is 0
-    assignment: list[AssignedInterval] | None = field(default=None, repr=False)
+    assignment: list[_CoverRow] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "params": dict(self.params)}

@@ -29,11 +29,12 @@ its arrivals, and sorts those answers once by number: the (time, robot)
 pairs of the robots that reach it, sorted, which is the sweep's one
 statement of the tie rule (two offsets that round to one time are listed
 by robot).  `_detected` states tau, the (f+1)-st time, and tau/x once,
-for those answers and for `detection_time`.  `_rows` is the one producer
-of the sweep CSV's answers and their sup, with the horizon and
-dense-grid checks: `sweep_rows` wraps each answer in a Target and a
-DetectionReport, while the CLI formats its lines from the plain answers
-and takes the breakpoint summary's sup and witness from the same sweep.
+for those answers and for `detection_time`.  `_grid` makes the dense
+grid's points; `dense_grid_ratio` sweeps them for the sup alone.  `_rows`
+is the one producer of the sweep CSV's answers and their sup:
+`sweep_rows` wraps each answer in a Target and a DetectionReport, while
+the CLI formats its lines from the plain answers and takes the
+breakpoint summary's sup and witness from the same sweep.
 One gate, `strategy._require_strategy_set`, admits the sets of the sweep
 and of its reference path alike and names their rays: a target on another
 ray is a ValueError in `detection_time`, as a RoundPlan visiting a ray
@@ -73,12 +74,12 @@ __all__ = [
 
 _REL_STEP = 1e-3  # the dense grid's default step in log(x)
 
-# The most points one dense grid may hold; `_rows` counts them before it
+# The most points one dense grid may hold; `_grid` counts them before it
 # makes the first, and a larger count is a ValueError.  The default step
 # stays below it for every finite N (log of the largest float / _REL_STEP
-# is 709 783 points).  Each point is answered on every ray, at about 1 kB
-# per point on m = 2, k = 1 and 2.6 kB on m = 4, k = 3, so a grid at the
-# limit can take a few GB.
+# is 709 783 points).  The sweep CSV answers each point on every ray with
+# its arrivals, at about 1 kB per point on m = 2, k = 1 and 2.6 kB on
+# m = 4, k = 3, so its grid at the limit can take a few GB.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -277,23 +278,11 @@ def worst_ratio(
     return ratio, Target(ray, x)
 
 
-def _rows(
-    strategies: Sequence[Strategy],
-    p: InstanceParams,
-    N: float,
-    dense: bool = False,
-    rel_step: float = _REL_STEP,
-) -> tuple[Sup, list[Answer]]:
-    """The sweep's sup over the targets of the sweep CSV, breakpoints or a
-    dense grid, and each target as (number, (ray, x, just_above), arrivals)
-    in number order, its arrivals sorted (time, robot) pairs.
-
-    N below 1, or NaN, is a ValueError, and so is a dense grid with a step
-    that is not positive or with more than MAX_GRID_POINTS points.
-    """
+def _grid(N: float, rel_step: float) -> list[float]:
+    """The dense grid: points geometric in x from 1 to N, about rel_step
+    apart in log(x).  N below 1, or NaN, is a ValueError, and so is a step
+    that is not positive or that makes more than MAX_GRID_POINTS points."""
     _require_horizon(N)
-    if not dense:
-        return _sweep(strategies, p, (1.0,), N, visitors=True)
     if not rel_step > 0.0:
         raise ValueError(f"rel_step must be positive, got {rel_step}")
     span = math.log(N) / rel_step
@@ -308,8 +297,24 @@ def _rows(
             f"rel_step={rel_step!r} too small for N={N!r}: the dense grid's"
             f" {n_pts:.7g} points exceed the limit of {MAX_GRID_POINTS}"
         )
-    grid = [math.exp(math.log(N) * i / (n_pts - 1)) for i in range(n_pts)]
-    return _sweep(strategies, p, grid, visitors=True)
+    return [math.exp(math.log(N) * i / (n_pts - 1)) for i in range(n_pts)]
+
+
+def _rows(
+    strategies: Sequence[Strategy],
+    p: InstanceParams,
+    N: float,
+    dense: bool = False,
+    rel_step: float = _REL_STEP,
+) -> tuple[Sup, list[Answer]]:
+    """The sweep's sup over the targets of the sweep CSV, breakpoints or a
+    `_grid`, and each target as (number, (ray, x, just_above), arrivals) in
+    number order, its arrivals sorted (time, robot) pairs.  N below 1, or
+    NaN, is a ValueError."""
+    if dense:
+        return _sweep(strategies, p, _grid(N, rel_step), visitors=True)
+    _require_horizon(N)
+    return _sweep(strategies, p, (1.0,), N, visitors=True)
 
 
 def sweep_rows(
@@ -339,5 +344,5 @@ def dense_grid_ratio(
     """Sup of tau(x)/x on a geometric grid, through worst_ratio's sweep: a
     cross-check of its breakpoint enumeration, not of the sweep itself.
     inf if some grid point is never detected, as worst_ratio reports."""
-    (ratio, _), _ = _rows(strategies, p, N, True, rel_step)
+    (ratio, _), _ = _sweep(strategies, p, _grid(N, rel_step))
     return ratio

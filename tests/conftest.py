@@ -6,7 +6,6 @@ from typing import NamedTuple
 import pytest
 
 from raysearch import (
-    AssignedInterval,
     CoverParams,
     DeficientCoverError,
     InstanceParams,
@@ -79,11 +78,25 @@ class CoverRecord(NamedTuple):
     right: float
 
 
+def assert_inside_cover(assigned, covers):
+    """Each assigned row is a plain (robot, round_index, left, right) tuple
+    inside the cover row of its (robot, round_index): t'' <= t' < t, with
+    t kept.  Each (robot, round_index) names one cover row."""
+    cover = {(robot, rnd): (left, right) for robot, rnd, left, right in covers}
+    assert len(cover) == len(covers)
+    for row in assigned:
+        assert type(row) is tuple
+        robot, rnd, left, right = row
+        cover_left, cover_right = cover[robot, rnd]
+        assert cover_left <= left < right == cover_right, (row, cover_left, cover_right)
+
+
 def slow_exact_q_assignment(intervals, q, hi):
     """exact_q_assignment as it was before it kept plain tuples: it reads
-    CoverRecord fields by name, builds an AssignedInterval per interval
-    as it opens, and sorts its pool and its output through key tuples.
-    The oracle of the plain-tuple sweep, with its own domain check."""
+    CoverRecord fields by name, builds a (robot, round_index, left, right)
+    tuple per interval as it opens, and sorts its pool and its output
+    through key tuples.  The oracle of the plain-tuple sweep, with its own
+    domain check."""
     if not hi >= 1.0:
         raise ValueError(f"horizon hi must be >= 1, got {hi!r}")
     for iv in intervals:
@@ -96,7 +109,7 @@ def slow_exact_q_assignment(intervals, q, hi):
     for iv in intervals:
         if iv.right <= 1.0:
             if iv.left < iv.right:
-                out.append(AssignedInterval(*iv, iv.left))  # kept whole: t' = t''
+                out.append(tuple(iv))  # kept whole: t' = t''
         elif iv.left <= 1.0 or iv.left < hi:  # opens at a u that is 1 or below hi
             pool.append(iv)
     pool.sort(key=itemgetter(2, 0, 1))  # (left, robot, round_index)
@@ -120,9 +133,9 @@ def slow_exact_q_assignment(intervals, q, hi):
         if len(avail) < need:
             raise DeficientCoverError(Witness(u, len(opened) + len(avail), q))
         for _ in range(need):
-            right, robot, rnd, i = heappop(avail)
+            right, robot, rnd, _ = heappop(avail)
             heappush(opened, right)
-            out.append(AssignedInterval(robot, rnd, u, right, pool[i].left))
+            out.append((robot, rnd, u, right))
         u = heappop(opened)  # the next closing
         if u >= hi:
             out.sort(key=itemgetter(2, 0, 1))

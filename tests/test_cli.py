@@ -396,6 +396,34 @@ class TestRefute:
         assert out == verdict.read_text()
         assert strict_json(out)["params"]["N"] is None
 
+    # a first turn far below 1 makes the first step ratio pass the largest float
+    _TINY_FIRST_TURN = "2:1.5 1:3 2:6 1:12 2:24 1:48 2:96 1:192 2:384"
+
+    @pytest.mark.parametrize("k, f, tiny", [(1, 0, "1e-320"), (2, 1, "1e-300")])
+    def test_a_step_ratio_past_the_largest_float_certifies(self, tmp_path, k, f, tiny):
+        strat = tmp_path / "strategy.txt"
+        strat.write_text(f"1:{tiny} {self._TINY_FIRST_TURN}\n" * k)
+        code, out, err = call(
+            "refute", "-m", "2", "-k", str(k), "-f", str(f), "--lam", "9.5", "-N", "100",
+            "--strategy", str(strat),
+        )
+        assert (code, err) == (0, "")
+        doc = strict_json(out)
+        assert doc["kind"] == "certificate" and doc["audit"]["steps"] == 8 * k
+
+    def test_an_infinite_step_ratio_is_null_in_the_verdict(self, tmp_path):
+        # one step, whose ratio is inf: the audit's min_step_ratio is null
+        strat, verdict = tmp_path / "strategy.txt", tmp_path / "verdict.json"
+        strat.write_text("1:1e-320 2:1.5 1:3.0\n")
+        code, out, err = call(
+            "refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "6", "-N", "1",
+            "--strategy", str(strat), "--json", str(verdict),
+        )
+        assert (code, err) == (0, "")
+        assert out == verdict.read_text()
+        audit = strict_json(out)["audit"]
+        assert audit["steps"] == 1 and audit["min_step_ratio"] is None
+
     def test_a_robot_without_a_next_interval_has_no_audit(self, capsys, tmp_path):
         # robot 1's one interval ends the stream, so no robot has one past
         # the base prefix: a certificate with nothing to audit, and a trace
@@ -504,7 +532,7 @@ class TestRefute:
         assert len(rows) == 55
         assigned = refute(strat, 5.3, p, 1e9).assignment
         assert rows == [
-            f"{iv.robot},{iv.round_index},{iv.left!r},{iv.right!r}" for iv in assigned
+            f"{robot},{rnd},{left!r},{right!r}" for robot, rnd, left, right in assigned
         ]
 
     def test_optimal_strategy_is_certified_past_1e7(self, capsys):

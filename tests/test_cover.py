@@ -1,12 +1,12 @@
 import math
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raysearch import (
-    AssignedInterval,
     CoverParams,
     DeficientCoverError,
     InstanceParams,
@@ -19,7 +19,7 @@ from raysearch import (
     verify_multicover,
 )
 
-from conftest import CoverRecord, slow_exact_q_assignment
+from conftest import CoverRecord, assert_inside_cover, slow_exact_q_assignment
 
 
 def _doubling_strategy(hi=1e3):
@@ -62,22 +62,20 @@ class TestVerifyMulticover:
 
 
 class TestExactAssignment:
-    def _doubling_assigned(self, hi=1e3):
-        from raysearch import InstanceParams, optimal_alpha
+    def _doubling_covers(self, hi=1e3):
+        return all_cover_intervals(_doubling_strategy(hi), CoverParams(9.0))
 
-        p = InstanceParams(2, 1, 0)
-        strat = make_exponential_strategy(p, optimal_alpha(p), hi)
-        covers = all_cover_intervals(strat, CoverParams(9.0))
-        return exact_q_assignment(covers, 2, hi)
+    def _doubling_assigned(self, hi=1e3):
+        return exact_q_assignment(self._doubling_covers(hi), 2, hi)
 
     def test_doubling_truncation(self):
         assigned = self._doubling_assigned()
         # Boundary coverings stay whole; past 1 each interval is cut at
         # the previous closure so every point carries exactly two folds.
-        assert [iv.left for iv in assigned[:6]] == pytest.approx(
+        assert [left for _, _, left, _ in assigned[:6]] == pytest.approx(
             [0.0, 0.125, 1.0, 1.0, 2.0, 4.0], rel=1e-9, abs=1e-12
         )
-        assert [iv.right for iv in assigned[:6]] == pytest.approx(
+        assert [right for _, _, _, right in assigned[:6]] == pytest.approx(
             [0.5, 1.0, 2.0, 4.0, 8.0, 16.0], rel=1e-9
         )
 
@@ -85,13 +83,12 @@ class TestExactAssignment:
         assigned = self._doubling_assigned()
         xs = [1.0 + (i + 1) * (998.0 / 97) for i in range(97)]
         for x in xs:
-            folds = sum(1 for iv in assigned if iv.left < x <= iv.right)
+            folds = sum(1 for _, _, left, right in assigned if left < x <= right)
             assert folds == 2, x
 
     def test_truncation_never_widens(self):
-        assigned = self._doubling_assigned()
-        for iv in assigned:
-            assert iv.cover_left <= iv.left < iv.right
+        # the t'' of a row is the left end of its cover row, which it lies in
+        assert_inside_cover(self._doubling_assigned(), self._doubling_covers())
 
     @pytest.mark.parametrize("q", [0, -1])
     def test_no_folds_assign_nothing(self, q):
@@ -193,7 +190,7 @@ def test_assignment_preserves_exactness(spans):
             continue
         assigned = exact_q_assignment(ivs, q, hi)
         for x in probes:
-            folds = sum(1 for iv in assigned if iv.left < x <= iv.right)
+            folds = sum(1 for _, _, left, right in assigned if left < x <= right)
             assert folds == q
 
 
@@ -208,9 +205,7 @@ def _list_assignment(intervals, q, hi):
     for iv in intervals:
         if iv.right <= 1.0:
             if iv.left < iv.right:
-                out.append(
-                    AssignedInterval(iv.robot, iv.round_index, iv.left, iv.right, iv.left)
-                )
+                out.append((iv.robot, iv.round_index, iv.left, iv.right))
         else:
             pool.append(iv)
     pool.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
@@ -229,9 +224,7 @@ def _list_assignment(intervals, q, hi):
             if iv.right >= v:
                 still.append((iv, t_prime))
             else:
-                out.append(
-                    AssignedInterval(iv.robot, iv.round_index, t_prime, iv.right, iv.left)
-                )
+                out.append((iv.robot, iv.round_index, t_prime, iv.right))
         opened = still
         need = q - len(opened)
         if need > 0:
@@ -242,10 +235,8 @@ def _list_assignment(intervals, q, hi):
             for _ in range(need):
                 opened.append((pool[heappop(avail)[3]], u))
     for iv, t_prime in opened:
-        out.append(
-            AssignedInterval(iv.robot, iv.round_index, t_prime, iv.right, iv.left)
-        )
-    out.sort(key=lambda iv: (iv.left, iv.robot, iv.round_index))
+        out.append((iv.robot, iv.round_index, t_prime, iv.right))
+    out.sort(key=itemgetter(2, 0, 1))  # (left, robot, round_index)
     return out
 
 
@@ -286,9 +277,9 @@ def test_heap_sweep_matches_the_list_sweep(spans, q, copies, hi):
     assert got == _assignment_or_witness(_list_assignment, ivs, q, hi)
     if isinstance(got, list):
         # the stream contract the audit reads without sorting again
-        keys = [(iv.left, iv.robot, iv.round_index) for iv in got]
+        keys = [(left, robot, rnd) for robot, rnd, left, _ in got]
         assert keys == sorted(keys)
-        assert all(iv.cover_left <= iv.left < iv.right for iv in got)
+        assert_inside_cover(got, ivs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,7 +301,7 @@ def test_repeated_keys_give_the_same_multiset(spans, q, hi):
     got = _assignment_or_witness(exact_q_assignment, ivs, q, hi)
     want = _assignment_or_witness(_list_assignment, ivs, q, hi)
     if isinstance(want, list):
-        keys = [(iv.left, iv.robot, iv.round_index) for iv in got]
+        keys = [(left, robot, rnd) for robot, rnd, left, _ in got]
         assert sorted(got) == sorted(want) and keys == sorted(keys)
     else:
         assert got == want
@@ -342,7 +333,7 @@ def test_plain_rows_give_the_oracles_answer(spans, copies, q, hi):
         got = _assignment_or_witness(exact_q_assignment, given_ivs, q, hi)
         assert got == want
         if isinstance(want, list):
-            assert all(type(iv) is AssignedInterval for iv in got)
+            assert all(type(iv) is tuple for iv in got)
         witness = verify_multicover(given_ivs, q, hi)
         assert witness == (want if isinstance(want, Witness) else None)
 
@@ -377,7 +368,7 @@ class TestClosingStops:
         # three fresh intervals starting at 2 take over the three folds
         ivs += [civ(2.0, 6.0, robot=4), civ(2.0, 7.0, robot=5)]
         assigned = self._both(ivs, 3, 5.0)
-        assert [(iv.robot, iv.left, iv.right) for iv in assigned] == [
+        assert [(robot, left, right) for robot, _, left, right in assigned] == [
             (0, 1.0, 2.0), (1, 1.0, 2.0), (2, 1.0, 2.0),
             (3, 2.0, 5.0), (4, 2.0, 6.0), (5, 2.0, 7.0),
         ]
@@ -399,18 +390,15 @@ class TestClosingStops:
             assert got == want
             return
         # the three fresh intervals open at 3, none of them at its own left
-        assert [(iv.robot, iv.left, iv.cover_left) for iv in got[3:]] == [
-            (4, 3.0, 2.0), (5, 3.0, 2.0), (6, 3.0, 2.5),
-        ]
+        assert got[3:] == [(4, 0, 3.0, 5.0), (5, 0, 3.0, 6.0), (6, 0, 3.0, 7.0)]
+        cover_left = {iv.robot: iv.left for iv in ivs}
+        assert [cover_left[robot] for robot, _, _, _ in got[3:]] == [2.0, 2.0, 2.5]
 
     def test_hi_at_a_closing_right_end(self):
         # both folds close at 2: at hi = 2 that is the end of the domain,
         # past it the whole multiplicity is gone at once
         ivs = [civ(0.5, 2.0, robot=0), civ(0.9, 2.0, robot=1)]
-        assert self._both(ivs, 2, 2.0) == [
-            AssignedInterval(0, 0, 1.0, 2.0, 0.5),
-            AssignedInterval(1, 0, 1.0, 2.0, 0.9),
-        ]
+        assert self._both(ivs, 2, 2.0) == [(0, 0, 1.0, 2.0), (1, 0, 1.0, 2.0)]
         assert self._both(ivs, 2, 3.0) == Witness(2.0, 0, 2)
 
     @pytest.mark.parametrize(
@@ -418,11 +406,7 @@ class TestClosingStops:
         [
             (
                 1.0,
-                [
-                    AssignedInterval(2, 0, 0.25, 0.5, 0.25),
-                    AssignedInterval(0, 0, 1.0, 2.0, 0.5),
-                    AssignedInterval(1, 0, 1.0, 2.0, 0.9),
-                ],
+                [(2, 0, 0.25, 0.5), (0, 0, 1.0, 2.0), (1, 0, 1.0, 2.0)],
             ),
             (math.inf, Witness(2.0, 0, 2)),
         ],
@@ -433,18 +417,18 @@ class TestClosingStops:
         assert self._both(ivs, 2, hi) == want
 
 
-def _point_check_verify(intervals, q, hi):
+def _point_check_verify(intervals, half_open, q, hi):
     """verify_multicover with its former point check and closed/half-open
-    split (an AssignedInterval is half-open): the slow reference."""
+    split, half_open[i] telling whether intervals[i] is (left, right]
+    rather than [left, right]: the slow reference."""
     if q <= 0:
         return None
-    ivs = [iv for iv in intervals if iv.right > 1.0]
-    if not ivs:
+    live = [(iv, o) for iv, o in zip(intervals, half_open, strict=True) if iv[3] > 1.0]
+    if not live:
         return Witness(1.0, 0, q)
-    half_open = [isinstance(iv, AssignedInterval) for iv in ivs]
-    closed_starts = sorted(iv.left for iv, o in zip(ivs, half_open) if not o)
-    open_starts = sorted(iv.left for iv, o in zip(ivs, half_open) if o)
-    ends = sorted(iv.right for iv in ivs)
+    closed_starts = sorted(iv[2] for iv, o in live if not o)
+    open_starts = sorted(iv[2] for iv, o in live if o)
+    ends = sorted(iv[3] for iv, _ in live)
 
     def seg_mult(u):
         return (
@@ -460,7 +444,7 @@ def _point_check_verify(intervals, q, hi):
             - bisect_left(ends, v)
         )
 
-    mids = sorted({v for iv in ivs for v in (iv.left, iv.right) if 1.0 < v < hi})
+    mids = sorted({v for iv, _ in live for v in (iv[2], iv[3]) if 1.0 < v < hi})
     points = [1.0] + mids + [hi]
     for u, v in zip(points, points[1:]):
         m_seg = seg_mult(u)
@@ -491,17 +475,14 @@ def test_scan_matches_the_point_check(spans, copies, q, hi):
     # zero-length spans, ends at or below 1, hi below 1, at 1 and past
     # every end (None: the largest right end) all occur; a hi below 1 is
     # no horizon of (1, hi]
-    ivs = []
-    for i, (a, b, kind) in enumerate(spans * copies):
-        lo, up = min(a, b), max(a, b)
-        if kind == "closed":
-            ivs.append(civ(lo, up, robot=i % 3, idx=i))
-        else:
-            ivs.append(AssignedInterval(i % 3, i, lo, up, lo))
+    ivs = [
+        (i % 3, i, min(a, b), max(a, b)) for i, (a, b, _) in enumerate(spans * copies)
+    ]
+    half_open = [kind == "half_open" for _, _, kind in spans * copies]
     if hi is None:
-        hi = max((iv.right for iv in ivs), default=2.0)
+        hi = max((right for _, _, _, right in ivs), default=2.0)
     if hi < 1.0:
         with pytest.raises(ValueError, match=r"^horizon hi must be >= 1, got "):
             verify_multicover(ivs, q, hi)
         return
-    assert verify_multicover(ivs, q, hi) == _point_check_verify(ivs, q, hi)
+    assert verify_multicover(ivs, q, hi) == _point_check_verify(ivs, half_open, q, hi)

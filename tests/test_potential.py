@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from raysearch import (
-    AssignedInterval,
     AuditError,
     ConfigurationError,
     CoverParams,
@@ -87,9 +86,9 @@ class TestCoveringSituation:
 def _bisect_covering_situation(intervals, mult):
     """covering_situation with its own bisection scan and the fallback to
     the largest right end for an unset a_j: the slow reference."""
-    live = [iv for iv in intervals if iv.right > 1.0]
-    starts = sorted(iv.left for iv in live)
-    ends = sorted(iv.right for iv in live)
+    live = [iv for iv in intervals if iv[3] > 1.0]  # (robot, round_index, left, right)
+    starts = sorted(iv[2] for iv in live)
+    ends = sorted(iv[3] for iv in live)
     points = [1.0] + sorted({v for v in ends if v > 1.0})
     a = [None] * (mult + 1)  # a[j] for j = 1..mult
     for u in points:
@@ -114,10 +113,7 @@ _ENDPOINT = st.one_of(
     st.integers(0, 6),
 )
 def test_covering_situation_matches_the_bisect_scan(spans, copies, mult):
-    ivs = [
-        AssignedInterval(i % 3, i, min(a, b), max(a, b), min(a, b))
-        for i, (a, b) in enumerate(spans * copies)
-    ]
+    ivs = [(i % 3, i, min(a, b), max(a, b)) for i, (a, b) in enumerate(spans * copies)]
     assert covering_situation(ivs, mult) == _bisect_covering_situation(ivs, mult)
 
 
@@ -126,26 +122,22 @@ class TestInitialState:
         p, assigned = doubling_assigned()
         state = initial_state(assigned, p, "orc")
         prefix = _base_prefix(assigned, state)
-        assert [iv.right for iv in prefix] == [0.5, 1.0]
+        assert [right for _, _, _, right in prefix] == [0.5, 1.0]
         # the frontier is already 1: the stream keeps the raw ends, each
         # linked to the next left end of its robot, the only one here
         rest = assigned[2:]
-        lefts = [iv.left for iv in rest]
+        lefts = [left for _, _, left, _ in rest]
         assert list(state.stream) == [
-            (0, iv.left, iv.right, nxt) for iv, nxt in zip(rest, lefts[1:] + [None])
+            (0, left, right, nxt)
+            for (_, _, left, right), nxt in zip(rest, lefts[1:] + [None])
         ]
         assert state.stream[0][2] == 2.0
-        assert state.values == [1.5, rest[0].left]
+        assert state.values == [1.5, lefts[0]]
 
     def test_values_follow_the_robot_index(self):
         # robot 1 is seen first, but each robot's slot follows its index:
         # the fresh potential sums the terms in `values` order
-        assigned = [
-            AssignedInterval(1, 0, 0.5, 1.0, 0.5),
-            AssignedInterval(0, 0, 0.6, 2.0, 0.6),
-            AssignedInterval(1, 1, 1.0, 3.0, 1.0),
-            AssignedInterval(0, 1, 2.0, 4.0, 2.0),
-        ]
+        assigned = [(1, 0, 0.5, 1.0), (0, 0, 0.6, 2.0), (1, 1, 1.0, 3.0), (0, 1, 2.0, 4.0)]
         state = initial_state(assigned, InstanceParams(2, 3, 1), "line")
         assert state.slot == {0: 0, 1: 1}
         assert state.values == [1.0, 0.5]
@@ -164,10 +156,7 @@ def test_next_left_links_match_a_per_robot_scan(rows, mode):
     # each stream tuple carries its robot's following left end, found by
     # one backward pass; here by a scan of the rest of the stream
     rows.sort(key=lambda row: row[:2])
-    assigned = [
-        AssignedInterval(r, i, left, left + length, left)
-        for i, (left, r, length) in enumerate(rows)
-    ]
+    assigned = [(r, i, left, left + length) for i, (left, r, length) in enumerate(rows)]
     p = InstanceParams(2, 3, 1)  # q = 4 folds: s >= 1 in both modes
     try:
         state = initial_state(assigned, p, mode)
@@ -182,13 +171,13 @@ def test_next_left_links_match_a_per_robot_scan(rows, mode):
     scale = covering_situation(assigned[:p0], state.mult)[0]
     rest = assigned[p0:]
     expected = []
-    for i, iv in enumerate(rest):
-        later = [jv.left / scale for jv in rest[i + 1 :] if jv.robot == iv.robot]
-        expected.append((iv.robot, iv.left / scale, iv.right / scale, (later or [None])[0]))
+    for i, (robot, _, left, right) in enumerate(rest):
+        later = [jv[2] / scale for jv in rest[i + 1 :] if jv[0] == robot]
+        expected.append((robot, left / scale, right / scale, (later or [None])[0]))
     assert list(state.stream) == expected
     if mode == "orc":
         for r, j in state.slot.items():
-            assert state.values[j + 1] == next(iv.left / scale for iv in rest if iv.robot == r)
+            assert state.values[j + 1] == next(iv[2] / scale for iv in rest if iv[0] == r)
 
 
 class TestAdvance:
@@ -267,7 +256,7 @@ class TestAdvance:
 
 class TestStreamContract:
     # the audit reads exactly exact_q_assignment's order and checks it in
-    # one pass: a stream out of order or with t'' <= t' < t broken is a
+    # one pass: a stream out of order or with t' < t broken is a
     # ValueError naming the first index where it fails
     ENTRIES = {
         "initial_state": lambda s, p, c: initial_state(s, p, "orc"),
@@ -289,17 +278,18 @@ class TestStreamContract:
     def test_reversed_interval_names_its_index(self, entry):
         p, assigned = doubling_assigned()
         stream = list(assigned)
-        iv = stream[3]
-        stream[3] = iv._replace(left=iv.right, right=iv.left)
-        with pytest.raises(ValueError, match=r"^assigned interval 3: need t'' <= t' < t, got "):
+        robot, rnd, left, right = stream[3]
+        stream[3] = (robot, rnd, right, left)
+        with pytest.raises(ValueError, match=r"^assigned interval 3: need t' < t, got "):
             self.ENTRIES[entry](stream, p, CoverParams(9.0))
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_zero_length_interval_names_its_index(self, entry):
         p, assigned = doubling_assigned()
         stream = list(assigned)
-        stream[3] = stream[3]._replace(right=stream[3].left)  # t' == t, keys in order
-        with pytest.raises(ValueError, match=r"^assigned interval 3: need t'' <= t' < t, got "):
+        robot, rnd, left, _ = stream[3]
+        stream[3] = (robot, rnd, left, left)  # t' == t, keys in order
+        with pytest.raises(ValueError, match=r"^assigned interval 3: need t' < t, got "):
             self.ENTRIES[entry](stream, p, CoverParams(9.0))
 
     def test_equal_keys_are_allowed(self):
@@ -593,9 +583,9 @@ def _reference_initial_state(assigned, p, mode):
     potential._check_stream(assigned)
     first_seen = {}
     last_boundary = -1
-    for idx, iv in enumerate(assigned):
-        first_seen.setdefault(iv.robot, idx)
-        if iv.right <= 1.0:
+    for idx, (robot, _, _, right) in enumerate(assigned):
+        first_seen.setdefault(robot, idx)
+        if right <= 1.0:
             last_boundary = idx
     if not first_seen:
         raise ConfigurationError("no assigned intervals")
@@ -613,11 +603,11 @@ def _reference_initial_state(assigned, p, mode):
     width = 2 if orc else 1
     slot = {r: width * i for i, r in enumerate(robots)}
     values = [0.0] * (width * k_eff)
-    for iv in assigned[:p0]:
-        values[slot[iv.robot]] += iv.right / scale
+    for robot, _, _, right in assigned[:p0]:
+        values[slot[robot]] += right / scale
     stream = deque()
     next_left = {}
-    for r, _, left, right, _ in reversed(assigned[p0:]):
+    for r, _, left, right in reversed(assigned[p0:]):
         left /= scale
         stream.appendleft((r, left, right / scale, next_left.get(r)))
         next_left[r] = left
@@ -842,8 +832,8 @@ class TestReferenceReplay:
         for i, (left, right) in enumerate([(5.0, 16.0), (15.0, 48.0), (45.0, 256.0)], start=1):
             covers.append(CoverRecord(1, i, left, right))
         assigned = exact_q_assignment(covers, p.s if mode == "line" else p.q, 100.0)
-        late = next(i for i, iv in enumerate(assigned) if iv.robot == 1)
-        assert assigned[late].left >= 1.0 and assigned[late - 1].left >= 1.0
+        late = next(i for i, (robot, _, _, _) in enumerate(assigned) if robot == 1)
+        assert assigned[late][2] >= 1.0 and assigned[late - 1][2] >= 1.0
         state = initial_state(assigned, p, mode)
         assert len(assigned) - len(state.stream) == late + 1
         assert _snapshot(state) == _snapshot(_reference_initial_state(assigned, p, mode))
@@ -854,8 +844,8 @@ class TestReferenceReplay:
         # a stream of robots 0 and 1 on k = 1, robot 1 met before the scan
         # stops or first past it
         p, assigned = doubling_assigned()
-        iv = assigned[at]
-        stream = assigned[: at + 1] + [iv._replace(robot=1)] + assigned[at + 1 :]
+        _, rnd, left, right = assigned[at]
+        stream = assigned[: at + 1] + [(1, rnd, left, right)] + assigned[at + 1 :]
         message = r"^assigned intervals of 2 robots, more than k = 1$"
         with pytest.raises(ValueError, match=message):
             initial_state(stream, p, "orc")
@@ -870,13 +860,8 @@ class TestDetectGap:
         assert rep.case == 1
 
     def test_jump_is_case_two_with_subrange(self):
-        from raysearch import AssignedInterval
-
-        stream = [
-            AssignedInterval(robot=0, round_index=0, left=1.0, right=2.0, cover_left=0.5),
-            AssignedInterval(robot=0, round_index=1, left=2.0, right=50.0, cover_left=1.0),
-            AssignedInterval(robot=0, round_index=2, left=50.0, right=100.0, cover_left=40.0),
-        ]
+        # (robot, round_index, left, right) rows
+        stream = [(0, 0, 1.0, 2.0), (0, 1, 2.0, 50.0), (0, 2, 50.0, 100.0)]
         rep = detect_gap(stream, 5.0, CoverParams(9.0))
         assert rep.case == 2
         assert rep.robot == 0 and rep.round_index == 2
@@ -900,8 +885,8 @@ class TestDetectGap:
     )
     def test_jump_boundaries(self, first_left, second_left, case):
         stream = [
-            AssignedInterval(0, 0, first_left, first_left * 1.5, first_left),
-            AssignedInterval(0, 1, second_left, second_left * 1.5, second_left),
+            (0, 0, first_left, first_left * 1.5),
+            (0, 1, second_left, second_left * 1.5),
         ]
         assert detect_gap(stream, 5.0, CoverParams(9.0)).case == case
 
@@ -1019,6 +1004,26 @@ class TestRefute:
         assert v.trace is None
         assert len(v.assignment) == 2
 
+    def test_a_step_ratio_past_the_largest_float_is_inf(self):
+        # the first turn is far below 1: the step ratio overflows, and the
+        # certificate reports it as inf, as growth_factor_delta would
+        plan = RoundPlan(((1, 1e-320), (2, 1.5), (1, 3.0)))
+        v = refute([plan], 6.0, InstanceParams(2, 1, 0), 1.0)
+        assert v.kind == "certificate" and len(v.trace.steps) == 1
+        assert v.trace.min_step_ratio == math.inf
+        assert v.to_dict()["audit"]["min_step_ratio"] == math.inf
+        assert math.isfinite(v.trace.max_log_potential)
+
+    @pytest.mark.parametrize("k, f, tiny", [(1, 0, 1e-320), (2, 1, 1e-300)])
+    def test_a_longer_audit_goes_on_past_an_inf_step_ratio(self, k, f, tiny):
+        turns = (tiny, 1.5, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0, 192.0, 384.0)
+        plan = RoundPlan(tuple((1 + i % 2, t) for i, t in enumerate(turns)))
+        v = refute([plan] * k, 9.5, InstanceParams(2, k, f), 100.0)
+        assert v.kind == "certificate" and len(v.trace.steps) == 8 * k
+        ratios = [step.step_ratio for step in v.trace.steps]
+        assert ratios.count(math.inf) == k
+        assert 1.0 < v.trace.min_step_ratio < math.inf
+
     def test_a_robot_without_a_next_interval_certifies_without_audit(self):
         # the orc potential is undefined without robot 0's next left end:
         # nothing to audit, as for a load exponent below 1
@@ -1026,7 +1031,7 @@ class TestRefute:
         v = refute(strat, 40.0, p, 1e3)
         assert v.kind == "certificate"
         assert v.trace is None and "audit" not in v.to_dict()
-        assert {iv.robot for iv in v.assignment} == {0, 1}
+        assert {robot for robot, _, _, _ in v.assignment} == {0, 1}
         message = r"^robot 0 has no interval past the base prefix: potential undefined$"
         with pytest.raises(ConfigurationError, match=message):
             initial_state(v.assignment, p, "orc")

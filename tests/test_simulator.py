@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raysearch import (
+    CoverParams,
     InstanceParams,
     RoundPlan,
     Target,
     TurnSequence,
+    all_cover_intervals,
     dense_grid_ratio,
     detection_time,
     first_visit_time,
@@ -27,7 +29,7 @@ from raysearch import simulator
 from raysearch.simulator import _detected, _rows, _sweep
 from raysearch.strategy import _legs, _ray_past_m as _past_m_error, _require_strategy_set
 
-from conftest import slow_supremum
+from conftest import assert_inside_cover, slow_supremum
 
 
 class TestFirstVisit:
@@ -176,6 +178,21 @@ class TestDenseStep:
         assert dense_grid_ratio([plan], doubling, 10.0) == math.inf
         rows = sweep_rows([plan], doubling, 10.0, dense=True)
         assert any(r.ratio is not None for _, _, r in rows)
+
+    def test_the_grid_ratio_asks_for_no_arrivals(self, monkeypatch, three_robot):
+        # only the sup is read: one sweep of the grid, with no visitors, and
+        # the sup the sweep CSV's dense rows keep
+        strategies = make_exponential_strategy(three_robot, optimal_alpha(three_robot), 1e3)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("visitors", False))
+            return _sweep(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_sweep", spy)
+        ratio = dense_grid_ratio(strategies, three_robot, 1e3, rel_step=1e-2)
+        assert calls == [False]
+        assert ratio == _rows(strategies, three_robot, 1e3, True, 1e-2)[0][0]
 
     def test_the_default_step_fits_every_finite_horizon(self):
         # so no query at the default step is refused for its grid's size
@@ -781,8 +798,12 @@ class TestCertificateAboveTheSup:
             sup, _ = worst_ratio(strategies, p, N)
             if math.isfinite(sup):
                 covered += 1
-                verdict = refute(strategies, sup * (1.0 + rel), p, N, mode=mode)
+                lam = sup * (1.0 + rel)
+                verdict = refute(strategies, lam, p, N, mode=mode)
                 assert verdict.kind == "certificate", (p, N, sup)
+                # each assigned row lies in the cover row it was cut from
+                covers = all_cover_intervals(strategies, CoverParams(lam))
+                assert_inside_cover(verdict.assignment, covers)
         assert covered >= 290
 
 
