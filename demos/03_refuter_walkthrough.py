@@ -51,7 +51,7 @@ trace = verdict.trace
 print(f"refute(lambda={generous:.4f}, N={N:g}) -> {verdict.kind}")
 print(f"  growth steps audited: {len(trace.steps)}")
 print(f"  min step ratio:       {trace.min_step_ratio:.8f}")
-print(f"  final log-potential:  {trace.steps[-1].log_potential_after:.4f}")
+print(f"  final log-potential:  {trace.steps[-1][4]:.4f}")
 print()
 
 print("The same machinery in line mode, where the potential has a hard cap:")

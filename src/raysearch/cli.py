@@ -259,7 +259,8 @@ def cmd_refute(args) -> int:
             }
     # a coverage failure has no audit: --trace writes the header lines
     # only, while --assignment writes no file.  A line lists a step's index
-    # and GrowthStep, or an assigned (robot, round_index, left, right).
+    # and its (robot, mu_star, x, step_ratio, log_potential_after) tuple,
+    # or an assigned (robot, round_index, left, right).
     if args.trace:
         steps = verdict.trace.steps if verdict.trace is not None else []
         lines = (",".join(map(repr, (i, *s))) for i, s in enumerate(steps))

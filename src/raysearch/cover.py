@@ -116,10 +116,9 @@ def verify_multicover(
 ) -> Witness | None:
     """None if every point of (1, hi] has multiplicity >= q, else the
     leftmost deficient segment, reported at its left end: 1 or a right
-    end below hi.  Half-open intervals are read the same way."""
+    end below hi.  Half-open intervals are read the same way.  A
+    multiplicity is never negative, so a q of 0 or below always holds."""
     _require_domain(intervals, hi)
-    if q <= 0:
-        return None
     for u, m in _multiplicity_scan(intervals):
         if u > 1.0 and u >= hi:
             break

@@ -44,7 +44,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import cycle
-from typing import Collection, Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Literal, Sequence
 
 from .cover import (
     DeficientCoverError,
@@ -61,7 +61,6 @@ from .strategy import (
 __all__ = [
     "Mode",
     "PrefixState",
-    "GrowthStep",
     "GrowthTrace",
     "GapReport",
     "Verdict",
@@ -109,12 +108,12 @@ def covering_situation(intervals: Sequence[_CoverRow], mult: int) -> list[float]
 
     a_j is the first point above 1 whose coverage multiplicity drops
     below j; every point of (a_(j+1), a_j] is covered exactly j times.
-    The multiplicity is `cover`'s scan; at the largest right end it is at
-    most 0, so every a_j is set.
+    The multiplicity is `cover`'s scan: never negative, so no more than
+    mult frontiers are set, and 0 at the largest right end, so every a_j is.
     """
     frontier: list[float] = []  # a_mult first
     for u, m in _multiplicity_scan(intervals):
-        while len(frontier) < mult and m < mult - len(frontier):
+        while m < mult - len(frontier):
             frontier.append(u)
     return frontier
 
@@ -244,19 +243,15 @@ def initial_state(
     return state
 
 
-class GrowthStep(NamedTuple):
-    """One audited extension; its index is its position in the trace."""
-
-    robot: int
-    mu_star: float
-    x: float
-    step_ratio: float
-    log_potential_after: float
+# one audited extension, (robot, mu_star, x, step_ratio,
+# log_potential_after) in the trace CSV's column order; its index is its
+# position in the trace
+_Step = tuple[int, float, float, float, float]
 
 
-def _replay(state: PrefixState, c: CoverParams) -> Iterator[GrowthStep]:
+def _replay(state: PrefixState, c: CoverParams) -> Iterator[_Step]:
     """Extend the prefix by each interval of its stream in turn, in place,
-    yielding one GrowthStep per interval: the one statement of a step.
+    yielding one step per interval: the one statement of a step.
 
     It stops at the end of the stream, and in orc mode before an interval
     whose robot has no following one, so no next left end.  The interval
@@ -273,7 +268,7 @@ def _replay(state: PrefixState, c: CoverParams) -> Iterator[GrowthStep]:
     e, k = state.s_exp, state.k
     orc = state.mode == "orc"
     mu_top, tol = c.mu * (1.0 + _REL_TOL), _REL_TOL
-    log, exp, make = math.log, math.exp, GrowthStep._make
+    log, exp = math.log, math.exp
     popleft, insert_A, insert_log = stream.popleft, A.insert, log_A.insert
     while stream:
         r, left, right, next_left = stream[0]
@@ -309,16 +304,18 @@ def _replay(state: PrefixState, c: CoverParams) -> Iterator[GrowthStep]:
         state.log_potential = lp
         # the step ratio is inf where it overflows, as growth_factor_delta is
         ratio = exp(log_ratio) if log_ratio <= _LOG_FLOAT_MAX else math.inf
-        yield make((r, mu_star, x, ratio, lp))
+        yield r, mu_star, x, ratio, lp
 
 
 def potential_value(state: PrefixState) -> float:
     """From-scratch log-domain potential of the state.
 
-    The sum of the state's stored log terms, laid out in `_log_potential`'s
-    order, without taking a log: it shares no arithmetic with the incremental
-    value.  The audit checks it against the incremental value and, in line
-    mode, against the cap k*s*log(mu).
+    The sum of the state's stored log terms, without taking a log: it
+    shares no arithmetic with the incremental value.  Through Python 3.11
+    it adds them in `_log_potential`'s order; from 3.12 on sum() is
+    compensated, so it may differ from that order by a few ulp.  The audit
+    checks it against the incremental value and, in line mode, against
+    the cap k*s*log(mu).
     """
     return sum(state.terms) - state.k * sum(state.log_A)
 
@@ -332,15 +329,15 @@ class GrowthTrace:
     delta_bound: float | None  # growth factor delta when mu is subcritical
     line_cap_log: float | None
     initial_log_potential: float
-    steps: list[GrowthStep] = field(default_factory=list)
+    steps: list[_Step] = field(default_factory=list)
 
     @property
     def min_step_ratio(self) -> float | None:
-        return min((s.step_ratio for s in self.steps), default=None)
+        return min((ratio for _, _, _, ratio, _ in self.steps), default=None)
 
     @property
     def max_log_potential(self) -> float:
-        return max([self.initial_log_potential, *(s.log_potential_after for s in self.steps)])
+        return max([self.initial_log_potential, *(lp for _, _, _, _, lp in self.steps)])
 
 
 def audit_growth(

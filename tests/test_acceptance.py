@@ -101,7 +101,7 @@ def test_criterion_4_growth_factor_property():
         delta = growth_factor_delta(p.s, p.k, CoverParams(lam).mu)
         assert delta > 1.0
         for step in v.trace.steps:
-            assert step.step_ratio >= delta * (1 - 1e-12), (p, lam, step)
+            assert step[3] >= delta * (1 - 1e-12), (p, lam, step)  # step ratio
 
     # At the tight bound itself the floor degrades to 1 (doubling: exactly).
     for p in (InstanceParams(2, 1, 0), InstanceParams(2, 3, 1)):

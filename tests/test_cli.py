@@ -312,6 +312,24 @@ class TestRefute:
         steps = [int(line.split(",")[0]) for line in lines[2:]]
         assert steps == list(range(doc["audit"]["steps"]))
 
+    @pytest.mark.parametrize(
+        "mode, mkf, lam, N", [("orc", (2, 3, 1), 5.5, 1e4), ("line", (2, 1, 0), 9.5, 1e3)]
+    )
+    def test_trace_rows_are_the_library_steps(self, capsys, tmp_path, mode, mkf, lam, N):
+        # a row is a step's index and then its tuple, each field by repr
+        p = InstanceParams(*mkf)
+        make = make_geometric_line_strategy if mode == "line" else make_exponential_strategy
+        steps = refute(make(p, optimal_alpha(p), N), lam, p, N, mode).trace.steps
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run(
+            capsys, "refute", *_instance_flags(*mkf), "--lam", repr(lam), "-N", repr(N),
+            "--mode", mode, "--trace", str(trace),
+        )
+        assert code == 0 and steps
+        assert trace.read_text().splitlines()[2:] == [
+            ",".join(map(repr, (i, *step))) for i, step in enumerate(steps)
+        ]
+
     def test_round_past_m_is_rejected(self, capsys, tmp_path):
         # refute certified this plan, whose sixth round is on ray 5 of two,
         # while simulate rejected it

@@ -464,7 +464,7 @@ _KIND = st.sampled_from(["closed", "half_open"])
 @given(
     st.lists(st.tuples(_GRID_ENDPOINT, _GRID_ENDPOINT, _KIND), max_size=16),
     st.integers(0, 2),
-    st.integers(0, 5),
+    st.integers(-1, 5),
     st.one_of(
         st.none(),
         st.sampled_from([0.25, 1.0, 1.5, 2.0, 5.0, 1e3]),

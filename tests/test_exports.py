@@ -39,6 +39,12 @@ def test_every_exported_name_exists(name):
     assert [n for n in _public_definitions(module) if n not in walked] == []
 
 
+def test_a_growth_step_has_no_record_type():
+    # a step is a plain tuple, which the cyclic collector can untrack
+    assert not hasattr(raysearch, "GrowthStep")
+    assert not hasattr(importlib.import_module("raysearch.potential"), "GrowthStep")
+
+
 def test_a_public_definition_is_found():
     # the check reads the module's own definitions, not its imports
     from raysearch import fractional

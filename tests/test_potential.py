@@ -1,3 +1,4 @@
+import gc
 import math
 from bisect import bisect_right
 from collections import deque
@@ -9,7 +10,6 @@ from raysearch import (
     AuditError,
     ConfigurationError,
     CoverParams,
-    GrowthStep,
     GrowthTrace,
     InstanceParams,
     InvalidAssignmentError,
@@ -187,10 +187,10 @@ class TestAdvance:
         state = initial_state(assigned, p, "orc")
         mus, xs, ratios = [], [], []
         for _ in range(3):
-            step = advance(state, c)
-            mus.append(step.mu_star)
-            xs.append(step.x)
-            ratios.append(step.step_ratio)
+            _, mu_star, x, ratio, _ = advance(state, c)
+            mus.append(mu_star)
+            xs.append(x)
+            ratios.append(ratio)
         assert mus == pytest.approx([3.5, 3.75, 3.875])
         assert xs == pytest.approx([1.5, 1.75, 1.875])
         assert ratios == pytest.approx([3.5 / 3.0, 3.75 / 3.5, 3.875 / 3.75])
@@ -200,7 +200,8 @@ class TestAdvance:
         c = CoverParams(9.0)
         state = initial_state(assigned, p, "orc")
         while (step := advance(state, c)) is not None:
-            assert step.mu_star <= c.mu * (1 + 1e-9)
+            _, mu_star, _, _, _ = step
+            assert mu_star <= c.mu * (1 + 1e-9)
 
     def test_tight_load_is_rejected_at_smaller_mu(self):
         p, assigned = doubling_assigned()
@@ -219,7 +220,7 @@ class TestAdvance:
         c = CoverParams(7.999999992999999)
         assert c.mu < 3.5 == c.mu * (1.0 + 1e-9)
         state = initial_state(assigned, p, "orc")
-        assert advance(state, c).mu_star == 3.5
+        assert advance(state, c)[1] == 3.5  # mu*
         with pytest.raises(InvalidAssignmentError, match="load bound violated"):
             advance(state, c)
 
@@ -242,7 +243,7 @@ class TestAdvance:
             with pytest.raises(InvalidAssignmentError, match="not a cover prefix"):
                 advance(state, CoverParams(9.0))
         else:
-            assert advance(state, CoverParams(9.0)).mu_star == 3.5
+            assert advance(state, CoverParams(9.0))[1] == 3.5  # mu*
 
     def test_incremental_matches_scratch(self):
         p, assigned = doubling_assigned()
@@ -331,6 +332,17 @@ class TestStreamContract:
 
 
 class TestAuditGrowth:
+    def test_steps_are_plain_tuples_the_collector_untracks(self):
+        # a collection untracks a tuple of numbers, but never an instance
+        # of a tuple subclass such as a NamedTuple
+        p = InstanceParams(2, 3, 1)
+        v = refute(make_exponential_strategy(p, optimal_alpha(p), 1e4), 5.5, p, 1e4)
+        gc.collect()
+        assert v.trace.steps
+        for step in v.trace.steps:
+            assert type(step) is tuple
+            assert gc.is_tracked(step) is False
+
     def test_doubling_trace_ratios_approach_one(self):
         p, assigned = doubling_assigned()
         trace = audit_growth(assigned, CoverParams(9.0), p, "orc")
@@ -338,7 +350,7 @@ class TestAuditGrowth:
         assert mu_critical(1, 1) == CoverParams(9.0).mu
         assert trace.delta_bound is None
         assert trace.min_step_ratio >= 1.0 - 1e-9
-        assert trace.steps[-1].step_ratio == pytest.approx(1.0, abs=1e-2)
+        assert trace.steps[-1][3] == pytest.approx(1.0, abs=1e-2)  # step ratio
 
     def test_subcritical_orc_has_delta_floor(self):
         p = InstanceParams(2, 1, 0)
@@ -546,18 +558,17 @@ def _audit_on_the_tolerance(monkeypatch, check, past):
 
     def replay_on_the_tolerance(state, c):
         for step in replay_exact(state, c):
+            r, mu_star, x, _, lp = step
             if check == "drift":
                 # stored terms sum to 0, the incremental value is 1e-9 off
                 state.terms[:] = [0.0] * len(state.terms)
                 state.log_A[:] = [0.0] * len(state.log_A)
                 state.log_potential = nudge(1e-9, 1.0)
             elif check == "floor":
-                floor = delta_1 * step.mu_star**-1 * (1.0 - 1e-12)
-                step = step._replace(step_ratio=nudge(floor, 0.0))
+                floor = delta_1 * mu_star**-1 * (1.0 - 1e-12)
+                step = (r, mu_star, x, nudge(floor, 0.0), lp)
             else:  # a slack far above mu puts the floor far below delta
-                step = step._replace(
-                    mu_star=2.0 * c.mu, step_ratio=nudge(delta * (1.0 - 1e-9), 0.0)
-                )
+                step = (r, 2.0 * c.mu, x, nudge(delta * (1.0 - 1e-9), 0.0), lp)
             yield step
 
     calls = []
@@ -674,7 +685,7 @@ def _reference_advance(state, c):
         state.values[j + 1] = next_left
         state.terms[j + 1] = k * math.log(next_left)
     state.log_potential += log_ratio
-    return GrowthStep(r, mu_star, x, math.exp(log_ratio), state.log_potential)
+    return r, mu_star, x, math.exp(log_ratio), state.log_potential
 
 
 def _reference_audit(assigned, c, p, mode):
@@ -702,15 +713,16 @@ def _reference_audit(assigned, c, p, mode):
                 f"incremental potential {state.log_potential} drifted from "
                 f"from-scratch value {scratch} at step {idx}"
             )
-        floor = delta_1 * step.mu_star**-k
-        if step.step_ratio < floor * (1.0 - 1e-12):
+        _, mu_star, _, step_ratio, _ = step
+        floor = delta_1 * mu_star**-k
+        if step_ratio < floor * (1.0 - 1e-12):
             raise AuditError(
-                f"step ratio {step.step_ratio} below polynomial floor {floor}"
+                f"step ratio {step_ratio} below polynomial floor {floor}"
                 f" at step {idx}"
             )
-        if subcritical and step.step_ratio < delta * (1.0 - tol):
+        if subcritical and step_ratio < delta * (1.0 - tol):
             raise AuditError(
-                f"step ratio {step.step_ratio} below growth factor {delta}"
+                f"step ratio {step_ratio} below growth factor {delta}"
                 f" at step {idx}"
             )
         trace.steps.append(step)
@@ -753,7 +765,7 @@ def _assert_replays_agree(assigned, c, p, mode):
     assert isinstance(got, GrowthTrace)
     for name in ("steps", "initial_log_potential", "delta_bound", "line_cap_log", "mult", "k"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
-    assert all(type(step) is GrowthStep for step in got.steps)
+    assert all(type(step) is tuple for step in got.steps)
     assert _advance_steps(assigned, c, p, mode) == got.steps
     return True
 
@@ -1020,7 +1032,7 @@ class TestRefute:
         plan = RoundPlan(tuple((1 + i % 2, t) for i, t in enumerate(turns)))
         v = refute([plan] * k, 9.5, InstanceParams(2, k, f), 100.0)
         assert v.kind == "certificate" and len(v.trace.steps) == 8 * k
-        ratios = [step.step_ratio for step in v.trace.steps]
+        ratios = [ratio for _, _, _, ratio, _ in v.trace.steps]
         assert ratios.count(math.inf) == k
         assert 1.0 < v.trace.min_step_ratio < math.inf
 

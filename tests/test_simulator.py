@@ -616,6 +616,18 @@ class TestNumberingRule:
         ]
         assert rows == _oracle_rows(strategies, p, N)
 
+    def test_a_robot_repeating_its_record_turn_adds_no_target(self):
+        # the robot's second (1, 2.0) is no record and no target of its own:
+        # (1, 2.0) keeps the number of its first appearance, before (2, 3.0)
+        strategies = [RoundPlan(((1, 2.0), (2, 3.0), (1, 2.0), (2, 4.0), (1, 5.0), (2, 6.0)))]
+        p, N = InstanceParams(2, 1, 0), 5.5
+        rows = sweep_rows(strategies, p, N)
+        assert [(t.ray, t.x, ja) for t, ja, _ in rows] == [
+            (1, 1.0, False), (2, 1.0, False), (1, 2.0, True),
+            (2, 3.0, True), (2, 4.0, True), (1, 5.0, True),
+        ]
+        assert rows == _oracle_rows(strategies, p, N)
+
     def test_a_turn_at_one_stays_apart_from_the_probe(self):
         # the probe at x = 1 is answered before the robots move on at 1.0
         strategies = [
