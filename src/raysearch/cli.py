@@ -27,10 +27,14 @@ given configuration (no timestamps in data files).
 parser to every later call in the process; parsing keeps no state
 between calls.
 
+Every JSON answer, on stdout and in a --json or --summary file, is
+`_print_json`'s: sorted keys, and null for a non-finite float (JSON has
+no inf or NaN), at the top or in a nested dict.
+
 `simulate --csv` formats each line from the sweep's plain answer, a
-target's sorted (time, robot) arrivals, and builds no Target or
-DetectionReport per row; with breakpoint rows the summary's sup_ratio and
-witness are the sup that the same sweep kept.
+target's sorted (time, robot) arrivals, and builds no DetectionReport per
+row; with breakpoint rows the summary's sup_ratio and witness are the sup
+that the same sweep kept.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Iterable, Sequence
 
 from .formulas import (
@@ -56,7 +61,7 @@ from .formulas import (
 )
 from .fractional import fractional_ratio
 from .potential import AuditError, InvalidAssignmentError, detect_gap, refute
-from .simulator import _REL_STEP, Answer, Target, _detected, _rows, worst_ratio
+from .simulator import _REL_STEP, Answer, _detected, _rows, worst_ratio
 from .strategy import (
     load_strategies,
     make_exponential_strategy,
@@ -93,9 +98,21 @@ def _finite(text: str) -> float:
     return value
 
 
-def _json_value(value):
-    """value, or None for a non-finite float: JSON has no inf or NaN."""
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+def _nulled(doc: dict) -> dict:
+    """doc with each non-finite float, in it or in a dict nested in it, None."""
+    return {key: _nulled(v) if isinstance(v, dict)
+            else None if isinstance(v, float) and not math.isfinite(v) else v
+            for key, v in doc.items()}
+
+
+def _print_json(doc: dict, path: str | None = None, indent: int | None = 2) -> None:
+    """Print doc as strict JSON with sorted keys, and write the same text to
+    path if one is given.  A non-finite float in a list is a ValueError."""
+    text = json.dumps(_nulled(doc), sort_keys=True, indent=indent, allow_nan=False)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
 
 
 def _instance(args) -> InstanceParams:
@@ -115,7 +132,7 @@ def cmd_bound(args) -> int:
             raise ValueError("--eta and -m/-k/-f are exclusive: C(eta) depends on eta alone")
         value = fractional_ratio(args.eta)
         if args.json:
-            print(json.dumps({"eta": args.eta, "ratio": _json_value(value)}, sort_keys=True))
+            _print_json({"eta": args.eta, "ratio": value}, indent=None)
         else:
             print(f"C(eta={args.eta}) = {value:.10g}")
         return 0
@@ -135,7 +152,7 @@ def cmd_bound(args) -> int:
     if args.lam is not None:
         row["delta"] = growth_factor_delta(p.s, p.k, CoverParams(args.lam).mu)
     if args.json:
-        print(json.dumps({k: _json_value(v) for k, v in row.items()}, sort_keys=True))
+        _print_json(row, indent=None)
     else:
         print(f"m={p.m} k={p.k} f={p.f}  q={p.q} s={p.s} rho={p.rho:.6g}")
         print(f"lambda0 = {lam0:.10g}")
@@ -189,9 +206,9 @@ def cmd_simulate(args) -> int:
     if args.csv and not args.dense:
         # the breakpoint rows are worst_ratio's candidates, and their sup its sup
         (sup, (ray, x)), rows = _rows(strategies, p, args.N)
-        witness = Target(ray, x)
     else:
         sup, witness = worst_ratio(strategies, p, args.N)
+        ray, x = witness.ray, witness.x
         if args.csv:
             step = _REL_STEP if args.rel_step is None else args.rel_step
             _, rows = _rows(strategies, p, args.N, dense=True, rel_step=step)
@@ -203,18 +220,14 @@ def cmd_simulate(args) -> int:
     except (TrivialRegime, InfeasibleRegime):
         lam0 = None
     summary = {
-        "sup_ratio": _json_value(sup),
+        "sup_ratio": sup,
         "covered": math.isfinite(sup),
-        "witness": {"ray": witness.ray, "x": witness.x},
+        "witness": {"ray": ray, "x": x},
         "lambda0": lam0,
         "gap": (lam0 - sup) if lam0 is not None and math.isfinite(sup) else None,
         "N": args.N,
     }
-    text = json.dumps(summary, sort_keys=True, indent=2)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _print_json(summary, args.summary)
     return 0 if math.isfinite(sup) else 2
 
 
@@ -241,22 +254,13 @@ def cmd_refute(args) -> int:
     strategies = _build_strategies(args, p, N, mode=args.mode)
     verdict = refute(strategies, args.lam, p, N, mode=args.mode)
     doc = verdict.to_dict()
-    for part in doc.keys() & {"params", "audit"}:  # an inf N or step ratio is null
-        doc[part] = {key: _json_value(v) for key, v in doc[part].items()}
     # a coverage failure has no assignment, and a multiplicity of 0 an
     # empty one: either way there is no stream to scan, and the gap is null
     if args.gap_constant is not None:
         doc["gap"] = None
         if verdict.assignment:
             gap = detect_gap(verdict.assignment, args.gap_constant, CoverParams(args.lam))
-            doc["gap"] = {
-                "case": gap.case,
-                "robot": gap.robot,
-                "round": gap.round_index,
-                "ratio": gap.ratio,
-                "sub_lo": gap.sub_lo,
-                "sub_hi": gap.sub_hi,
-            }
+            doc["gap"] = {"round" if n == "round_index" else n: v for n, v in asdict(gap).items()}
     # a coverage failure has no audit: --trace writes the header lines
     # only, while --assignment writes no file.  A line lists a step's index
     # and its (robot, mu_star, x, step_ratio, log_potential_after) tuple,
@@ -269,11 +273,7 @@ def cmd_refute(args) -> int:
     if args.assignment and verdict.assignment is not None:
         lines = (",".join(map(repr, iv)) for iv in verdict.assignment)
         _write_csv(args.assignment, ASSIGNMENT_HEADER, "robot,round,t_prime,t", lines)
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _print_json(doc, args.json)
     return 0 if verdict.kind == "certificate" else 2
 
 

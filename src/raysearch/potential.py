@@ -456,10 +456,18 @@ class Verdict:
     params: dict
     witness: Witness | None = None
     trace: GrowthTrace | None = None
-    headroom_steps: float | None = None  # growth steps left before the cap
     # the exact assignment of a certificate, left out of to_dict(); None on
     # a coverage failure, empty when the multiplicity is 0
     assignment: list[_CoverRow] | None = field(default=None, repr=False)
+
+    @property
+    def headroom_steps(self) -> float | None:
+        """Growth steps left before the line cap, from the trace's delta_bound:
+        set only when a line-mode audit ran steps below the tight ratio."""
+        t = self.trace
+        if t is None or t.line_cap_log is None or t.delta_bound is None or not t.steps:
+            return None
+        return max(0.0, (t.line_cap_log - t.max_log_potential) / math.log(t.delta_bound))
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "params": dict(self.params)}
@@ -497,9 +505,9 @@ def refute(
     coverage_failure verdict with the leftmost witness, and a verified
     cover comes back truncated to exact multiplicity, is replayed through
     the growth audit, and yields a certificate that carries the
-    assignment.  When a line-mode audit ran below the tight ratio,
-    headroom_steps estimates how many more growth steps (hence how much
-    more horizon) a contradiction needs.
+    assignment.  When a line-mode audit ran below the tight ratio, the
+    verdict's headroom_steps property estimates from its trace how many
+    more growth steps (hence how much more horizon) a contradiction needs.
 
     The strategies must be p.k of the mode's kind (`_require_strategy_set`):
     TurnSequences in line mode, on m = 2 only, or RoundPlans in orc mode,
@@ -530,19 +538,4 @@ def refute(
         # below assigns none), or in orc mode a load exponent q - k < 1 or
         # a robot with no interval past the base prefix (no next left end)
         return Verdict(kind="certificate", params=params, assignment=assigned)
-    # log of the reported delta_bound, not formulas' log(delta): the
-    # headroom can be redone from the verdict alone
-    headroom = None
-    if trace.delta_bound is not None and trace.steps and trace.line_cap_log is not None:
-        headroom = max(
-            0.0,
-            (trace.line_cap_log - trace.max_log_potential)
-            / math.log(trace.delta_bound),
-        )
-    return Verdict(
-        kind="certificate",
-        params=params,
-        trace=trace,
-        headroom_steps=headroom,
-        assignment=assigned,
-    )
+    return Verdict(kind="certificate", params=params, trace=trace, assignment=assigned)

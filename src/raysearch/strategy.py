@@ -215,8 +215,9 @@ def make_exponential_strategy(
     last = []  # per robot, its first cycle j >= -2 beyond the horizon
     for r in range(1, k + 1):
         # the closed form's guess, settled by the float test itself
-        j = max(-2, math.floor((log_h / log_alpha - k - m * r + q) / (k * m)) + 1)
-        while j > -2 and beyond(r, j - 1):
+        # (to j >= -2: cycle -3's exponent k(1-3m)+mr-q is negative)
+        j = math.floor((log_h / log_alpha - k - m * r + q) / (k * m)) + 1
+        while beyond(r, j - 1):
             j -= 1
         while not beyond(r, j):
             j += 1

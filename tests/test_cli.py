@@ -854,6 +854,25 @@ class TestInvariantErrors:
 DOUBLING_REFUTE = ("refute", "-m", "2", "-k", "1", "-f", "0", "--lam", "9.5", "-N", "1e3")
 
 
+class TestPrintJson:
+    def test_a_non_finite_float_two_dicts_deep_is_null(self, capsys, tmp_path):
+        doc = {"n": 3, "top": -math.inf, "a": {"b": {"inf": math.inf, "nan": math.nan, "x": 1.5}}}
+        nulled = {"n": 3, "top": None, "a": {"b": {"inf": None, "nan": None, "x": 1.5}}}
+        path = tmp_path / "doc.json"
+        cli._print_json(doc, str(path))
+        text = json.dumps(nulled, sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == path.read_text() == text
+        cli._print_json(doc, indent=None)
+        assert capsys.readouterr().out == json.dumps(nulled, sort_keys=True) + "\n"
+        assert doc["top"] == -math.inf  # the caller's document is left as it was
+
+    def test_an_inf_in_a_list_is_a_value_error(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            cli._print_json({"a": {"b": [1.0, math.inf]}}, str(path))
+        assert capsys.readouterr().out == "" and not path.exists()
+
+
 class TestSharedParser:
     """main builds one parser per process; no call sees what another parsed."""
 

@@ -1006,6 +1006,33 @@ class TestRefute:
         assert v.headroom_steps is not None and v.headroom_steps > 0
         assert v.to_dict()["headroom_steps"] == v.headroom_steps
 
+    @pytest.mark.parametrize("alpha, N, lam", [
+        (1.9, 20.0, 8.99), (1.9, 20.0, 8.999), (2.0, 20.0, 8.99),
+        (2.0, 100.0, 8.999), (2.1, 20.0, 8.999),
+    ])
+    def test_headroom_is_the_formula_on_the_trace(self, alpha, N, lam):
+        # the formula refute used to compute and store, redone by hand
+        p = InstanceParams(2, 1, 0)
+        v = refute(make_geometric_line_strategy(p, alpha, N), lam, p, N, mode="line")
+        t = v.trace
+        assert v.kind == "certificate" and t.delta_bound is not None and t.steps
+        expected = max(0.0, (t.line_cap_log - t.max_log_potential) / math.log(t.delta_bound))
+        assert v.headroom_steps == expected > 0
+
+    def test_headroom_is_none_off_a_subcritical_line_audit(self, doubling, doubling_strategy):
+        # a coverage failure has no trace, an orc audit no line cap, and a
+        # line audit at or above the tight ratio no growth factor
+        failure = refute(doubling_strategy, 8.0, doubling, 1e4)
+        orc = refute(doubling_strategy, 9.5, doubling, 1e4)
+        line_strategy = make_geometric_line_strategy(doubling, 2.0, 20.0)
+        line = refute(line_strategy, 9.5, doubling, 20.0, mode="line")
+        assert failure.kind == "coverage_failure" and failure.trace is None
+        assert orc.kind == "certificate" and orc.trace.line_cap_log is None
+        assert line.kind == "certificate" and line.trace.delta_bound is None
+        for v in (failure, orc, line):
+            assert v.headroom_steps is None
+            assert "headroom_steps" not in v.to_dict()
+
     def test_degenerate_load_exponent_certifies_without_audit(self):
         # k = q = 2 robots: the load exponent q - k is 0, and the audit's
         # ConfigurationError becomes a certificate without a trace
