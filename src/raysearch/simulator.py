@@ -15,14 +15,18 @@ A robot first reaches (ray, x) on the first excursion to that ray whose
 turn is at least x, so only the turns that raise the running maximum on
 a ray can be first visits.  `worst_ratio`, `sweep_rows` and
 `dense_grid_ratio` walk each robot's legs once.  That one pass numbers
-the candidate targets by walk position, with no index of them, and
-lists per ray the sweep's items: one at each record turn, where the
-robot's first-visit offset 2*elapsed moves on, and one at each other
-turn below the record that is a candidate.  After one sort of a ray's
-items the sweep answers its targets in increasing x, items of one key
-being one target with the least of their numbers, and keeps the robots'
-offsets in a sorted list of at most k floats: each record turn passed
-costs one removal and one insertion, and each target one lookup.
+the candidate targets by walk position, with a running integer and no
+index of them, and lists per ray the sweep's items: one at each record
+turn, where the robot's first-visit offset 2*elapsed moves on, and one
+at each other turn below the record that is a candidate.  Per robot the
+walk keeps one state list per ray, [append to the ray's items, the
+record turn there, that turn's target], so a leg costs one dict lookup.
+After one sort of a ray's items the sweep answers its targets in
+increasing x, items of one key being one target with the least of their
+numbers, and keeps the robots' offsets in a sorted list of at most k
+floats: each record turn passed costs one removal by value (equal floats
+are interchangeable, so any equal one may leave) and one insertion, and
+each target one lookup.
 The sweep keeps the sup as it goes, from that list, and states the
 witness rule once.  Asked for visitors, it also answers each target with
 its arrivals, and sorts those answers once by number: the (time, robot)
@@ -46,9 +50,8 @@ is tested against, sharing with it only that gate and `strategy._legs`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
-from itertools import count
 from operator import itemgetter
 from typing import Sequence
 
@@ -201,29 +204,32 @@ def _sweep(
         for x in xs:
             evs.append((x, n, -1, None))
             n += 1
-    numbers = count(n)
+    i = n  # the next leg's number
     for r, strat in enumerate(strategies):
-        # ray -> (top, i): the robot's record turn there and its target
-        last: dict[int, tuple[float, int]] = {}
+        # per ray, [append to its items, the robot's record turn there,
+        # that turn's target]: a ray past m is the KeyError
+        state = {ray: [evs.append, 0.0, -1] for ray, evs in items.items()}
         elapsed = 0.0
-        for (ray, turn), i in zip(_legs(strat), numbers):
+        for ray, turn in _legs(strat):
             try:
-                evs = items[ray]
+                at = state[ray]
             except KeyError:
                 raise _ray_past_m(r, ray, p) from None
-            if not 1.0 <= turn < N:
-                i = -1
-            top, j = last.get(ray, (0.0, -1))
+            add, top, j = at
             if turn > top:
                 # the robot enters at 0 and moves at each record turn; its
                 # item comes later, so a repeat of top adds none before it
-                evs.append((top, j, r, 2.0 * elapsed))
-                last[ray] = (turn, i)
-            elif turn < top and i >= 0:
-                evs.append((turn, i, -1, None))
+                add((top, j, r, 2.0 * elapsed))
+                at[1] = turn
+                at[2] = i if 1.0 <= turn < N else -1
+            elif turn < top and 1.0 <= turn < N:
+                add((turn, i, -1, None))
             elapsed += turn
-        for ray, (top, j) in last.items():
-            items[ray].append((top, j, r, None))
+            i += 1
+        # the robot's last item per ray; on a ray it never visits, that is
+        # (0.0, -1, r, None), which moves nothing
+        for add, top, j in state.values():
+            add((top, j, r, None))
     f = p.f
     answers: list[Answer] = []
     best, best_i, best_at = -math.inf, -1, (0, 0.0)
@@ -257,7 +263,7 @@ def _sweep(
             if r >= 0:
                 old = cur[r]
                 if old is not None:
-                    del live[bisect_left(live, old)]
+                    live.remove(old)  # equal floats are interchangeable
                 if new is not None:
                     insort(live, new)
                 cur[r] = new

@@ -16,7 +16,10 @@ included.  `cover_intervals` states the cover rule once, as plain
 `all_cover_intervals`' tuples to the assignment as they are.  `_legs`
 walks either kind as (ray, turn) legs, and it holds the one statement of
 the line side rule.  `_require_strategy_set` gates both simulator paths
-alike: a target off a set's rays is a ValueError.
+alike: a target off a set's rays is a ValueError.  The turn rule, every
+turn > 0 (NaN fails it), is tested in each validator's own loop, that of
+`TurnSequence` and that of `RoundPlan`, with no call per turn: every
+generated or loaded set passes through one of them.
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ __all__ = [
 ]
 
 
-def _not_positive(turn: float) -> bool:
-    return not turn > 0.0  # the turn rule of both strategy kinds; NaN fails it
-
-
 @dataclass(frozen=True)
 class TurnSequence:
     """Line strategy: turning distances, alternating sides.
@@ -60,8 +59,9 @@ class TurnSequence:
     first_positive: bool = True
 
     def __post_init__(self) -> None:
-        if any(map(_not_positive, self.turns)):
-            raise ValueError("turning distances must be positive")
+        for turn in self.turns:
+            if not turn > 0.0:  # the turn rule, as in RoundPlan; NaN fails it
+                raise ValueError("turning distances must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class RoundPlan:
         for ray, turn in self.rounds:
             if ray < 1:
                 raise ValueError(f"ray index must be >= 1, got {ray}")
-            if _not_positive(turn):
+            if not turn > 0.0:  # the turn rule, as in TurnSequence; NaN fails it
                 raise ValueError(f"turn distance must be positive, got {turn}")
 
 

@@ -597,6 +597,36 @@ class TestNumberedMatchesIndexed:
         assert _numbered_answers(strategies, p, (1.0,), N) == expected
         assert worst_ratio(strategies, p, N) == (sup[0], Target(*sup[1]))
 
+    # The numbered sweep removes a robot's old offset from `live` by value,
+    # the indexed one by its bisected position: the same list, since equal
+    # floats are interchangeable.  The cases below hold many offsets in
+    # `live`, or equal ones when one of them leaves.
+
+    @pytest.mark.parametrize("shape, R", [((2, 50, 30), 40), ((3, 12, 5), 150)])
+    def test_many_robots(self, shape, R):
+        p = InstanceParams(*shape)
+        alpha = optimal_alpha(p)
+        N = alpha**R
+        strategies = make_exponential_strategy(p, alpha, N)
+        _, _, _, sup = expected = _indexed_answers(strategies, p, (1.0,), N)
+        assert _numbered_answers(strategies, p, (1.0,), N) == expected
+        assert worst_ratio(strategies, p, N) == (sup[0], Target(*sup[1]))
+
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_two_identical_robots(self, f):
+        (robot,) = make_exponential_strategy(InstanceParams(3, 1, 0), 2.0, 1e4)
+        p, N = InstanceParams(3, 2, f), 1e4
+        _assert_numbered_is_indexed([robot, robot], p, N)
+        # every target is reached by both robots at one time: their offsets are equal
+        _, answers = _sweep([robot, robot], p, (1.0,), N, visitors=True)
+        assert all(t0 == t1 for _, _, [(t0, _), (t1, _)] in answers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_instances("orc", past=False), _instances("line")))
+    def test_each_robot_twice(self, inst):
+        strategies, p, N = inst
+        _assert_numbered_is_indexed(strategies * 2, InstanceParams(p.m, 2 * p.k, p.f), N)
+
 
 class TestNumberingRule:
     # On one ray the items of equal turns are one target, numbered at its
