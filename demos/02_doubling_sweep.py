@@ -25,18 +25,20 @@ print()
 
 print("Detection time at a few fixed targets:")
 for x in [1.0, 3.0, 10.0, 100.0]:
-    rep = detection_time(strategy, p, Target(1, x))
-    print(f"  x={x:7.1f}  tau={rep.tau:10.1f}  tau/x = {rep.ratio:.4f}")
+    # the sorted (time, robot) arrivals: the first f visitors stay silent
+    tau, _ = detection_time(strategy, p, Target(1, x))[p.f]
+    print(f"  x={x:7.1f}  tau={tau:10.1f}  tau/x = {tau / x:.4f}")
 print()
 
 print("Breakpoint sweep: ratio just past each turn distance.")
 rows = sweep_rows(strategy, p, N)
-worst_rows = sorted(
-    (r for t, ja, r in rows if ja and r.ratio is not None),
-    key=lambda r: r.ratio,
+worst_ratios = sorted(
+    arrivals[p.f][0] / x
+    for _, (_, x, just_above), arrivals in rows
+    if just_above and len(arrivals) > p.f
 )
-for rep in worst_rows[-6:]:
-    print(f"  ratio = {rep.ratio:.6f}")
+for ratio in worst_ratios[-6:]:
+    print(f"  ratio = {ratio:.6f}")
 print()
 
 sup, witness = worst_ratio(strategy, p, N)

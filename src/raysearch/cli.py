@@ -31,10 +31,10 @@ Every JSON answer, on stdout and in a --json or --summary file, is
 `_print_json`'s: sorted keys, and null for a non-finite float (JSON has
 no inf or NaN), at the top or in a nested dict.
 
-`simulate --csv` formats each line from the sweep's plain answer, a
-target's sorted (time, robot) arrivals, and builds no DetectionReport per
-row; with breakpoint rows the summary's sup_ratio and witness are the sup
-that the same sweep kept.
+`simulate --csv` formats each line from the sweep's answer, a target's
+sorted (time, robot) arrivals, as `simulator.sweep_rows` returns it; with
+breakpoint rows the summary's sup_ratio and witness are the sup that the
+same sweep kept.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def cmd_simulate(args) -> int:
         ray, x = witness.ray, witness.x
         if args.csv:
             step = _REL_STEP if args.rel_step is None else args.rel_step
-            _, rows = _rows(strategies, p, args.N, dense=True, rel_step=step)
+            _, rows = _rows(strategies, p, args.N, step)
     if args.csv:
         columns = "ray,x,just_above,tau,ratio,robot_order"
         _write_csv(args.csv, SWEEP_HEADER, columns, _sweep_lines(rows, p))

@@ -410,7 +410,8 @@ class GapReport:
     """Per-robot left-endpoint gap scan: bounded (case 1) or a jump (case 2).
 
     In case 2, the other robots cover [sub_lo, sub_hi] one fold short of
-    the full requirement; that subrange is the recursion target.
+    the full requirement; that subrange is the recursion target.  It is
+    empty when C <= mu, and then sub_lo and sub_hi are None.
     """
 
     case: int
@@ -436,13 +437,14 @@ def detect_gap(
     for robot, rnd, left, _ in assigned:
         last = prev.get(robot)
         if last is not None and last >= 1.0 and left / last > C:
+            empty = C <= c.mu  # then [mu * last, C * last] holds no subrange
             return GapReport(
                 case=2,
                 robot=robot,
                 round_index=rnd,
                 ratio=left / last,
-                sub_lo=c.mu * last,
-                sub_hi=C * last,
+                sub_lo=None if empty else c.mu * last,
+                sub_hi=None if empty else C * last,
             )
         prev[robot] = left
     return GapReport(case=1)

@@ -32,13 +32,14 @@ witness rule once.  Asked for visitors, it also answers each target with
 its arrivals, and sorts those answers once by number: the (time, robot)
 pairs of the robots that reach it, sorted, which is the sweep's one
 statement of the tie rule (two offsets that round to one time are listed
-by robot).  `_detected` states tau, the (f+1)-st time, and tau/x once,
-for those answers and for `detection_time`.  `_grid` makes the dense
-grid's points; `dense_grid_ratio` sweeps them for the sup alone.  `_rows`
-is the one producer of the sweep CSV's answers and their sup:
-`sweep_rows` wraps each answer in a Target and a DetectionReport, while
-the CLI formats its lines from the plain answers and takes the
-breakpoint summary's sup and witness from the same sweep.
+by robot).  That list is all there is to know of one target, and every
+reader gets it as it is: `detection_time` answers one target with it,
+and `_detected` states tau, the (f+1)-st time, and tau/x from it once.
+`_grid` makes the dense grid's points; `dense_grid_ratio` sweeps them
+for the sup alone.  `_rows` is the one producer of the sweep CSV's
+answers and their sup: `sweep_rows` returns its answers unchanged, and
+the CLI formats its lines from them and takes the breakpoint summary's
+sup and witness from the same sweep.
 One gate, `strategy._require_strategy_set`, admits the sets of the sweep
 and of its reference path alike and names their rays: a target on another
 ray is a ValueError in `detection_time`, as a RoundPlan visiting a ray
@@ -67,7 +68,6 @@ from .strategy import (
 
 __all__ = [
     "Target",
-    "DetectionReport",
     "first_visit_time",
     "detection_time",
     "worst_ratio",
@@ -98,15 +98,6 @@ class Target:
             raise ValueError(f"target distance must be >= 1, got {self.x}")
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    """Adversarial detection time at one target; tau is None if undetected."""
-
-    tau: float | None
-    visitors: tuple[tuple[int, float], ...]
-    ratio: float | None
-
-
 def first_visit_time(
     strategy: Strategy, target: Target, just_above: bool = False
 ) -> float | None:
@@ -132,8 +123,11 @@ def detection_time(
     p: InstanceParams,
     target: Target,
     just_above: bool = False,
-) -> DetectionReport:
-    """(f+1)-st distinct first-visit time: the first f visitors stay silent."""
+) -> list[tuple[float, int]]:
+    """The sorted (time, robot) first visits of the robots that reach the
+    target: the record the sweep gives each target.  The first f visitors
+    stay silent, so with more than f arrivals tau is arrivals[f][0], the
+    (f+1)-st distinct first-visit time; with f or fewer it is undetected."""
     rays = _require_strategy_set(strategies, p)
     if target.ray not in rays:
         raise ValueError(f"target on ray {target.ray}, but the set searches rays {rays}")
@@ -143,7 +137,7 @@ def detection_time(
         if t is not None:
             arrivals.append((t, r))
     arrivals.sort()
-    return _as_report(arrivals, target.x, p.f)
+    return arrivals
 
 
 def _detected(
@@ -155,11 +149,6 @@ def _detected(
         tau = arrivals[f][0]
         return tau, tau / x
     return None, None
-
-
-def _as_report(arrivals: Sequence[tuple[float, int]], x: float, f: int) -> DetectionReport:
-    tau, ratio = _detected(arrivals, x, f)
-    return DetectionReport(tau, tuple((r, t) for t, r in arrivals), ratio)
 
 
 # ends each ray's items: it carries no target, so the last one is answered
@@ -310,14 +299,13 @@ def _rows(
     strategies: Sequence[Strategy],
     p: InstanceParams,
     N: float,
-    dense: bool = False,
-    rel_step: float = _REL_STEP,
+    rel_step: float | None = None,
 ) -> tuple[Sup, list[Answer]]:
-    """The sweep's sup over the targets of the sweep CSV, breakpoints or a
-    `_grid`, and each target as (number, (ray, x, just_above), arrivals) in
-    number order, its arrivals sorted (time, robot) pairs.  N below 1, or
-    NaN, is a ValueError."""
-    if dense:
+    """The sweep's sup over the targets of the sweep CSV, the breakpoints
+    (rel_step None) or a `_grid` of that step, and each target as (number,
+    (ray, x, just_above), arrivals) in number order, its arrivals sorted
+    (time, robot) pairs.  N below 1, or NaN, is a ValueError."""
+    if rel_step is not None:
         return _sweep(strategies, p, _grid(N, rel_step), visitors=True)
     _require_horizon(N)
     return _sweep(strategies, p, (1.0,), N, visitors=True)
@@ -327,18 +315,14 @@ def sweep_rows(
     strategies: Sequence[Strategy],
     p: InstanceParams,
     N: float,
-    dense: bool = False,
-    rel_step: float = _REL_STEP,
-) -> list[tuple[Target, bool, DetectionReport]]:
-    """Per-target rows backing the sweep CSV: breakpoints or a dense grid.
-
-    N below 1, or NaN, is a ValueError.
+    rel_step: float | None = None,
+) -> list[Answer]:
+    """Per-target rows backing the sweep CSV, as `simulate --csv` formats
+    them: (number, (ray, x, just_above), arrivals), arrivals being sorted
+    (time, robot) pairs, for the breakpoints, or with a rel_step for the
+    dense grid of that step.  N below 1, or NaN, is a ValueError.
     """
-    f = p.f
-    return [
-        (Target(ray, x), above, _as_report(times, x, f))
-        for _, (ray, x, above), times in _rows(strategies, p, N, dense, rel_step)[1]
-    ]
+    return _rows(strategies, p, N, rel_step)[1]
 
 
 def dense_grid_ratio(

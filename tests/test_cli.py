@@ -17,6 +17,7 @@ from raysearch import (
     InfeasibleRegime,
     InstanceParams,
     RoundPlan,
+    Target,
     TurnSequence,
     dumps_strategies,
     growth_factor_delta,
@@ -483,6 +484,22 @@ class TestRefute:
         )
         assert code == 0
         assert json.loads(out)["gap"]["case"] == 1
+
+    @pytest.mark.parametrize("gap_c", ["2", "2.4"])  # below and above mu = 2.25
+    def test_a_jump_below_mu_has_a_null_subrange(self, capsys, gap_c):
+        # robot 2's left ends jump from t' = 1 by 2^(4/3) = 2.52 > C; with
+        # C <= mu the subrange [mu * t', C * t'] is empty, and it used to
+        # print reversed
+        code, out, _ = run(
+            capsys,
+            "refute", "-m", "2", "-k", "3", "-f", "1", "--lam", "5.5",
+            "-N", "1e4", "--gap-constant", gap_c,
+        )
+        assert code == 0
+        gap = strict_json(out)["gap"]
+        assert (gap["case"], gap["robot"], gap["round"]) == (2, 2, 3)
+        sub = (None, None) if gap_c == "2" else (2.25, 2.4)
+        assert (gap["sub_lo"], gap["sub_hi"]) == sub
 
     def test_gap_is_null_on_a_coverage_failure(self, capsys):
         code, out, _ = run(
@@ -1007,26 +1024,29 @@ class TestLibraryAgreement:
         assert doc.get("audit", {}).get("steps") == expected.get("audit", {}).get("steps")
 
 
-def _slow_sweep_csv(strategies, p, N, dense=False, rel_step=1e-3):
-    """The sweep CSV and the summary's (sup, witness) as `simulate --csv`
-    made them before it formatted the sweep's plain answers: one Target and
-    one DetectionReport per row of sweep_rows, taken apart again."""
-    rows = sweep_rows(strategies, p, N, dense=dense, rel_step=rel_step)
+def _slow_sweep_csv(strategies, p, N, rel_step=None):
+    """The sweep CSV and the summary's (sup, witness) from the rows of
+    sweep_rows, with tau, the (f+1)-st arrival time, and tau/x taken from
+    each row's arrivals here: no code of the command line's own."""
+    rows = []
+    for _, (ray, x, above), arrivals in sweep_rows(strategies, p, N, rel_step):
+        tau = arrivals[p.f][0] if len(arrivals) > p.f else None
+        rows.append((Target(ray, x), above, tau, None if tau is None else tau / x, arrivals))
 
     def cell(value):
         return "" if value is None else repr(value)
 
     lines = (
-        f"{t.ray},{t.x!r},{int(above)},{cell(report.tau)},{cell(report.ratio)},"
-        + "|".join(str(r) for r, _ in report.visitors)
-        for t, above, report in rows
+        f"{t.ray},{t.x!r},{int(above)},{cell(tau)},{cell(ratio)},"
+        + "|".join(str(r) for _, r in arrivals)
+        for t, above, tau, ratio, arrivals in rows
     )
     text = "# raysearch sweep v1\nray,x,just_above,tau,ratio,robot_order\n"
     text += "".join(f"{line}\n" for line in lines)
-    if dense:
+    if rel_step is not None:
         sup, witness = worst_ratio(strategies, p, N)
     else:
-        sup, witness = slow_supremum((target, report.ratio) for target, _, report in rows)
+        sup, witness = slow_supremum((target, ratio) for target, _, _, ratio, _ in rows)
     return text, sup, witness
 
 
@@ -1089,14 +1109,13 @@ class TestSweepCsvMatchesTheSlowPath:
         folder = tmp_path_factory.mktemp("sweep")
         save_strategies(strategies, str(folder / "set.txt"))
         csv = folder / "sweep.csv"
-        dense = rel_step is not None
-        extra = ["--dense", "--rel-step", repr(rel_step)] if dense else []
+        extra = [] if rel_step is None else ["--dense", "--rel-step", repr(rel_step)]
         code, out, err = call(
             "simulate", *_instance_flags(p.m, p.k, p.f), "-N", repr(N),
             "--strategy", str(folder / "set.txt"), "--csv", str(csv), *extra,
         )
         try:
-            text, sup, witness = _slow_sweep_csv(strategies, p, N, dense, rel_step or 1e-3)
+            text, sup, witness = _slow_sweep_csv(strategies, p, N, rel_step)
         except ValueError as exc:
             assert (code, out, err) == (1, "", f"raysearch: error: {exc}\n")
             assert not csv.exists()

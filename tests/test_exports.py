@@ -40,9 +40,11 @@ def test_every_exported_name_exists(name):
 
 
 def test_a_growth_step_has_no_record_type():
-    # a step is a plain tuple, which the cyclic collector can untrack
-    assert not hasattr(raysearch, "GrowthStep")
-    assert not hasattr(importlib.import_module("raysearch.potential"), "GrowthStep")
+    # a step is a plain tuple, which the cyclic collector can untrack, and
+    # so is a target's detection: its sorted (time, robot) arrivals
+    for module, name in (("potential", "GrowthStep"), ("simulator", "DetectionReport")):
+        assert not hasattr(raysearch, name)
+        assert not hasattr(importlib.import_module(f"raysearch.{module}"), name)
 
 
 def test_a_public_definition_is_found():

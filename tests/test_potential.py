@@ -881,6 +881,14 @@ class TestDetectGap:
         # the other robots must cover [mu * t', C * t'] one fold short
         assert (rep.sub_lo, rep.sub_hi) == (pytest.approx(8.0), pytest.approx(10.0))
 
+    @pytest.mark.parametrize("C", [2.0, 3.5])  # below mu = 3.5, and at it
+    def test_a_jump_at_or_below_mu_has_an_empty_subrange(self, C):
+        # [mu * t', C * t'] holds no point past mu * t': the jump is still
+        # case 2, and its subrange is None, not a reversed pair
+        stream = [(0, 0, 1.0, 2.0), (0, 1, 2.0, 50.0), (0, 2, 50.0, 100.0)]
+        rep = detect_gap(stream, C, CoverParams(8.0))
+        assert rep == potential.GapReport(2, 0, 2, 25.0, None, None)
+
     @pytest.mark.parametrize("C", [1.0, 0.5])
     def test_gap_constant_must_exceed_one(self, C):
         p, assigned = doubling_assigned()

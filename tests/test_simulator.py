@@ -81,18 +81,18 @@ class TestDetection:
         straight = TurnSequence((100.0,))
         slow = TurnSequence((0.5, 0.6, 100.0))
         p = InstanceParams(2, 2, 1)
-        rep = detection_time([straight, slow], p, Target(1, 2.0))
+        arrivals = detection_time([straight, slow], p, Target(1, 2.0))
         # The straight robot arrives at 2 but may be faulty; detection
         # waits for the second robot at 2*(0.5+0.6) + 2 = 4.2.
-        assert rep.tau == pytest.approx(4.2)
-        assert [r for r, _ in rep.visitors[:2]] == [0, 1]
-        assert rep.ratio == pytest.approx(2.1)
+        assert arrivals == [(2.0, 0), (pytest.approx(4.2), 1)]
+        assert _detected(arrivals, 2.0, p.f) == (pytest.approx(4.2), pytest.approx(2.1))
 
     def test_no_quorum_means_no_detection(self):
         straight = TurnSequence((100.0,))
         p = InstanceParams(2, 2, 1)
-        rep = detection_time([straight, straight], p, Target(-1, 2.0))
-        assert rep.tau is None and rep.ratio is None
+        arrivals = detection_time([straight, straight], p, Target(-1, 2.0))
+        assert arrivals == []
+        assert _detected(arrivals, 2.0, p.f) == (None, None)
 
     @pytest.mark.parametrize("ray", [0, -1, 3])
     def test_a_target_off_the_round_plans_rays_is_rejected(
@@ -134,22 +134,32 @@ class TestWorstRatio:
 class TestSweepRows:
     def test_rows_cover_all_breakpoints(self, doubling, doubling_strategy):
         rows = sweep_rows(doubling_strategy, doubling, 1e3)
-        xs = {(t.ray, t.x, ja) for t, ja, _ in rows}
-        assert (1, 1.0, False) in xs and (2, 1.0, False) in xs
-        assert all(1.0 <= t.x <= 1e3 for t, _, _ in rows)
+        targets = {target for _, target, _ in rows}
+        assert (1, 1.0, False) in targets and (2, 1.0, False) in targets
+        assert all(1.0 <= x <= 1e3 for _, (_, x, _), _ in rows)
 
     def test_dense_rows_track_ratio(self, doubling, doubling_strategy):
-        rows = sweep_rows(doubling_strategy, doubling, 1e3, dense=True, rel_step=1e-2)
-        best = max(r.ratio for _, _, r in rows if r.ratio is not None)
+        rows = sweep_rows(doubling_strategy, doubling, 1e3, rel_step=1e-2)
+        best = max(ratio for _, ratio in _row_ratios(rows, doubling.f) if ratio is not None)
         exact, _ = worst_ratio(doubling_strategy, doubling, 1e3)
         assert best == pytest.approx(exact, abs=0.05)
+
+    def test_a_step_alone_gives_the_grid_rows(self, doubling, doubling_strategy):
+        # a step alone chooses the grid, 47 points on each ray; without a
+        # step the rows are the 9 breakpoints
+        rows = sweep_rows(doubling_strategy, doubling, 100.0, rel_step=0.1)
+        assert [target for _, target, _ in rows] == [
+            (ray, x, False) for ray in (1, 2) for x in simulator._grid(100.0, 0.1)
+        ]
+        assert len(rows) == 2 * 47
+        assert len(sweep_rows(doubling_strategy, doubling, 100.0)) == 9
 
 
 class TestDenseStep:
     @pytest.mark.parametrize("rel_step", [0.0, -1.0, -0.0, math.nan])
     def test_step_must_be_positive(self, doubling, doubling_strategy, rel_step):
         with pytest.raises(ValueError, match="rel_step must be positive"):
-            sweep_rows(doubling_strategy, doubling, 100.0, dense=True, rel_step=rel_step)
+            sweep_rows(doubling_strategy, doubling, 100.0, rel_step=rel_step)
         with pytest.raises(ValueError, match="rel_step must be positive"):
             dense_grid_ratio(doubling_strategy, doubling, 100.0, rel_step=rel_step)
 
@@ -157,14 +167,14 @@ class TestDenseStep:
         # log(100)/0.1 = 46.05: 47 points; at the exact count the grid is
         # made, one below it nothing is, and the message names N and the step
         monkeypatch.setattr(simulator, "MAX_GRID_POINTS", 47)
-        assert len(_rows(doubling_strategy, doubling, 100.0, True, 0.1)[1]) == 2 * 47
+        assert len(_rows(doubling_strategy, doubling, 100.0, 0.1)[1]) == 2 * 47
         monkeypatch.setattr(simulator, "MAX_GRID_POINTS", 46)
         message = (
             r"^rel_step=0\.1 too small for N=100\.0: "
             r"the dense grid's 47 points exceed the limit of 46$"
         )
         for entry in (
-            lambda: sweep_rows(doubling_strategy, doubling, 100.0, dense=True, rel_step=0.1),
+            lambda: sweep_rows(doubling_strategy, doubling, 100.0, rel_step=0.1),
             lambda: dense_grid_ratio(doubling_strategy, doubling, 100.0, rel_step=0.1),
         ):
             with pytest.raises(ValueError, match=message):
@@ -176,8 +186,8 @@ class TestDenseStep:
         plan = RoundPlan(((1, 2.0), (1, 4.0)))
         assert worst_ratio([plan], doubling, 10.0)[0] == math.inf
         assert dense_grid_ratio([plan], doubling, 10.0) == math.inf
-        rows = sweep_rows([plan], doubling, 10.0, dense=True)
-        assert any(r.ratio is not None for _, _, r in rows)
+        rows = sweep_rows([plan], doubling, 10.0, rel_step=simulator._REL_STEP)
+        assert any(ratio is not None for _, ratio in _row_ratios(rows, doubling.f))
 
     def test_the_grid_ratio_asks_for_no_arrivals(self, monkeypatch, three_robot):
         # only the sup is read: one sweep of the grid, with no visitors, and
@@ -192,7 +202,7 @@ class TestDenseStep:
         monkeypatch.setattr(simulator, "_sweep", spy)
         ratio = dense_grid_ratio(strategies, three_robot, 1e3, rel_step=1e-2)
         assert calls == [False]
-        assert ratio == _rows(strategies, three_robot, 1e3, True, 1e-2)[0][0]
+        assert ratio == _rows(strategies, three_robot, 1e3, 1e-2)[0][0]
 
     def test_the_default_step_fits_every_finite_horizon(self):
         # so no query at the default step is refused for its grid's size
@@ -204,7 +214,7 @@ class TestHorizon:
     ENTRIES = {
         "worst_ratio": lambda s, p, N: worst_ratio(s, p, N),
         "sweep_rows": lambda s, p, N: sweep_rows(s, p, N),
-        "sweep_rows_dense": lambda s, p, N: sweep_rows(s, p, N, dense=True, rel_step=0.1),
+        "sweep_rows_dense": lambda s, p, N: sweep_rows(s, p, N, rel_step=0.1),
         "dense_grid_ratio": lambda s, p, N: dense_grid_ratio(s, p, N, rel_step=0.1),
     }
 
@@ -228,7 +238,7 @@ class TestStrategyCount:
         [
             lambda s, p: worst_ratio(s, p, 1e3),
             lambda s, p: sweep_rows(s, p, 1e3),
-            lambda s, p: sweep_rows(s, p, 1e3, dense=True, rel_step=0.1),
+            lambda s, p: sweep_rows(s, p, 1e3, rel_step=0.1),
             lambda s, p: dense_grid_ratio(s, p, 1e3, rel_step=0.1),
             lambda s, p: detection_time(s, p, Target(1, 2.0)),
         ],
@@ -252,7 +262,8 @@ class TestTargetValidation:
 # worst_ratio, sweep_rows and dense_grid_ratio answer from one sweep per
 # ray; the oracles below answer every target from scratch with
 # detection_time, enumerating the candidates as the simulator documents
-# them.  Answers must agree exactly, floats and visitor order included.
+# them.  Answers must agree exactly, floats and arrival order included:
+# the rows' == is the tie rule itself.
 
 # small integers give repeated turns and ties across robots; values below
 # 1 never become breakpoints, larger ones may reach past the horizon
@@ -313,32 +324,59 @@ def _oracle_candidates(strategies, p, N):
     return cands, rays
 
 
+def _tau_ratio(arrivals, x, f):
+    """(tau, tau/x) from sorted (time, robot) arrivals, tau the (f+1)-st
+    time, or (None, None) below f+1 of them: the crash-fault rule, restated."""
+    if len(arrivals) <= f:
+        return None, None
+    tau = arrivals[f][0]
+    return tau, tau / x
+
+
+def _row_ratios(rows, f):
+    """(Target, tau/x or None) of each row of sweep_rows, in row order."""
+    return [(Target(ray, x), _tau_ratio(arrivals, x, f)[1]) for _, (ray, x, _), arrivals in rows]
+
+
 def _oracle_worst(strategies, p, N):
     best, witness = -math.inf, None
     for target, just_above in _oracle_candidates(strategies, p, N)[0]:
-        report = detection_time(strategies, p, target, just_above)
-        if report.tau is None:
+        arrivals = detection_time(strategies, p, target, just_above)
+        _, ratio = _tau_ratio(arrivals, target.x, p.f)
+        if ratio is None:
             return math.inf, target
-        if report.ratio > best:
-            best, witness = report.ratio, target
+        if ratio > best:
+            best, witness = ratio, target
     return best, witness
 
 
-def _oracle_rows(strategies, p, N, dense=False, rel_step=1e-3):
+def _oracle_rows(strategies, p, N, rel_step=None):
+    """sweep_rows' rows without their numbers, from detection_time."""
     cands, rays = _oracle_candidates(strategies, p, N)
-    if dense:
+    if rel_step is not None:
         n = max(2, int(math.log(N) / rel_step) + 1)
         cands = [
             (Target(ray, math.exp(math.log(N) * i / (n - 1))), False)
             for ray in rays
             for i in range(n)
         ]
-    return [(t, ja, detection_time(strategies, p, t, ja)) for t, ja in cands]
+    return [((t.ray, t.x, ja), detection_time(strategies, p, t, ja)) for t, ja in cands]
+
+
+def _unnumbered(rows):
+    return [(target, arrivals) for _, target, arrivals in rows]
+
+
+def _unnumbered_rows(strategies, p, N, rel_step=None):
+    return _unnumbered(sweep_rows(strategies, p, N, rel_step))
 
 
 def _oracle_dense(strategies, p, N, rel_step):
     # an undetected grid point makes the sup inf, as in _oracle_worst
-    ratios = [r.ratio for _, _, r in _oracle_rows(strategies, p, N, True, rel_step)]
+    ratios = [
+        _tau_ratio(arrivals, x, p.f)[1]
+        for (_, x, _), arrivals in _oracle_rows(strategies, p, N, rel_step)
+    ]
     return math.inf if None in ratios else max(ratios)
 
 
@@ -367,13 +405,13 @@ def _assert_same_answers(strategies, p, N):
     assert _outcome(worst_ratio, strategies, p, N) == _outcome(
         _oracle_worst, strategies, p, N
     )
-    assert _outcome(sweep_rows, strategies, p, N) == _outcome(
+    assert _outcome(_unnumbered_rows, strategies, p, N) == _outcome(
         _oracle_rows, strategies, p, N
     )
     for rel_step in (0.05, 0.3):
-        assert _outcome(
-            sweep_rows, strategies, p, N, dense=True, rel_step=rel_step
-        ) == _outcome(_oracle_rows, strategies, p, N, dense=True, rel_step=rel_step)
+        assert _outcome(_unnumbered_rows, strategies, p, N, rel_step) == _outcome(
+            _oracle_rows, strategies, p, N, rel_step
+        )
         assert _outcome(dense_grid_ratio, strategies, p, N, rel_step) == _outcome(
             _oracle_dense, strategies, p, N, rel_step
         )
@@ -386,7 +424,7 @@ def _assert_rejected(strategies, p, N, message):
     with pytest.raises(ValueError, match=message):
         sweep_rows(strategies, p, N)
     with pytest.raises(ValueError, match=message):
-        sweep_rows(strategies, p, N, dense=True, rel_step=0.3)
+        sweep_rows(strategies, p, N, rel_step=0.3)
     with pytest.raises(ValueError, match=message):
         dense_grid_ratio(strategies, p, N, 0.3)
 
@@ -461,15 +499,13 @@ class TestIndexMatchesReference:
         assert targets == [(ray, x, False) for ray in rays for x in xs] + [
             (t.ray, t.x, True) for t, _ in cands[len(rays):]
         ]
-        # each plain answer lists detection_time's visitors as (time, robot),
-        # and gives its tau and ratio
-        reports = [
+        # each answer lists detection_time's arrivals, and gives its tau and ratio
+        assert arrivals == [
             detection_time(strategies, p, Target(ray, x), just_above)
             for ray, x, just_above in targets
         ]
-        assert arrivals == [[(t, r) for r, t in rep.visitors] for rep in reports]
         assert [_detected(times, x, p.f) for (_, x, _), times in zip(targets, arrivals)] == [
-            (rep.tau, rep.ratio) for rep in reports
+            _tau_ratio(times, x, p.f) for (_, x, _), times in zip(targets, arrivals)
         ]
 
 
@@ -641,10 +677,10 @@ class TestNumberingRule:
         ]
         p, N = InstanceParams(2, 2, 1), 4.0
         rows = sweep_rows(strategies, p, N)
-        assert [(t.ray, t.x, ja) for t, ja, _ in rows] == [
+        assert [target for _, target, _ in rows] == [
             (1, 1.0, False), (2, 1.0, False), (1, 2.0, True), (2, 3.0, True),
         ]
-        assert rows == _oracle_rows(strategies, p, N)
+        assert _unnumbered(rows) == _oracle_rows(strategies, p, N)
 
     def test_a_robot_repeating_its_record_turn_adds_no_target(self):
         # the robot's second (1, 2.0) is no record and no target of its own:
@@ -652,11 +688,11 @@ class TestNumberingRule:
         strategies = [RoundPlan(((1, 2.0), (2, 3.0), (1, 2.0), (2, 4.0), (1, 5.0), (2, 6.0)))]
         p, N = InstanceParams(2, 1, 0), 5.5
         rows = sweep_rows(strategies, p, N)
-        assert [(t.ray, t.x, ja) for t, ja, _ in rows] == [
+        assert [target for _, target, _ in rows] == [
             (1, 1.0, False), (2, 1.0, False), (1, 2.0, True),
             (2, 3.0, True), (2, 4.0, True), (1, 5.0, True),
         ]
-        assert rows == _oracle_rows(strategies, p, N)
+        assert _unnumbered(rows) == _oracle_rows(strategies, p, N)
 
     def test_a_turn_at_one_stays_apart_from_the_probe(self):
         # the probe at x = 1 is answered before the robots move on at 1.0
@@ -666,12 +702,12 @@ class TestNumberingRule:
         ]
         p, N = InstanceParams(2, 2, 0), 3.0
         rows = sweep_rows(strategies, p, N)
-        assert [(t.ray, t.x, ja) for t, ja, _ in rows] == [
+        assert [target for _, target, _ in rows] == [
             (1, 1.0, False), (2, 1.0, False), (1, 1.0, True), (2, 2.0, True),
         ]
-        assert rows[0][2].ratio == 1.0
-        assert rows[2][2].ratio == 3.0  # (2*1 + 1) / 1: robot 1 passes 1.0 first
-        assert rows == _oracle_rows(strategies, p, N)
+        assert rows[0][2] == [(1.0, 0), (1.0, 1)]
+        assert rows[2][2] == [(3.0, 1), (7.0, 0)]  # 2*1 + 1: robot 1 passes 1.0 first
+        assert _unnumbered(rows) == _oracle_rows(strategies, p, N)
 
     def test_a_ratio_tie_across_rays_goes_to_the_first_in_walk_order(self):
         # just past 3.0 both rays read 15/3 = 5: ray 2's target appears
@@ -695,7 +731,7 @@ class TestNumberingRule:
         ]
         p, N = InstanceParams(2, 2, 0), 10.0
         rows = sweep_rows(strategies, p, N)
-        assert max(r.ratio for _, _, r in rows if r.ratio is not None) == 6.0
+        assert max(ratio for _, ratio in _row_ratios(rows, p.f) if ratio is not None) == 6.0
         assert worst_ratio(strategies, p, N) == (math.inf, Target(2, 3.0))
         assert worst_ratio(strategies, p, N) == _oracle_worst(strategies, p, N)
 
@@ -708,19 +744,17 @@ class TestNumberingRule:
         (sup, at), _ = _rows(strategies, p, N)
         rows = sweep_rows(strategies, p, N)
         assert worst_ratio(strategies, p, N) == (sup, Target(*at)) == slow_supremum(
-            (target, report.ratio) for target, _, report in rows
+            _row_ratios(rows, p.f)
         )
-        (sup, at), _ = _rows(strategies, p, N, dense=True, rel_step=0.3)
-        rows = sweep_rows(strategies, p, N, dense=True, rel_step=0.3)
-        assert (sup, Target(*at)) == slow_supremum(
-            (target, report.ratio) for target, _, report in rows
-        )
+        (sup, at), _ = _rows(strategies, p, N, 0.3)
+        rows = sweep_rows(strategies, p, N, 0.3)
+        assert (sup, Target(*at)) == slow_supremum(_row_ratios(rows, p.f))
 
 
 class TestRoundingAndLargeOffsets:
     def test_visitors_tied_by_rounding_keep_robot_order(self):
         # at x = 1e20 the offsets 4 (robot 0) and 2 (robot 1) both vanish
-        # in rounding: the sweep holds robot 1 first, detection_time lists
+        # in rounding: the sweep holds robot 1 first, the arrivals list
         # the tied times by robot
         strategies = [
             RoundPlan(((2, 2.0), (1, 1e21))),
@@ -730,9 +764,9 @@ class TestRoundingAndLargeOffsets:
         p = InstanceParams(2, 3, 1)
         N = 1e21
         rows = sweep_rows(strategies, p, N)
-        assert rows == _oracle_rows(strategies, p, N)
-        [report] = [r for t, ja, r in rows if (t.ray, t.x, ja) == (1, 1e20, True)]
-        assert report.visitors == ((0, 1e20), (1, 1e20))
+        assert _unnumbered(rows) == _oracle_rows(strategies, p, N)
+        [arrivals] = [times for _, target, times in rows if target == (1, 1e20, True)]
+        assert arrivals == [(1e20, 0), (1e20, 1)]
         assert worst_ratio(strategies, p, N) == _oracle_worst(strategies, p, N)
 
     @pytest.mark.parametrize(
@@ -745,10 +779,8 @@ class TestRoundingAndLargeOffsets:
         strategies = make_exponential_strategy(p, math.exp(math.log(N) / 150), N)
         assert 100 <= sum(len(s.rounds) for s in strategies) <= 200
         assert worst_ratio(strategies, p, N) == _oracle_worst(strategies, p, N)
-        assert sweep_rows(strategies, p, N) == _oracle_rows(strategies, p, N)
-        assert sweep_rows(strategies, p, N, dense=True, rel_step=0.5) == _oracle_rows(
-            strategies, p, N, dense=True, rel_step=0.5
-        )
+        assert _unnumbered_rows(strategies, p, N) == _oracle_rows(strategies, p, N)
+        assert _unnumbered_rows(strategies, p, N, 0.5) == _oracle_rows(strategies, p, N, 0.5)
 
 
 # --- the float sup against exact arithmetic -------------------------------
